@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .qcore import exp_itheta, h_product
-from .qpolys import AWParams, JacobiLevel, cqjacobi_seq, norm_h
+from .qcore import exp_itheta
+from .qpolys import JacobiLevel, _ab, cqjacobi_seq, level_plan, norm_h
 
 __all__ = [
     "CoeffVector", "QuadratureRule", "make_rule", "weight_theta_grid",
     "dq_pointwise", "xi_factor", "t_factor", "dq_coeffs", "t_coeffs",
-    "kernel_truncation", "kernel_eval", "t_quadrature", "t_apply_series",
-    "project_coeffs", "eval_coeffvector", "quad_weighted",
+    "kernel_truncation", "kernel_eval", "t_quadrature", "eval_coeffvector",
+    "quad_weighted",
 ]
 
 
@@ -67,36 +67,19 @@ def make_rule(n):
 
 
 def weight_theta_grid(level, rule, ctx):
-    """w(cos theta) sin(theta) on the rule's nodes (smooth in theta).
+    """w(cos theta) sin(theta) on the rule's nodes (smooth in theta), read
+    only and shared through the level's plan.
 
     Real levels give a real grid; conjugate-pair levels keep the genuinely
     complex weight (the parameter multiset is not conjugation-stable), and
     the orthogonality relation holds bilinearly against it."""
-    q = ctx.q
-    params = AWParams.from_level(level, q).as_tuple()
-    sq = math.sqrt(q)
-    out = np.empty(rule.size, dtype=complex)
-    for i, th in enumerate(rule.nodes):
-        x = math.cos(th)
-        num = h_product(x, [1.0, -1.0, sq, -sq], q, ctx.tol)
-        den = h_product(x, params, q, ctx.tol)
-        out[i] = num / den
-    return out.real if level.is_real else out
+    return level_plan(level, ctx).on_nodes(rule.nodes)[0]
 
 
 def quad_weighted(level, rule, ctx, values):
     """Integral over [-1,1] of f(x) w(x) dx given f at the rule's cos-nodes."""
     w = weight_theta_grid(level, rule, ctx)
     return np.sum(rule.weights * w * values)
-
-
-def project_coeffs(level, rule, ctx, values, nmax):
-    """Coefficients <f, P_n>/h_n for n = 0..nmax from samples of f."""
-    w = weight_theta_grid(level, rule, ctx)
-    xs = np.cos(rule.nodes)
-    polys = cqjacobi_seq(nmax, level, xs, ctx)
-    return [complex(np.sum(rule.weights * w * polys[n] * values))
-            / norm_h(n, level, ctx) for n in range(nmax + 1)]
 
 
 def eval_coeffvector(f, x, ctx):
@@ -134,9 +117,7 @@ def dq_pointwise(f, x, ctx):
 
 def xi_factor(n, level, q):
     """Ladder factor: D_q P_n^{(a,b)}(.|q) = xi_n P_{n-1}^{(a+1,b+1)}(.|q)."""
-    al, be = complex(level.alpha), complex(level.beta)
-    if al.imag == 0.0 and be.imag == 0.0:
-        al, be = al.real, be.real
+    al, be = _ab(level)
     return (2 * q ** (-n + (2 * al + 5) / 4) * (1 - q ** (al + be + n + 1))
             / ((1 + q ** ((al + be + 1) / 2)) * (1 + q ** ((al + be + 2) / 2))
                * (1 - q)))
@@ -170,43 +151,50 @@ def t_coeffs(g, ctx):
 # ---------------------------------------------------------------------------
 
 def _kernel_factor(n, level, ctx):
-    q = ctx.q
-    al, be = complex(level.alpha), complex(level.beta)
-    if al.imag == 0.0 and be.imag == 0.0:
-        al, be = al.real, be.real
-    po2 = (1 + q ** ((al + be + 1) / 2)) * (1 + q ** ((al + be + 2) / 2))
-    return ((1 - q) * po2 * q ** (n - (2 * al + 1) / 4)
-            / (2 * (1 - q ** (al + be + n + 2))
-               * norm_h(n, level.shifted(1), ctx)))
+    """Coefficient of P_{n+1}(x) P_n^{(a+1,b+1)}(y) in the kernel, from the
+    table kept in the level's plan."""
+    kf = level_plan(level, ctx).kernel_factors
+    if len(kf) <= n:
+        q = ctx.q
+        al, be = _ab(level)
+        lvl1 = level.shifted(1)
+        po2 = (1 + q ** ((al + be + 1) / 2)) * (1 + q ** ((al + be + 2) / 2))
+        for k in range(len(kf), n + 1):
+            kf.append((1 - q) * po2 * q ** (k - (2 * al + 1) / 4)
+                      / (2 * (1 - q ** (al + be + k + 2)) * norm_h(k, lvl1, ctx)))
+    return kf[n]
 
 
 def kernel_truncation(level, ctx, tol=None, nmin=20, nmax=400):
     """Number of terms N so the geometric tail bound of the kernel series
-    is below tol.
+    is below tol, kept in the level's plan.
 
     The per-term scale on the support is |factor_n| sqrt(|h_{n+1} h_n'|)
     (polynomials on [-1, 1] oscillate with amplitude ~ sqrt(norm)), which
     decays like sqrt(q)^n; the bound uses the measured trailing ratio
     capped at 0.95."""
-    q = ctx.q
+    plan = level_plan(level, ctx)
     tol = ctx.tol if tol is None else tol
-    lvl1 = level.shifted(1)
+    key = (tol, nmin, nmax)
+    if key not in plan.truncations:
+        lvl1 = level.shifted(1)
 
-    def scale(n):
-        return (abs(_kernel_factor(n, level, ctx))
-                * math.sqrt(abs(norm_h(n + 1, level, ctx))
-                            * abs(norm_h(n, lvl1, ctx))))
+        def scale(n):
+            return (abs(_kernel_factor(n, level, ctx))
+                    * math.sqrt(abs(norm_h(n + 1, level, ctx))
+                                * abs(norm_h(n, lvl1, ctx))))
 
-    n = nmin
-    fprev = scale(n)
-    while n < nmax:
-        n += 1
-        f = scale(n)
-        r = min(0.95, max(f / fprev, math.sqrt(q)))
-        if f * r / (1.0 - r) < tol:
-            break
-        fprev = f
-    return n
+        n = nmin
+        fprev = scale(n)
+        while n < nmax:
+            n += 1
+            f = scale(n)
+            r = min(0.95, max(f / fprev, math.sqrt(ctx.q)))
+            if f * r / (1.0 - r) < tol:
+                break
+            fprev = f
+        plan.truncations[key] = n
+    return plan.truncations[key]
 
 
 def kernel_eval(x, y, level, ctx, nterms=None):
@@ -247,8 +235,7 @@ def _t_quad_once(g, x, level, rule, ctx, nterms):
     nterms = min(nterms, rule.size // 2)
     ys = np.cos(rule.nodes)
     gy = np.array([g(t) for t in ys], dtype=complex)
-    w1 = weight_theta_grid(level.shifted(1), rule, ctx)
-    py = cqjacobi_seq(nterms, level.shifted(1), ys, ctx)
+    w1, py = level_plan(level.shifted(1), ctx).on_nodes(rule.nodes)
     moments = [complex(np.sum(rule.weights * w1 * py[n] * gy))
                for n in range(nterms)]
     scales = [abs(m) / max(abs(norm_h(n, level.shifted(1), ctx)), 1e-300) ** 0.5
@@ -261,8 +248,3 @@ def _t_quad_once(g, x, level, rule, ctx, nterms):
     for n in range(neff):
         total += _kernel_factor(n, level, ctx) * px[n + 1] * moments[n]
     return total
-
-
-def t_apply_series(coeffs_x, level, ctx, x):
-    """Sample sum_n c_n P_n at x (helper for operator-residual checks)."""
-    return eval_coeffvector(CoeffVector(level, tuple(coeffs_x)), x, ctx)

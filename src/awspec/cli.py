@@ -159,6 +159,10 @@ def _cmd_eigfun(args):
     ctx, level = _config(args)
     res = spectral.eigenvalues(level, ctx, count=args.index + 1,
                                nmat=args.trunc)
+    if not 0 <= args.index < len(res):
+        sys.stderr.write(f"error: --index {args.index} is out of range: "
+                         f"{len(res)} eigenvalue(s) found\n")
+        return USAGE_ERROR
     r = res[args.index]
     header = ["kind", "index_or_x", "value_re", "value_im"]
     rows = []
@@ -221,6 +225,9 @@ def _cmd_expand(args):
 
 
 def _cmd_coulomb(args):
+    if args.grid < 1:
+        sys.stderr.write("error: --grid must be at least 1\n")
+        return USAGE_ERROR
     ctx, _ = _config(args)
     header = ["rho", "value_re", "value_im"]
     rows = []
@@ -245,7 +252,7 @@ def _cmd_verify(args):
     beta = complex(args.alpha).conjugate() if args.beta == "conj" \
         else complex(args.beta)
     cfg = verify.VerifyConfig(q=args.q, alpha=complex(args.alpha), beta=beta,
-                              tol=args.tol, trunc=args.trunc, nodes=args.nodes)
+                              tol=args.tol, nodes=args.nodes)
     results = verify.run_suites(names, cfg)
     header = ["suite", "passed", "max_err", "tol", "detail"]
     rows = [[r.name, str(r.passed).lower(), fmt(r.max_err), fmt(r.tol),

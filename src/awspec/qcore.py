@@ -8,6 +8,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import backend
 from .exceptions import DomainError, PoleError
 
@@ -193,11 +195,21 @@ def w8w7(a, b, c, d, e, f, base, z, ctx=None):
 
 
 def h_product(x, params, base, tol=1e-14):
-    """h(cos theta; a_1, ..., a_m) = prod_j (a_j e^{i theta}, a_j e^{-i theta}; base)_inf."""
-    w = exp_itheta(x)
-    out = 1.0 + 0.0j
+    """h(cos theta; a_1, ..., a_m) = prod_k (a_k e^{i theta}, a_k e^{-i theta}; base)_inf
+    at a scalar x, or at every x of a real ndarray in [-1, 1].
+
+    Each pair of products is taken as the one product over j of
+    1 - 2 a_k base^j x + a_k^2 base^{2j}, run until qpoch_inf's tail bound
+    |a_k e^{+-i theta}| base^j / (1 - base) is below ``tol``.  On [-1, 1]
+    |e^{i theta}| = 1, so every x of an array takes the same factors."""
+    grid = isinstance(x, np.ndarray)
+    out = np.ones(x.shape, dtype=complex) if grid else 1.0 + 0.0j
+    scale = 1.0 if grid else abs(exp_itheta(x))
     for a in params:
-        out *= qpoch_inf(a * w, base, tol) * qpoch_inf(a / w, base, tol)
+        bound = abs(a) * scale / (1.0 - base)
+        while bound > tol:
+            out *= 1.0 - 2.0 * a * x + a * a
+            a, bound = a * base, bound * base
     return out
 
 

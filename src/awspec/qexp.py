@@ -25,8 +25,8 @@ import numpy as np
 from .awop import make_rule
 from .exceptions import NonConvergenceError
 from .qcore import exp_itheta, phi, qpoch, qpoch_inf
-from .qpolys import (aw_norm, aw_phi_seq, cqjacobi_seq, hermite_h,
-                     kappa_aw)
+from .qpolys import (_ab, _aw_prefactor, aw_norm, aw_phi_seq, cqjacobi_seq,
+                     hermite_h, kappa_aw, weight_theta)
 from .spectral import mu_from_lambda, x_nu
 
 __all__ = [
@@ -58,6 +58,7 @@ def eq_exp(x, a, b, ctx, nmax=None):
         nmax = min(ctx.max_terms, max(240, est))
     tot = 0.0 + 0.0j
     qfac = 1.0
+    small = 0
     ln10 = math.log(10.0)
     argb = cmath.phase(complex(b))
     lnb = math.log(abs(b))
@@ -74,13 +75,20 @@ def eq_exp(x, a, b, ctx, nmax=None):
             pr *= (1.0 - g * w) * (1.0 - g / w) * q ** ((2 * j + 1) / 4.0)
             g *= q
             m = abs(pr)
+            if m == 0.0:  # a vanishing factor: the whole term is 0
+                break
             if m > 1e120 or m < 1e-120:
                 ex = int(math.floor(math.log10(m)))
                 pr *= 10.0 ** -ex
                 sl += ex
         term = (pr / qfac * cmath.exp(complex(sl * ln10 + n * lnb, n * argb)))
         tot += term
-        if n > 6 and abs(term) < ctx.tol * max(1.0, abs(tot)) * 1e-2:
+        # stop on two small terms in a row, skipping exact zeros: a factor
+        # that vanishes (every odd n at x = 0 when a = -i) leaves one term 0
+        # or at rounding level, which says nothing about the tail
+        if term != 0.0:
+            small = small + 1 if abs(term) < ctx.tol * max(1.0, abs(tot)) * 1e-2 else 0
+        if n > 6 and small >= 2:
             return tot
     raise NonConvergenceError("eq_exp: term budget exhausted")
 
@@ -92,9 +100,7 @@ def eq_eigenvalue_dq(a, b, q):
 
 def bc_params(level, q):
     """(b, c) = (q^{(2a+1)/4}, q^{(2b+1)/4}) of the expansion formulas."""
-    al, be = complex(level.alpha), complex(level.beta)
-    if al.imag == 0.0 and be.imag == 0.0:
-        al, be = al.real, be.real
+    al, be = _ab(level)
     return q ** ((2 * al + 1) / 4), q ** ((2 * be + 1) / 4)
 
 
@@ -169,24 +175,11 @@ def _jm_quad_once(m, a, r, level, ctx, rule):
     q = ctx.q
     params = _expansion_params(level, q)
     xs = np.cos(rule.nodes)
-    w = _aw_weight_theta(params, rule, ctx)
+    w = weight_theta(params, xs, ctx).real
     seq = aw_phi_seq(m, params, xs, q)
-    conv = (qpoch(params[0] * params[1], q, m) * qpoch(params[0] * params[2], q, m)
-            * qpoch(params[0] * params[3], q, m) * params[0] ** (-m))
+    conv = _aw_prefactor(m, params, q)
     ev = np.array([eq_exp(x, a, r, ctx) for x in xs])
     return complex(np.sum(rule.weights * w * conv * seq[m] * ev))
-
-
-def _aw_weight_theta(params, rule, ctx):
-    from .qcore import h_product
-    q = ctx.q
-    sq = math.sqrt(q)
-    out = np.empty(rule.size, dtype=complex)
-    for i, th in enumerate(rule.nodes):
-        x = math.cos(th)
-        out[i] = (h_product(x, [1.0, -1.0, sq, -sq], q, ctx.tol)
-                  / h_product(x, params, q, ctx.tol))
-    return out.real
 
 
 def imn_quadrature(m, n, a, level, ctx, rule=None):
@@ -195,19 +188,15 @@ def imn_quadrature(m, n, a, level, ctx, rule=None):
     q = ctx.q
     params = _expansion_params(level, q)
     xs = np.cos(rule.nodes)
-    w = _aw_weight_theta(params, rule, ctx)
+    w = weight_theta(params, xs, ctx).real
     seq = aw_phi_seq(m, params, xs, q)
-    conv = (qpoch(params[0] * params[1], q, m) * qpoch(params[0] * params[2], q, m)
-            * qpoch(params[0] * params[3], q, m) * params[0] ** (-m))
+    conv = _aw_prefactor(m, params, q)
+    ws = xs + 1j * np.sqrt(1.0 - xs * xs)
+    g = a * q ** ((1.0 - n) / 2.0)
     hr = np.ones(rule.size, dtype=complex)
-    for i, x in enumerate(xs):
-        wv = exp_itheta(x)
-        g = a * q ** ((1.0 - n) / 2.0)
-        pr = 1.0 + 0.0j
-        for _ in range(n):
-            pr *= (1.0 - g * wv) * (1.0 - g / wv)
-            g *= q
-        hr[i] = pr
+    for _ in range(n):
+        hr *= (1.0 - g * ws) * (1.0 - g / ws)
+        g *= q
     return complex(np.sum(rule.weights * w * conv * seq[m] * hr))
 
 
@@ -218,14 +207,8 @@ def expansion_residual(x, r, level, ctx, m_trunc=25):
     lhs = eq_exp(x, -1j, r, ctx)
     seq = aw_phi_seq(m_trunc, params, x, q)
     rhs = 0.0 + 0.0j
-    conv = 1.0 + 0.0j
-    a0, b0, c0, d0 = params
     for m in range(m_trunc + 1):
-        if m > 0:
-            qm = q ** (m - 1)
-            conv *= ((1 - a0 * b0 * qm) * (1 - a0 * c0 * qm) * (1 - a0 * d0 * qm)
-                     / a0)
-        rhs += am_coeff(m, r, level, ctx) * conv * seq[m]
+        rhs += am_coeff(m, r, level, ctx) * _aw_prefactor(m, params, q) * seq[m]
     return abs(lhs - rhs)
 
 
@@ -243,7 +226,8 @@ def hermite_series(z, x, ctx, nmax=90):
             qfac *= 1.0 - q ** n
         term = q ** (n * n / 4.0) * (-z) ** float(-n) / qfac * hermite_h(n, x, q)
         tot += term
-        if n > 6 and abs(term) < ctx.tol * max(1.0, abs(tot)) * 1e-2:
+        # H_n(0) = 0 for odd n: an exactly-zero term does not end the sum
+        if n > 6 and 0.0 < abs(term) < ctx.tol * max(1.0, abs(tot)) * 1e-2:
             break
     return tot
 

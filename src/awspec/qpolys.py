@@ -12,19 +12,22 @@ recurrence: the defining terminating 4phi3 alternates with terms of size
 base^{-n(n-1)/2} and loses that many digits to cancellation, while the
 recurrence is stable on [-1, 1].  Tests cross-validate the two routes.
 """
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .exceptions import DomainError
-from .qcore import exp_itheta, h_product, phi, qpoch, qpoch_inf
+from .qcore import (QContext, exp_itheta, h_product, phi, qpoch, qpoch_inf,
+                    qpoch_multi)
 
 __all__ = [
     "Normalization", "JacobiLevel", "AWParams", "ConnectionTriple",
     "aw_poly", "aw_phi_seq", "cqjacobi", "cqjacobi_seq", "hermite_h",
-    "weight_w", "norm_h", "aw_norm", "kappa_aw", "connection_down",
+    "weight_w", "weight_theta", "norm_h", "norm_ratio", "LevelPlan",
+    "level_plan", "aw_norm", "kappa_aw", "connection_down",
     "dual_expansion", "dual_expansion_aw", "classical_to_aw_factor",
     "awpoly_to_cqj_factor",
 ]
@@ -57,10 +60,6 @@ class JacobiLevel:
 
     def shifted(self, k):
         return JacobiLevel(self.alpha + k, self.beta + k, self.normalization)
-
-    def require_orthogonal(self):
-        if complex(self.alpha).real <= -1.0 or complex(self.beta).real <= -1.0:
-            raise DomainError("orthogonality requires Re(alpha), Re(beta) > -1")
 
 
 def _ab(level):
@@ -242,7 +241,6 @@ def cqjacobi(n, level, x, ctx, method="auto"):
             [q ** (-n), q ** (n + al + be + 1), math.sqrt(q) * w, math.sqrt(q) / w],
             [q ** (al + 1), -q ** (be + 1), -q], q, q, nterms=n,
             tol=ctx.tol, max_terms=ctx.max_terms)
-    from .qcore import QContext
     ctx2 = QContext(q * q, ctx.tol, ctx.max_terms)
     aw_level = JacobiLevel(al, be, Normalization.ASKEY_WILSON)
     return classical_to_aw_factor(n, level, q) * cqjacobi(n, aw_level, x, ctx2, method=method)
@@ -278,10 +276,7 @@ def _weight_w_complex(level, x, ctx, route="h"):
         raise DomainError("weight_w: x must lie in (-1, 1)")
     s = math.sqrt(1.0 - xr * xr)
     if route == "h":
-        params = AWParams.from_level(level, q)
-        num = h_product(xr, [1.0, -1.0, math.sqrt(q), -math.sqrt(q)], q, ctx.tol)
-        den = h_product(xr, params.as_tuple(), q, ctx.tol)
-        return num / (den * s)
+        return weight_theta(AWParams.from_level(level, q).as_tuple(), xr, ctx) / s
     al, be = _ab(level)
     p = math.sqrt(q)
     w = exp_itheta(xr)
@@ -293,28 +288,85 @@ def _weight_w_complex(level, x, ctx, route="h"):
     return num / (den * s)
 
 
+def weight_theta(params, xs, ctx):
+    """w(x) sin(theta) = h(x; 1, -1, sqrt(q), -sqrt(q)) / h(x; params) at a
+    point or every point of a real array ``xs`` in [-1, 1] (complex)."""
+    q, sq = ctx.q, math.sqrt(ctx.q)
+    return (h_product(xs, (1.0, -1.0, sq, -sq), q, ctx.tol)
+            / h_product(xs, params, q, ctx.tol))
+
+
 def norm_h(n, level, ctx):
     """Normalization constant h_n^{(a,b)}(q) of Eq-form orthogonality
-    (with the corrected exponent q^{n(2a+1)/2})."""
-    q = ctx.q
+    (with the corrected exponent q^{n(2a+1)/2}), from the level's plan,
+    whose table grows by h_{n+1} = h_n norm_ratio(n)."""
+    if n < 0:
+        raise DomainError("norm_h: n must be >= 0")
+    hs = level_plan(level, ctx).norms
+    while len(hs) <= n:
+        hs.append(hs[-1] * norm_ratio(len(hs) - 1, level, ctx.q))
+    return complex(hs[n].real, 0.0) if level.is_real else hs[n]
+
+
+def norm_ratio(n, level, q):
+    """h_{n+1}/h_n from the closed form of the norm."""
     al, be = _ab(level)
-    tol = ctx.tol
-    c0 = (2 * math.pi * (1 - q ** (al + be + 1))
-          * qpoch_inf(q ** ((al + be + 2) / 2), q, tol)
-          * qpoch_inf(q ** ((al + be + 3) / 2), q, tol)
-          / (qpoch_inf(q, q, tol) * qpoch_inf(q ** (al + 1), q, tol)
-             * qpoch_inf(q ** (be + 1), q, tol)
-             * qpoch_inf(-q ** ((al + be + 1) / 2), q, tol)
-             * qpoch_inf(-q ** ((al + be + 2) / 2), q, tol)))
-    cn = (qpoch(q ** (al + 1), q, n) * qpoch(q ** (be + 1), q, n)
-          * qpoch(-q ** ((al + be + 3) / 2), q, n) * q ** (n * (2 * al + 1) / 2)
-          / ((1 - q ** (2 * n + al + be + 1)) * qpoch(q, q, n)
-             * qpoch(q ** (al + be + 1), q, n)
-             * qpoch(-q ** ((al + be + 1) / 2), q, n)))
-    out = c0 * cn
-    if level.is_real:
-        return complex(out.real, 0.0)
-    return out
+    return ((1 - q ** (al + 1 + n)) * (1 - q ** (be + 1 + n))
+            * (1 + q ** ((al + be + 3) / 2 + n)) * q ** ((2 * al + 1) / 2)
+            * (1 - q ** (2 * n + al + be + 1))
+            / ((1 - q ** (2 * n + al + be + 3)) * (1 - q ** (n + 1))
+               * (1 - q ** (al + be + 1 + n)) * (1 + q ** ((al + be + 1) / 2 + n))))
+
+
+_PLAN_LEVELS = 32  # plans kept by level_plan
+_PLAN_NODE_SETS = 4  # quadrature node sets kept per plan, oldest dropped first
+
+
+@dataclass(frozen=True)
+class LevelPlan:
+    """What is reused at one (level, q), built once: the norms h_n (grown
+    by norm_h), per set of theta nodes the weight grid and P_0..P_{size//2},
+    and the kernel factors and truncations of T at this level (grown by
+    awop)."""
+    level: JacobiLevel
+    ctx: QContext
+    norms: list = field(default_factory=list, init=False, compare=False, repr=False)
+    kernel_factors: list = field(default_factory=list, init=False, compare=False, repr=False)
+    truncations: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _nodes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # h_0: the seven infinite products of the constant, evaluated once
+        q, tol = self.ctx.q, self.ctx.tol
+        al, be = _ab(self.level)
+        s = al + be
+        self.norms.append(2 * math.pi * qpoch_multi(
+            [q ** ((s + 2) / 2), q ** ((s + 3) / 2)], q, None, tol) / qpoch_multi(
+            [q, q ** (al + 1), q ** (be + 1), -q ** ((s + 1) / 2), -q ** ((s + 2) / 2)],
+            q, None, tol))
+
+    def on_nodes(self, nodes):
+        """(w(cos theta) sin(theta), rows P_0..P_{size//2}) on the theta
+        nodes, read-only and keyed by the node values.  The grid is real
+        for real levels."""
+        key = nodes.tobytes()
+        if key not in self._nodes:
+            if len(self._nodes) >= _PLAN_NODE_SETS:
+                del self._nodes[next(iter(self._nodes))]
+            xs = np.cos(nodes)
+            w = weight_theta(AWParams.from_level(self.level, self.ctx.q).as_tuple(),
+                             xs, self.ctx)
+            w = w.real if self.level.is_real else w
+            polys = np.array(cqjacobi_seq(len(xs) // 2, self.level, xs, self.ctx))
+            w.flags.writeable = polys.flags.writeable = False
+            self._nodes[key] = (w, polys)
+        return self._nodes[key]
+
+
+@functools.lru_cache(maxsize=_PLAN_LEVELS)
+def level_plan(level, ctx):
+    """The LevelPlan of (level, ctx); the last _PLAN_LEVELS are kept."""
+    return LevelPlan(level, ctx)
 
 
 def kappa_aw(params, q, tol=1e-14):

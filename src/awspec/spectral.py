@@ -27,6 +27,7 @@ import numpy as np
 from .awop import CoeffVector
 from .exceptions import DomainError
 from .qcore import phi, qpoch, qpoch_inf
+from .qpolys import _ab, norm_ratio
 
 
 __all__ = [
@@ -39,13 +40,6 @@ __all__ = [
     "s_recurrence_coeffs", "markov_ratio", "markov_stieltjes", "q_coulomb",
     "mu_from_lambda", "lambda_from_mu",
 ]
-
-
-def _ab(level):
-    a, b = complex(level.alpha), complex(level.beta)
-    if a.imag == 0.0 and b.imag == 0.0:
-        return a.real, b.real
-    return a, b
 
 
 def mu_from_lambda(lam, q):
@@ -571,12 +565,7 @@ def eigen_tail_ratios(lam, level, nmax, ctx):
     w = bn_minimal_scaled(nmax + 1, xi, level, ctx)
     out = []
     for k in range(1, nmax):
-        # h_{k+1}/h_k from the closed form of the norm
-        hr = ((1 - q ** (al + 1 + k)) * (1 - q ** (be + 1 + k))
-              * (1 + q ** ((al + be + 3) / 2 + k)) * q ** ((2 * al + 1) / 2)
-              * (1 - q ** (2 * k + al + be + 1))
-              / ((1 - q ** (2 * k + al + be + 3)) * (1 - q ** (k + 1))
-                 * (1 - q ** (al + be + 1 + k)) * (1 + q ** ((al + be + 1) / 2 + k))))
+        hr = norm_ratio(k, level, q)
         fr = ((1 - q ** (al + be + 2 + k)) * (1 - q ** ((al + be + 4) / 2 + k))
               * (1 - q ** ((al + be + 5) / 2 + k))
               / ((1 - q ** (al + 2 + k)) * (1 - q ** (be + 2 + k))))

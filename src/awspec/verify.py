@@ -33,7 +33,6 @@ class VerifyConfig:
     alpha: complex = 0.3
     beta: complex = -0.2
     tol: float = 1e-14
-    trunc: int = 80
     nodes: int = 160
     seed: int = 20240801
 
@@ -265,9 +264,7 @@ def _orthogonality(config):
         level = JacobiLevel(al, be)
         for nn in (config.nodes, 2 * config.nodes):
             rule = awop.make_rule(nn)
-            w = awop.weight_theta_grid(level, rule, ctx)
-            xs = np.cos(rule.nodes)
-            polys = qpolys.cqjacobi_seq(8, level, xs, ctx)
+            w, polys = qpolys.level_plan(level, ctx).on_nodes(rule.nodes)
             for n in range(9):
                 hn = qpolys.norm_h(n, level, ctx)
                 for m in range(n, 9):
@@ -593,16 +590,12 @@ def _expansion_coeffs(config):
     xs = np.cos(rule.nodes)
     q = config.q
     params = qexp._expansion_params(level, q)
-    w = qexp._aw_weight_theta(params, rule, ctx)
+    w = qpolys.weight_theta(params, xs, ctx).real
     seq = qpolys.aw_phi_seq(10, params, xs, q)
     ev = np.array([qexp.eq_exp(x, -1j, r, ctx) for x in xs])
     worst = 0.0
-    conv = 1.0 + 0.0j
-    a0, b0, c0, d0 = params
     for m in range(11):
-        if m > 0:
-            qm = q ** (m - 1)
-            conv *= (1 - a0 * b0 * qm) * (1 - a0 * c0 * qm) * (1 - a0 * d0 * qm) / a0
+        conv = qpolys._aw_prefactor(m, params, q)
         proj = (np.sum(rule.weights * w * conv * seq[m] * ev)
                 / qpolys.aw_norm(m, params, q, ctx.tol))
         am = qexp.am_coeff(m, r, level, ctx)

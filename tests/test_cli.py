@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from awspec import verify
 from awspec.cli import main
 
@@ -25,6 +27,19 @@ class TestUsage:
         rc = main(["verify", "--suite", "no.such.suite",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_eigfun_index_past_the_eigenvalues_found(self):
+        # three matrix seeds give fewer than six eigenvalues
+        r = _run(["eigfun", "--index", "5", "--trunc", "3"])
+        assert r.returncode == 2
+        assert len(r.stderr.strip().splitlines()) == 1
+        assert "--index 5" in r.stderr and "Traceback" not in r.stderr
+
+    def test_coulomb_empty_grid(self):
+        r = _run(["coulomb", "--grid", "0"])
+        assert r.returncode == 2
+        assert len(r.stderr.strip().splitlines()) == 1
+        assert "--grid" in r.stderr and "Traceback" not in r.stderr
 
 
 class TestOutputs:
@@ -60,6 +75,20 @@ class TestOutputs:
         rc = main(["coulomb", "--grid", "7", "--out", str(out)])
         assert rc == 0
         assert len(out.read_text().splitlines()) == 8
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--q", "0.5"],
+        ["expand", "--q", "0.8", "--alpha", "0.3+0.5j", "--beta", "conj"],
+    ])
+    def test_expand_default_grid_holds_x_zero(self, tmp_path, argv):
+        # the default 9-point grid holds x = 0, where every odd term of
+        # E_q(x; -i, r) vanishes
+        out = tmp_path / "e.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        resid = [r for r in rows if r[0] == "residual"]
+        assert len(resid) == 9 and float(resid[4][1]) == 0.0
+        assert max(float(r[2]) for r in resid) <= 1e-12
 
     def test_beta_conj_spelling(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -1,0 +1,106 @@
+"""The per-level plan: norms, kernel data and node tables built once."""
+import math
+
+import numpy as np
+import pytest
+
+from awspec.awop import (QuadratureRule, kernel_truncation, make_rule,
+                         weight_theta_grid)
+from awspec.cli import main
+from awspec.exceptions import DomainError
+from awspec.qcore import QContext, qpoch, qpoch_inf
+from awspec.qpolys import (AWParams, JacobiLevel, _ab, cqjacobi_seq,
+                           level_plan, norm_h, weight_theta)
+
+# the levels and q values of the benchmark's spectrum workload
+SPECTRUM_LEVELS = [((0.4, 0.4), 0.36), ((0.3, -0.2), 0.5),
+                   ((0.3 + 0.5j, 0.3 - 0.5j), 0.6),
+                   ((0.3 + 0.5j, 0.3 - 0.5j), 0.8)]
+
+
+def _direct_norm(n, level, ctx):
+    """h_n from the closed form, each degree evaluated on its own."""
+    q, tol = ctx.q, ctx.tol
+    al, be = _ab(level)
+    c0 = (2 * math.pi * (1 - q ** (al + be + 1))
+          * qpoch_inf(q ** ((al + be + 2) / 2), q, tol)
+          * qpoch_inf(q ** ((al + be + 3) / 2), q, tol)
+          / (qpoch_inf(q, q, tol) * qpoch_inf(q ** (al + 1), q, tol)
+             * qpoch_inf(q ** (be + 1), q, tol)
+             * qpoch_inf(-q ** ((al + be + 1) / 2), q, tol)
+             * qpoch_inf(-q ** ((al + be + 2) / 2), q, tol)))
+    cn = (qpoch(q ** (al + 1), q, n) * qpoch(q ** (be + 1), q, n)
+          * qpoch(-q ** ((al + be + 3) / 2), q, n) * q ** (n * (2 * al + 1) / 2)
+          / ((1 - q ** (2 * n + al + be + 1)) * qpoch(q, q, n)
+             * qpoch(q ** (al + be + 1), q, n)
+             * qpoch(-q ** ((al + be + 1) / 2), q, n)))
+    return c0 * cn
+
+
+class TestNorms:
+    @pytest.mark.parametrize("ab,q", SPECTRUM_LEVELS)
+    def test_ratio_table_matches_direct_formula(self, ab, q):
+        level, ctx = JacobiLevel(*ab), QContext(q)
+        for n in range(401):
+            want = _direct_norm(n, level, ctx)
+            assert abs(norm_h(n, level, ctx) - want) <= 1e-13 * abs(want)
+
+    def test_real_level_norm_is_real(self, ctx, level):
+        assert all(norm_h(n, level, ctx).imag == 0.0 for n in range(50))
+
+    def test_negative_degree_rejected(self, ctx, level):
+        with pytest.raises(DomainError):
+            norm_h(-1, level, ctx)
+
+
+class TestNodeTables:
+    def test_same_size_different_nodes_never_share(self, ctx, level):
+        r1 = make_rule(16)
+        r2 = QuadratureRule(0.98 * r1.nodes + 0.03, r1.weights)
+        w1 = weight_theta_grid(level, r1, ctx)
+        w2 = weight_theta_grid(level, r2, ctx)
+        assert not np.array_equal(w1, w2)
+        for rule, w in ((r1, w1), (r2, w2)):
+            xs = np.cos(rule.nodes)
+            params = AWParams.from_level(level, ctx.q).as_tuple()
+            assert np.array_equal(w, weight_theta(params, xs, ctx).real)
+            polys = level_plan(level, ctx).on_nodes(rule.nodes)[1]
+            assert np.array_equal(polys, np.array(cqjacobi_seq(8, level, xs, ctx)))
+
+    def test_tables_are_read_only(self, ctx, level):
+        w, polys = level_plan(level, ctx).on_nodes(make_rule(32).nodes)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        with pytest.raises(ValueError):
+            polys[0, 0] = 1.0
+
+    def test_grid_matches_scalar_weight(self, ctx):
+        # the grid's h-products against the literal product form at base
+        # sqrt(q), evaluated one node at a time
+        from awspec.qpolys import _weight_w_complex
+        level = JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)
+        rule = make_rule(24)
+        w = weight_theta_grid(level, rule, ctx)
+        for th, wv in zip(rule.nodes, w):
+            lit = _weight_w_complex(level, math.cos(th), ctx, route="literal")
+            assert abs(wv - lit * math.sin(th)) <= 1e-11 * abs(wv)
+
+
+class TestMemo:
+    def test_memo_stays_bounded(self):
+        ctx = QContext(0.5)
+        bound = level_plan.cache_info().maxsize
+        assert bound is not None
+        for k in range(bound + 5):
+            kernel_truncation(JacobiLevel(0.1 + 0.01 * k, 0.2), ctx)
+            assert level_plan.cache_info().currsize <= bound
+
+    @pytest.mark.parametrize("argv", [["kernel"], ["eigen", "--count", "1"]])
+    def test_cold_and_warm_plans_give_identical_bytes(self, tmp_path, argv):
+        level_plan.cache_clear()
+        outs = []
+        for k in range(2):
+            path = tmp_path / f"out{k}.csv"
+            assert main(argv + ["--out", str(path)]) == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]

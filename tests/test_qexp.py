@@ -22,6 +22,18 @@ class TestEqExp:
         v2 = eq_exp(0.3, -1j, 0.4, ctx, nmax=70)
         assert abs(v1 - v2) < 1e-13
 
+    @pytest.mark.parametrize("q", [0.3, 0.45, 0.5, 0.55, 0.7, 0.75])
+    def test_series_at_x_zero(self, q):
+        # at x = 0 and a = -i every odd term vanishes, exactly or to
+        # rounding level depending on q; neither may end the sum
+        ctx = QContext(q)
+        for level in (JacobiLevel(0.3, -0.2), JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)):
+            for r in (0.3, 0.5j):
+                assert expansion_residual(0.0, r, level, ctx) <= 1e-12
+
+    def test_hermite_identity_at_x_zero(self, ctx):
+        assert hermite_identity_residual(1.7, 0.0, ctx) <= 1e-12
+
     def test_dq_eigenrelation(self):
         x, a, b, q = 0.3, -1j, 0.4, 0.5
         ctx = QContext(q)
