@@ -2,9 +2,8 @@
 the Askey-Wilson divided-difference operator, and the spectral machinery
 of its right-inverse integral operator.
 
-Scalar series/product primitives run on a compiled core when available
-(``awspec.backend.BACKEND`` reports which); everything layered on top is
-pure Python + numpy.
+Scalar series/product primitives are pure Python in ``awspec.backend``;
+everything layered on top is pure Python + numpy.
 """
 from .backend import BACKEND
 from .exceptions import (DomainError, NonConvergenceError, PoleError,

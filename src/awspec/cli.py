@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import awop, qexp, qpolys, spectral, verify
+from .exceptions import DomainError, QSeriesError
 from .qcore import QContext
 from .qpolys import JacobiLevel
 
@@ -41,15 +42,23 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--q", type=float, default=0.5, help="base q in (0,1)")
     p.add_argument("--alpha", type=complex, default=0.3)
     p.add_argument("--beta", type=str, default="-0.2",
                    help="beta, or 'conj' for the conjugate of alpha")
     p.add_argument("--tol", type=float, default=1e-14)
-    p.add_argument("--trunc", type=int, default=80,
+    p.add_argument("--trunc", type=positive_int, default=80,
                    help="series/matrix truncation")
-    p.add_argument("--nodes", type=int, default=160, help="quadrature nodes")
+    p.add_argument("--nodes", type=positive_int, default=160,
+                   help="quadrature nodes")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-", help="output path or - for stdout")
 
@@ -61,7 +70,7 @@ def build_parser():
 
     p = sub.add_parser("eigen", help="eigenvalues of the integral operator")
     _add_common(p)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=positive_int, default=5)
 
     p = sub.add_parser("eigfun", help="eigenfunction coefficients and samples")
     _add_common(p)
@@ -276,7 +285,11 @@ _COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (DomainError, QSeriesError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

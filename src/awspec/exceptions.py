@@ -1,4 +1,4 @@
-"""Exception types shared by both kernel backends and the high-level API."""
+"""Exception types shared by the scalar kernels and the high-level API."""
 
 
 class QSeriesError(Exception):

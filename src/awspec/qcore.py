@@ -153,45 +153,22 @@ def phi(num, den, base, z, nterms=None, tol=1e-14, max_terms=10000):
 def w8w7(a, b, c, d, e, f, base, z, ctx=None):
     """Very-well-poised 8W7(a; b, c, d, e, f; base, z) in standard W-notation.
 
-    Summed directly from the well-poised term ratio (the q a^{1/2} pair is
-    folded into the (1 - a base^{2k}) factor), so no square-root branch of
-    ``a`` is ever taken.
+    Summed as the 8-phi-7 with numerator a, q s, -q s, b, c, d, e, f and
+    denominator s, -s, aq/b, aq/c, aq/d, aq/e, aq/f, where s = sqrt(a).
+    The products of the +-s pairs depend only on a, so the branch of s does
+    not matter.  Termination is read from b, c, d, e, f alone.
     """
     tol = ctx.tol if ctx is not None else 1e-14
     max_terms = ctx.max_terms if ctx is not None else 10000
     _check_base(base)
     if z == 0:
         return 1.0 + 0.0j
+    s = cmath.sqrt(a)
+    aq = a * base
     nt = terminating_order([b, c, d, e, f], base)
-    term = 1.0 + 0.0j
-    total = term
-    k = 0
-    small = 0
-    while True:
-        if nt is not None and k >= nt:
-            break
-        bk = base ** k
-        ratio = (1.0 - a * base ** (2 * k + 2)) / (1.0 - a * base ** (2 * k))
-        ratio *= (1.0 - a * bk) * z / (1.0 - base * bk)
-        for v in (b, c, d, e, f):
-            ratio *= 1.0 - v * bk
-            dfac = 1.0 - (a * base / v) * bk
-            if abs(dfac) < 1e-15 * (1.0 + abs(a * base * bk / v)):
-                raise PoleError("w8w7: denominator factor vanished")
-            ratio /= dfac
-        term *= ratio
-        total += term
-        k += 1
-        if nt is None:
-            if abs(term) < tol * max(1.0, abs(total)):
-                small += 1
-                if small >= 2:
-                    break
-            else:
-                small = 0
-            if k >= max_terms:
-                raise PoleError("w8w7: no convergence")
-    return total
+    return phi([a, base * s, -base * s, b, c, d, e, f],
+               [s, -s, aq / b, aq / c, aq / d, aq / e, aq / f], base, z,
+               nterms=-1 if nt is None else nt, tol=tol, max_terms=max_terms)
 
 
 def h_product(x, params, base, tol=1e-14):

@@ -84,23 +84,29 @@ def classical_a_coeffs(k, alpha, beta):
     return P, Q, R
 
 
+def _monic_B(k, al, be, qpow):
+    return ((1 - qpow((be - al) / 2)) * (1 + qpow((al + be + 3) / 2 + k))
+            * qpow(al / 2 + 0.75 + k / 2)
+            / ((1 - qpow((al + be + 2) / 2 + k)) * (1 - qpow((al + be + 4) / 2 + k))))
+
+
+def _monic_C(k, al, be, qpow):
+    return ((1 - qpow(al + 1 + k)) * (1 - qpow(be + 1 + k))
+            * qpow(k + (al + be) / 2 + 1)
+            / ((1 - qpow((al + be + 1) / 2 + k))
+               * (1 - qpow((al + be + 2) / 2 + k)) ** 2
+               * (1 - qpow((al + be + 3) / 2 + k))))
+
+
 def bn_B(k, level, q):
     """Bracket coefficient of the monic recurrence
     b_{k+1}(mu) = (mu + bn_B) b_k(mu) + bn_C b_{k-1}(mu)."""
-    al, be = _ab(level)
-    return ((1 - q ** ((be - al) / 2)) * (1 + q ** ((al + be + 3) / 2 + k))
-            * q ** (al / 2 + 0.75 + k / 2)
-            / ((1 - q ** ((al + be + 2) / 2 + k)) * (1 - q ** ((al + be + 4) / 2 + k))))
+    return _monic_B(k, *_ab(level), lambda e: q ** e)
 
 
 def bn_C(k, level, q):
     """Sub-diagonal coefficient of the monic recurrence (see bn_B)."""
-    al, be = _ab(level)
-    return ((1 - q ** (al + 1 + k)) * (1 - q ** (be + 1 + k))
-            * q ** (k + (al + be) / 2 + 1)
-            / ((1 - q ** ((al + be + 1) / 2 + k))
-               * (1 - q ** ((al + be + 2) / 2 + k)) ** 2
-               * (1 - q ** ((al + be + 3) / 2 + k))))
+    return _monic_C(k, *_ab(level), lambda e: q ** e)
 
 
 def bn_sequence(nmax, mu, level, ctx):
@@ -110,9 +116,8 @@ def bn_sequence(nmax, mu, level, ctx):
     Accumulation runs in extended precision: near q -> 1 the subdiagonal
     coefficient grows like (1-q)^{-3} and intermediate values amplify
     roundoff by several orders before the sequence settles."""
-    q = ctx.q
     al, be = _ab(level)
-    lnq = np.log(np.longdouble(q))
+    lnq = np.log(np.longdouble(ctx.q))
 
     def qpow(e):
         if isinstance(e, complex):
@@ -124,16 +129,8 @@ def bn_sequence(nmax, mu, level, ctx):
     b0 = np.clongdouble(1.0)
     muv = np.clongdouble(mu)
     for k in range(nmax):
-        bk = ((1 - qpow((be - al) / 2)) * (1 + qpow((al + be + 3) / 2 + k))
-              * qpow(al / 2 + 0.75 + k / 2)
-              / ((1 - qpow((al + be + 2) / 2 + k))
-                 * (1 - qpow((al + be + 4) / 2 + k))))
-        ck = ((1 - qpow(al + 1 + k)) * (1 - qpow(be + 1 + k))
-              * qpow(k + (al + be) / 2 + 1)
-              / ((1 - qpow((al + be + 1) / 2 + k))
-                 * (1 - qpow((al + be + 2) / 2 + k)) ** 2
-                 * (1 - qpow((al + be + 3) / 2 + k))))
-        b1 = (muv + bk) * b0 + ck * bm1
+        b1 = ((muv + _monic_B(k, al, be, qpow)) * b0
+              + _monic_C(k, al, be, qpow) * bm1)
         vals.append(complex(b1))
         bm1, b0 = b0, b1
     return vals

@@ -35,6 +35,23 @@ class TestUsage:
         assert len(r.stderr.strip().splitlines()) == 1
         assert "--index 5" in r.stderr and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["eigen", "--nodes", "0", "--count", "1"], "--nodes"),
+        (["eigen", "--trunc", "0", "--count", "1"], "--trunc"),
+    ])
+    def test_sizes_below_one_are_usage_errors(self, argv, flag):
+        r = _run(argv)
+        assert r.returncode == 2
+        assert f"argument {flag}" in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("argv", [["kernel", "--q", "1.2"],
+                                      ["poly", "--q", "1.5"]])
+    def test_out_of_domain_q(self, argv):
+        r = _run(argv)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: q must be in (0,1)")
+        assert len(r.stderr.strip().splitlines()) == 1
+
     def test_coulomb_empty_grid(self):
         r = _run(["coulomb", "--grid", "0"])
         assert r.returncode == 2

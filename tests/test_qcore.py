@@ -121,6 +121,12 @@ class TestW8W7:
             t1 *= (1 - v) / (1 - a * q / v)
         assert abs(got - (1.0 + t1)) <= 1e-14 * abs(got)
 
+    def test_divergent_series_is_non_convergence(self):
+        # |z| > 1: the terms of a non-terminating 8W7 grow like z^k
+        with pytest.raises(NonConvergenceError):
+            w8w7(0.3, 0.1, 0.2, 0.35, 0.25, 0.05, 0.5, 5.0,
+                 QContext(0.5, max_terms=200))
+
     def test_watson_transform(self, ctx):
         # terminating 8W7 equals a multiple of a balanced 4phi3
         q = 0.5
