@@ -165,18 +165,16 @@ def _kernel_factor(n, level, ctx):
     return kf[n]
 
 
-def kernel_truncation(level, ctx, tol=None, nmin=20, nmax=400):
-    """Number of terms N so the geometric tail bound of the kernel series
-    is below tol, kept in the level's plan.
+def kernel_truncation(level, ctx):
+    """Number of terms N, between 20 and 400, so the geometric tail bound of
+    the kernel series is below ctx.tol, kept in the level's plan.
 
     The per-term scale on the support is |factor_n| sqrt(|h_{n+1} h_n'|)
     (polynomials on [-1, 1] oscillate with amplitude ~ sqrt(norm)), which
     decays like sqrt(q)^n; the bound uses the measured trailing ratio
     capped at 0.95."""
     plan = level_plan(level, ctx)
-    tol = ctx.tol if tol is None else tol
-    key = (tol, nmin, nmax)
-    if key not in plan.truncations:
+    if plan.truncation is None:
         lvl1 = level.shifted(1)
 
         def scale(n):
@@ -184,17 +182,17 @@ def kernel_truncation(level, ctx, tol=None, nmin=20, nmax=400):
                     * math.sqrt(abs(norm_h(n + 1, level, ctx))
                                 * abs(norm_h(n, lvl1, ctx))))
 
-        n = nmin
+        n = 20
         fprev = scale(n)
-        while n < nmax:
+        while n < 400:
             n += 1
             f = scale(n)
             r = min(0.95, max(f / fprev, math.sqrt(ctx.q)))
-            if f * r / (1.0 - r) < tol:
+            if f * r / (1.0 - r) < ctx.tol:
                 break
             fprev = f
-        plan.truncations[key] = n
-    return plan.truncations[key]
+        object.__setattr__(plan, "truncation", n)
+    return plan.truncation
 
 
 def kernel_eval(x, y, level, ctx, nterms=None):

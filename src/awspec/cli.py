@@ -37,16 +37,21 @@ def fmt_c(z):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
+        # one line, like the DomainError message of main; -h gives the usage
         sys.stderr.write(f"error: {message}\n")
         sys.exit(USAGE_ERROR)
 
 
-def positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_at_least(minimum):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 def _add_common(p):
@@ -55,9 +60,9 @@ def _add_common(p):
     p.add_argument("--beta", type=str, default="-0.2",
                    help="beta, or 'conj' for the conjugate of alpha")
     p.add_argument("--tol", type=float, default=1e-14)
-    p.add_argument("--trunc", type=positive_int, default=80,
+    p.add_argument("--trunc", type=int_at_least(1), default=80,
                    help="series/matrix truncation")
-    p.add_argument("--nodes", type=positive_int, default=160,
+    p.add_argument("--nodes", type=int_at_least(1), default=160,
                    help="quadrature nodes")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-", help="output path or - for stdout")
@@ -70,35 +75,36 @@ def build_parser():
 
     p = sub.add_parser("eigen", help="eigenvalues of the integral operator")
     _add_common(p)
-    p.add_argument("--count", type=positive_int, default=5)
+    p.add_argument("--count", type=int_at_least(1), default=5)
 
     p = sub.add_parser("eigfun", help="eigenfunction coefficients and samples")
     _add_common(p)
     p.add_argument("--index", type=int, default=0,
                    help="eigenvalue index (by descending |lambda|)")
-    p.add_argument("--grid", type=int, default=21, help="sample points in x")
+    p.add_argument("--grid", type=int_at_least(1), default=21,
+                   help="sample points in x")
 
     p = sub.add_parser("poly", help="table of P_n values")
     _add_common(p)
-    p.add_argument("--degree", type=int, default=8)
-    p.add_argument("--grid", type=int, default=21)
+    p.add_argument("--degree", type=int_at_least(0), default=8)
+    p.add_argument("--grid", type=int_at_least(1), default=21)
 
     p = sub.add_parser("kernel", help="kernel K(x, y) on a grid")
     _add_common(p)
-    p.add_argument("--grid", type=int, default=11)
+    p.add_argument("--grid", type=int_at_least(1), default=11)
 
     p = sub.add_parser("expand", help="q-exponential expansion data")
     _add_common(p)
     p.add_argument("--r", type=complex, default=0.3)
-    p.add_argument("--mmax", type=int, default=25)
-    p.add_argument("--grid", type=int, default=9)
+    p.add_argument("--mmax", type=int_at_least(0), default=25)
+    p.add_argument("--grid", type=int_at_least(1), default=9)
 
     p = sub.add_parser("coulomb", help="q-Coulomb function on a rho grid")
     _add_common(p)
     p.add_argument("--ell", type=float, default=0.5)
     p.add_argument("--eta", type=float, default=0.3)
     p.add_argument("--rho-max", type=float, default=2.5)
-    p.add_argument("--grid", type=int, default=50)
+    p.add_argument("--grid", type=int_at_least(1), default=50)
 
     p = sub.add_parser("verify", help="run named verification suites")
     _add_common(p)
@@ -234,9 +240,6 @@ def _cmd_expand(args):
 
 
 def _cmd_coulomb(args):
-    if args.grid < 1:
-        sys.stderr.write("error: --grid must be at least 1\n")
-        return USAGE_ERROR
     ctx, _ = _config(args)
     header = ["rho", "value_re", "value_im"]
     rows = []

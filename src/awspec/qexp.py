@@ -161,17 +161,9 @@ def _expansion_params(level, q):
     return (b, b * math.sqrt(q), -c, -c * math.sqrt(q))
 
 
-def jm_quadrature(m, a, r, level, ctx, rule=None, return_error=False):
+def jm_quadrature(m, a, r, level, ctx, rule=None):
     """J_m(a; r) by quadrature of the defining weighted integral."""
     rule = rule if rule is not None else make_rule(200)
-    val = _jm_quad_once(m, a, r, level, ctx, rule)
-    if not return_error:
-        return val
-    val2 = _jm_quad_once(m, a, r, level, ctx, make_rule(2 * rule.size))
-    return val2, abs(val2 - val)
-
-
-def _jm_quad_once(m, a, r, level, ctx, rule):
     q = ctx.q
     params = _expansion_params(level, q)
     xs = np.cos(rule.nodes)

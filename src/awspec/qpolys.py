@@ -326,13 +326,13 @@ _PLAN_NODE_SETS = 4  # quadrature node sets kept per plan, oldest dropped first
 class LevelPlan:
     """What is reused at one (level, q), built once: the norms h_n (grown
     by norm_h), per set of theta nodes the weight grid and P_0..P_{size//2},
-    and the kernel factors and truncations of T at this level (grown by
+    and the kernel factors and truncation of T at this level (set by
     awop)."""
     level: JacobiLevel
     ctx: QContext
     norms: list = field(default_factory=list, init=False, compare=False, repr=False)
     kernel_factors: list = field(default_factory=list, init=False, compare=False, repr=False)
-    truncations: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    truncation: int | None = field(default=None, init=False, compare=False, repr=False)
     _nodes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -14,13 +14,16 @@ Numerical conventions that matter here:
 * The closed form is evaluated as the double sum with coefficient arrays
   A_k and B_k^{(n)} built ratio-wise; the single-4phi3 inner form loses
   q^{-j(j-1)/2} digits to cancellation and is kept only as a small-degree
-  cross-check.
+  cross-check.  One builder and one sum serve both precisions: numpy long
+  double first, and when its error estimate is too large the same code
+  reruns in mpmath at higher precision.
 * X_nu is always summed from its convergent series, never by forward
   recurrence, which would destroy minimality.
 """
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,40 +146,71 @@ def bn_recurrence(n, mu, level, ctx):
     return bn_sequence(n, mu, level, ctx)[n]
 
 
-def _ak_bk_arrays(nmax, level, ctx):
-    """Coefficient arrays A_k and B_k^{(n)} of the double-sum closed form,
-    built ratio-wise (products only, no cancellation).  Extended precision:
-    near q -> 1 the arrays grow like 1/(p; p)_k before cancelling in the
-    convolution, so the extra mantissa keeps the sum at full accuracy."""
-    q = ctx.q
-    one = np.clongdouble(1.0)
+class _Arith(NamedTuple):
+    """The arithmetic the closed form runs in: p = sqrt(q), alpha and beta
+    lifted into it, ppow(e) = p**e, and its real and complex constructors."""
+    p: object
+    al: object
+    be: object
+    ppow: object
+    real: object
+    cplx: object
+
+
+def _lift(level, p, ppow, real, cplx):
+    al, be = (cplx(v) if isinstance(v, complex) else real(v) for v in _ab(level))
+    return _Arith(p, al, be, ppow, real, cplx)
+
+
+def _longdouble_arith(level, q):
+    """numpy long double.  The exponents are lifted too: the arrays feed a
+    convolution whose products overshoot the sum by many orders, so even
+    1e-16-level exponent noise would surface in the result."""
     p = np.sqrt(np.longdouble(q))
     lnp = np.log(p)
-    al, be = _ab(level)
-    # exponent arithmetic must also run in extended precision: the arrays
-    # feed a convolution whose products overshoot the sum by many orders,
-    # so even 1e-16-level exponent noise surfaces in the result
-    al_e = np.clongdouble(al) if isinstance(al, complex) else np.longdouble(al)
-    be_e = np.clongdouble(be) if isinstance(be, complex) else np.longdouble(be)
+    return _lift(level, p, lambda e: np.exp(e * lnp), np.longdouble, np.clongdouble)
+
+
+def _mp_arith(level, q):
+    """mpmath at the working precision; build it inside ``mp.workdps``."""
+    import mpmath as mp
+    p = mp.sqrt(mp.mpf(q))
+    lnp = mp.log(p)
 
     def ppow(e):
-        return np.exp(e * lnp)
+        if isinstance(e, mp.mpc):
+            return mp.e ** (e * lnp)
+        return p ** e
+    return _lift(level, p, ppow, mp.mpf, mp.mpc)
 
-    A = [one]
-    for k in range(nmax):
-        A.append(A[k] * (1 - ppow(be_e + 1 + k)) * (1 + ppow(al_e + 1 + k))
-                 / ((1 - ppow(np.longdouble(k + 1)))
-                    * (1 - ppow(al_e + be_e + 2 + k))))
-    B = {}
-    for n in range(nmax + 1):
-        row = [one]
-        for k in range(n):
-            row.append(row[k] * (1 - ppow(-be_e - n - 1 + k))
-                       * (1 + ppow(-al_e - n - 1 + k))
-                       / ((1 - ppow(np.longdouble(k + 1)))
-                          * (1 - ppow(-2 * n - al_e - be_e - 2 + k))))
-        B[n] = row
+
+def _closed_form_arrays(n, ar):
+    """A_0..A_n and the single row B_0^{(n)}..B_n^{(n)} of the double-sum
+    closed form, built ratio-wise (products only, no cancellation) in the
+    arithmetic ``ar``."""
+    al, be, ppow = ar.al, ar.be, ar.ppow
+    A = [ar.cplx(1)]
+    B = [ar.cplx(1)]
+    for k in range(n):
+        pk = 1 - ppow(ar.real(k + 1))
+        A.append(A[k] * (1 - ppow(be + 1 + k)) * (1 + ppow(al + 1 + k))
+                 / (pk * (1 - ppow(al + be + 2 + k))))
+        B.append(B[k] * (1 - ppow(-be - n - 1 + k)) * (1 + ppow(-al - n - 1 + k))
+                 / (pk * (1 - ppow(-2 * n - al - be - 2 + k))))
     return A, B
+
+
+def _closed_form_sum(n, mu, A, B, ar):
+    """sum_j (-1)^j p^{j/2} mu^{n-j} sum_k (-1)^k A_k B_{j-k}^{(n)} in the
+    arithmetic ``ar``, as a Python complex."""
+    mu = ar.cplx(mu)
+    total = ar.cplx(0)
+    for j in range(n, -1, -1):
+        s = ar.cplx(0)
+        for k in range(j + 1):
+            s += (-1.0) ** k * A[k] * B[j - k]
+        total += (-1.0) ** j * ar.p ** ar.real(j / 2) * mu ** (n - j) * s
+    return complex(total)
 
 
 def bn_explicit(n, mu, level, ctx):
@@ -185,62 +219,23 @@ def bn_explicit(n, mu, level, ctx):
     bounded summands.
 
     The summand arrays grow like 1/(p; p)_k before cancelling, so the
-    conditioning degrades as q -> 1; when the extended-precision error
-    estimate cannot certify ~1e-12 absolute accuracy the evaluation
-    reruns in arbitrary precision (mpmath), keeping the closed form a
-    trustworthy independent oracle at every admissible q."""
+    conditioning degrades as q -> 1.  The sum runs in numpy long double;
+    when that error estimate cannot certify ~1e-12 absolute accuracy, the
+    same array builder and sum rerun in mpmath at higher precision,
+    keeping the closed form a trustworthy independent oracle at every
+    admissible q."""
     if n < 0:
         raise DomainError("bn_explicit: n must be >= 0")
-    p = np.sqrt(np.longdouble(ctx.q))
-    A, B = _ak_bk_arrays(n, level, ctx)
-    Bn = B[n]
-    cond = (max(abs(complex(a)) for a in A) * max(abs(complex(b)) for b in Bn)
+    ar = _longdouble_arith(level, ctx.q)
+    A, B = _closed_form_arrays(n, ar)
+    cond = (max(abs(complex(a)) for a in A) * max(abs(complex(b)) for b in B)
             * (n + 1) * max(1.0, abs(mu)) ** n)
     if cond * 1.1e-19 > 1e-12:
-        return _bn_explicit_mp(n, mu, level, ctx, cond)
-    mu = np.clongdouble(mu)
-    total = np.clongdouble(0.0)
-    for j in range(n, -1, -1):
-        s = np.clongdouble(0.0)
-        for k in range(j + 1):
-            s += (-1.0) ** k * A[k] * Bn[j - k]
-        total += (-1.0) ** j * p ** np.longdouble(j / 2) * mu ** (n - j) * s
-    return complex(total)
-
-
-def _bn_explicit_mp(n, mu, level, ctx, cond):
-    import mpmath as mp
-    al, be = _ab(level)
-    digits = int(math.log10(max(cond, 1.0))) + 25
-    with mp.workdps(digits):
-        p = mp.sqrt(mp.mpf(ctx.q))
-        al_e = mp.mpc(al) if isinstance(al, complex) else mp.mpf(al)
-        be_e = mp.mpc(be) if isinstance(be, complex) else mp.mpf(be)
-
-        def ppow(e):
-            if isinstance(e, mp.mpc):
-                return mp.e ** (e * mp.log(p))
-            return p ** e
-
-        A = [mp.mpc(1)]
-        for k in range(n):
-            A.append(A[k] * (1 - ppow(be_e + 1 + k)) * (1 + ppow(al_e + 1 + k))
-                     / ((1 - ppow(mp.mpf(k + 1)))
-                        * (1 - ppow(al_e + be_e + 2 + k))))
-        Bn = [mp.mpc(1)]
-        for k in range(n):
-            Bn.append(Bn[k] * (1 - ppow(-be_e - n - 1 + k))
-                      * (1 + ppow(-al_e - n - 1 + k))
-                      / ((1 - ppow(mp.mpf(k + 1)))
-                         * (1 - ppow(-2 * n - al_e - be_e - 2 + k))))
-        muv = mp.mpc(mu)
-        total = mp.mpc(0)
-        for j in range(n, -1, -1):
-            s = mp.mpc(0)
-            for k in range(j + 1):
-                s += (-1) ** k * A[k] * Bn[j - k]
-            total += (-1) ** j * p ** (mp.mpf(j) / 2) * muv ** (n - j) * s
-        return complex(total)
+        import mpmath as mp
+        with mp.workdps(int(math.log10(max(cond, 1.0))) + 25):
+            ar = _mp_arith(level, ctx.q)
+            return _closed_form_sum(n, mu, *_closed_form_arrays(n, ar), ar)
+    return _closed_form_sum(n, mu, A, B, ar)
 
 
 def bn_explicit_nested(n, mu, level, ctx):
@@ -263,7 +258,7 @@ def bn_explicit_nested(n, mu, level, ctx):
     return total
 
 
-def bn_minimal_scaled(nmax, xi, level, ctx, extra=40):
+def bn_minimal_scaled(nmax, xi, level, ctx):
     """w_n = b_n(xi) (-xi)^n q^{-n(n+a+b+3)/2} for n = 0..nmax at a zero xi
     of F, by backward (Miller) recurrence in the scaled variable.
 
@@ -273,7 +268,7 @@ def bn_minimal_scaled(nmax, xi, level, ctx, extra=40):
     the root asymptotics."""
     q = ctx.q
     al, be = _ab(level)
-    M = nmax + extra
+    M = nmax + 40  # the recurrence starts 40 steps past the last w_n kept
     w = [0.0 + 0.0j] * (M + 2)
     w[M + 1] = 0.0
     w[M] = 1.0
@@ -321,14 +316,10 @@ def zero_asymptotics_constants(level, ctx):
     if not level.is_real or al == be:
         raise DomainError("zero_asymptotics_constants requires real alpha != beta")
     tol = ctx.tol
-    if al > be:
-        u = -p ** (be + 1)
-        C = (qpoch_inf(-p ** (al + 1), p, tol) * qpoch_inf(p ** (al + 1), p, tol)
-             / ((1 + p ** (al - be)) * qpoch_inf(p ** (al + be + 2), p, tol)))
-    else:
-        u = p ** (al + 1)
-        C = (qpoch_inf(-p ** (be + 1), p, tol) * qpoch_inf(p ** (be + 1), p, tol)
-             / ((1 + p ** (be - al)) * qpoch_inf(p ** (al + be + 2), p, tol)))
+    big, small, sign = (al, be, -1) if al > be else (be, al, 1)
+    u = sign * p ** (small + 1)
+    C = (qpoch_inf(-p ** (big + 1), p, tol) * qpoch_inf(p ** (big + 1), p, tol)
+         / ((1 + p ** (big - small)) * qpoch_inf(p ** (big + small + 2), p, tol)))
     return u, C
 
 

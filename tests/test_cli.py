@@ -38,10 +38,16 @@ class TestUsage:
     @pytest.mark.parametrize("argv,flag", [
         (["eigen", "--nodes", "0", "--count", "1"], "--nodes"),
         (["eigen", "--trunc", "0", "--count", "1"], "--trunc"),
+        (["poly", "--grid", "-1"], "--grid"),
+        (["kernel", "--grid", "-1"], "--grid"),
+        (["eigfun", "--grid", "-1"], "--grid"),
+        (["expand", "--mmax", "-1"], "--mmax"),
+        (["poly", "--degree", "-1"], "--degree"),
     ])
     def test_sizes_below_one_are_usage_errors(self, argv, flag):
         r = _run(argv)
         assert r.returncode == 2
+        assert len(r.stderr.strip().splitlines()) == 1
         assert f"argument {flag}" in r.stderr and "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("argv", [["kernel", "--q", "1.2"],
@@ -106,6 +112,14 @@ class TestOutputs:
         resid = [r for r in rows if r[0] == "residual"]
         assert len(resid) == 9 and float(resid[4][1]) == 0.0
         assert max(float(r[2]) for r in resid) <= 1e-12
+
+    def test_zero_degree_and_mmax_stay_valid(self, tmp_path):
+        out = tmp_path / "z.csv"
+        assert main(["poly", "--degree", "0", "--grid", "3", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3
+        assert main(["expand", "--mmax", "0", "--grid", "2", "--out", str(out)]) == 0
+        kinds = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert kinds == ["coeff", "residual", "residual"]
 
     def test_beta_conj_spelling(self, tmp_path):
         out = tmp_path / "p.csv"

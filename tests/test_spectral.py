@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from awspec import verify
+from awspec import spectral, verify
 from awspec.awop import eval_coeffvector, make_rule, t_quadrature
 from awspec.exceptions import DomainError
 from awspec.qcore import QContext, qpoch_inf
@@ -79,6 +80,37 @@ class TestBn:
             a = bn_explicit_nested(n, mu, level, ctx)
             b = bn_explicit(n, mu, level, ctx)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+
+    @pytest.mark.parametrize("lvl", [JacobiLevel(0.3, -0.2), CONJ])
+    def test_closed_form_same_code_both_precisions(self, ctx, lvl):
+        # q = 0.5, n = 12 stays in long double; the shared builder and sum
+        # run in mpmath give the same value
+        n, mu = 12, 0.7 + 0.1j
+        ld = spectral._longdouble_arith(lvl, ctx.q)
+        got = spectral._closed_form_sum(n, mu, *spectral._closed_form_arrays(n, ld), ld)
+        with mpmath.workdps(40):
+            mp = spectral._mp_arith(lvl, ctx.q)
+            want = spectral._closed_form_sum(
+                n, mu, *spectral._closed_form_arrays(n, mp), mp)
+        assert bn_explicit(n, mu, lvl, ctx) == got
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_closed_form_escalates_to_mpmath(self, level, monkeypatch):
+        ctx = QContext(0.8)
+        built = []
+        mp_arith = spectral._mp_arith
+        monkeypatch.setattr(spectral, "_mp_arith",
+                            lambda *a: built.append(a) or mp_arith(*a))
+        got = bn_explicit(20, 3.0, level, ctx)
+        want = bn_sequence(20, 3.0, level, ctx)[20]
+        assert len(built) == 1
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_closed_form_builds_only_row_n(self, ctx, level):
+        n = 9
+        A, B = spectral._closed_form_arrays(n, spectral._longdouble_arith(level, ctx.q))
+        assert len(A) == n + 1 and len(B) == n + 1
+        assert all(np.ndim(b) == 0 for b in B)
 
     def test_monic_leading_coefficient(self, ctx, level):
         # leading coefficient in mu extracted by scaling at large |mu|
