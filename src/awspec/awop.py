@@ -20,7 +20,7 @@ __all__ = [
     "CoeffVector", "QuadratureRule", "make_rule", "weight_theta_grid",
     "dq_pointwise", "xi_factor", "t_factor", "dq_coeffs", "t_coeffs",
     "kernel_truncation", "kernel_eval", "t_quadrature", "eval_coeffvector",
-    "quad_weighted",
+    "quad_weighted", "operator_residual",
 ]
 
 
@@ -150,19 +150,32 @@ def t_coeffs(g, ctx):
 # kernel and integral operator
 # ---------------------------------------------------------------------------
 
-def _kernel_factor(n, level, ctx):
-    """Coefficient of P_{n+1}(x) P_n^{(a+1,b+1)}(y) in the kernel, from the
-    table kept in the level's plan."""
+def _kernel_factors(n, level, ctx):
+    """Coefficients of P_{k+1}(x) P_k^{(a+1,b+1)}(y) in the kernel for
+    k < n, from the table kept in the level's plan."""
     kf = level_plan(level, ctx).kernel_factors
-    if len(kf) <= n:
+    if len(kf) < n:
         q = ctx.q
         al, be = _ab(level)
         lvl1 = level.shifted(1)
         po2 = (1 + q ** ((al + be + 1) / 2)) * (1 + q ** ((al + be + 2) / 2))
-        for k in range(len(kf), n + 1):
+        for k in range(len(kf), n):
             kf.append((1 - q) * po2 * q ** (k - (2 * al + 1) / 4)
                       / (2 * (1 - q ** (al + be + k + 2)) * norm_h(k, lvl1, ctx)))
-    return kf[n]
+    return kf[:n]
+
+
+def _kernel_factor(n, level, ctx):
+    return _kernel_factors(n + 1, level, ctx)[n]
+
+
+def _kernel_sum(x, c, level, ctx):
+    """sum_n kf_n P_{n+1}(x) c_n over the leading axis of ``c``; ``x`` and
+    the trailing axes of ``c`` broadcast against each other."""
+    c = np.asarray(c)
+    px = np.array(cqjacobi_seq(len(c), level, x, ctx)[1:])
+    terms = np.moveaxis(px, 0, -1) * np.moveaxis(c, 0, -1)
+    return terms @ np.array(_kernel_factors(len(c), level, ctx), dtype=complex)
 
 
 def kernel_truncation(level, ctx):
@@ -197,24 +210,25 @@ def kernel_truncation(level, ctx):
 
 def kernel_eval(x, y, level, ctx, nterms=None):
     """Kernel K_{a,b;q}(x, y): partial sum of the bilinear series to
-    ``nterms`` terms (chosen from the tail bound when omitted)."""
+    ``nterms`` terms (chosen from the tail bound when omitted).  ``x`` and
+    ``y`` may be arrays that broadcast against each other."""
     if nterms is None:
         nterms = kernel_truncation(level, ctx)
-    px = cqjacobi_seq(nterms + 1, level, x, ctx)
-    py = cqjacobi_seq(nterms, level.shifted(1), y, ctx)
-    total = 0.0 + 0.0j
-    for n in range(nterms):
-        total += _kernel_factor(n, level, ctx) * px[n + 1] * py[n]
-    return total
+    py = np.array(cqjacobi_seq(nterms - 1, level.shifted(1), y, ctx))
+    return _kernel_sum(x, py, level, ctx)
 
 
 def t_quadrature(g, x, level, rule, ctx, nterms=None, return_error=False):
     """(T g)(x) by quadrature of the truncated-kernel integral
     int K(x,y) g(y) w_{a+1,b+1}(y) dy.
 
-    ``g`` is a callable on [-1, 1].  With ``return_error`` the difference
-    against the doubled rule is reported alongside the value.
+    ``g`` is called once per rule, on the ndarray of the rule's node
+    cosines; a constant result broadcasts.  ``x`` may be an array.  With
+    ``return_error`` the difference against the doubled rule is reported
+    alongside the value.
     """
+    if rule.size < 2:
+        raise DomainError("t_quadrature: the rule needs at least 2 nodes")
     val = _t_quad_once(g, x, level, rule, ctx, nterms)
     if not return_error:
         return val
@@ -232,17 +246,20 @@ def _t_quad_once(g, x, level, rule, ctx, nterms):
     # truncate where the data ends
     nterms = min(nterms, rule.size // 2)
     ys = np.cos(rule.nodes)
-    gy = np.array([g(t) for t in ys], dtype=complex)
-    w1, py = level_plan(level.shifted(1), ctx).on_nodes(rule.nodes)
-    moments = [complex(np.sum(rule.weights * w1 * py[n] * gy))
-               for n in range(nterms)]
-    scales = [abs(m) / max(abs(norm_h(n, level.shifted(1), ctx)), 1e-300) ** 0.5
-              for n, m in enumerate(moments)]
-    floor = max(scales) * 1e-12
-    last = max((n for n, s in enumerate(scales) if s >= floor), default=0)
-    neff = min(nterms, last + 3)
-    px = cqjacobi_seq(neff + 1, level, x, ctx)
-    total = 0.0 + 0.0j
-    for n in range(neff):
-        total += _kernel_factor(n, level, ctx) * px[n + 1] * moments[n]
-    return total
+    gy = np.broadcast_to(np.asarray(g(ys), dtype=complex), ys.shape)
+    lvl1 = level.shifted(1)
+    w1, py = level_plan(lvl1, ctx).on_nodes(rule.nodes)
+    moments = py[:nterms] @ (rule.weights * w1 * gy)
+    hn = np.abs([norm_h(n, lvl1, ctx) for n in range(nterms)])
+    scales = np.abs(moments) / np.maximum(hn, 1e-300) ** 0.5
+    last = np.flatnonzero(scales >= scales.max() * 1e-12)
+    neff = min(nterms, (last[-1] if last.size else 0) + 3)
+    return _kernel_sum(x, moments[:neff], level, ctx)
+
+
+def operator_residual(lam, coeffs, xs, level, rule, ctx):
+    """max |(T a)(x) - lam a(x)| over the points ``xs``, where a is the
+    function with coefficients ``coeffs``: one application of T."""
+    def a(t):
+        return eval_coeffvector(coeffs, t, ctx)
+    return float(np.max(np.abs(t_quadrature(a, xs, level, rule, ctx) - lam * a(xs))))

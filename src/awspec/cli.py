@@ -12,6 +12,7 @@ JSON carries numbers as strings so byte-identical reruns are guaranteed.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 import argparse
+import functools
 import json
 import sys
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import awop, qexp, qpolys, spectral, verify
 from .exceptions import DomainError, QSeriesError
 from .qcore import QContext
-from .qpolys import JacobiLevel
+from .qpolys import JacobiLevel, _ab
 
 USAGE_ERROR = 2
 
@@ -62,7 +63,7 @@ def _add_common(p):
     p.add_argument("--tol", type=float, default=1e-14)
     p.add_argument("--trunc", type=int_at_least(1), default=80,
                    help="series/matrix truncation")
-    p.add_argument("--nodes", type=int_at_least(1), default=160,
+    p.add_argument("--nodes", type=int_at_least(2), default=160,
                    help="quadrature nodes")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-", help="output path or - for stdout")
@@ -114,17 +115,16 @@ def build_parser():
     return ap
 
 
-def _config(args):
-    beta = complex(args.alpha).conjugate() if args.beta == "conj" \
-        else complex(args.beta)
+def _alpha_beta(args):
+    """(alpha, beta) from --alpha and --beta, real where the imaginary part
+    is 0; --beta conj takes the conjugate of alpha."""
     alpha = complex(args.alpha)
-    if alpha.imag == 0:
-        alpha = alpha.real
-    if beta.imag == 0:
-        beta = beta.real
-    ctx = QContext(args.q, args.tol)
-    level = JacobiLevel(alpha, beta)
-    return ctx, level
+    beta = alpha.conjugate() if args.beta == "conj" else complex(args.beta)
+    return _ab(JacobiLevel(alpha, beta))
+
+
+def _config(args):
+    return QContext(args.q, args.tol), JacobiLevel(*_alpha_beta(args))
 
 
 def _emit(args, header, rows, diagnostics):
@@ -148,16 +148,10 @@ def _emit(args, header, rows, diagnostics):
 
 def _cmd_eigen(args):
     ctx, level = _config(args)
-    rule = awop.make_rule(args.nodes)
-
-    def op_resid(lam, coeffs):
-        def g(t):
-            return awop.eval_coeffvector(coeffs, t, ctx)
-        return max(abs(awop.t_quadrature(g, x, level, rule, ctx) - lam * g(x))
-                   for x in np.linspace(-0.8, 0.8, 5))
-
+    resid = functools.partial(awop.operator_residual, xs=np.linspace(-0.8, 0.8, 5),
+                              level=level, rule=awop.make_rule(args.nodes), ctx=ctx)
     res = spectral.eigenvalues(level, ctx, count=args.count, nmat=args.trunc,
-                               operator_residual=op_resid)
+                               operator_residual=resid)
     header = ["index", "lambda_re", "lambda_im", "mu_re", "mu_im",
               "residual_f", "residual_operator", "converged"]
     rows = []
@@ -212,13 +206,10 @@ def _cmd_kernel(args):
     ctx, level = _config(args)
     nterms = awop.kernel_truncation(level, ctx)
     header = ["x", "y", "value_re", "value_im"]
-    rows = []
     grid = np.linspace(-0.8, 0.8, args.grid)
-    for x in grid:
-        for y in grid:
-            v = awop.kernel_eval(float(x), float(y), level, ctx, nterms)
-            vr, vi = fmt_c(v)
-            rows.append([fmt(x), fmt(y), vr, vi])
+    values = awop.kernel_eval(grid[:, None], grid[None, :], level, ctx, nterms)
+    rows = [[fmt(x), fmt(y), *fmt_c(values[i, j])]
+            for i, x in enumerate(grid) for j, y in enumerate(grid)]
     _emit(args, header, rows, {"nterms": str(nterms)})
     return 0
 
@@ -261,9 +252,8 @@ def _cmd_verify(args):
         if n not in verify.REGISTRY:
             sys.stderr.write(f"error: unknown suite {n!r}\n")
             return USAGE_ERROR
-    beta = complex(args.alpha).conjugate() if args.beta == "conj" \
-        else complex(args.beta)
-    cfg = verify.VerifyConfig(q=args.q, alpha=complex(args.alpha), beta=beta,
+    alpha, beta = _alpha_beta(args)
+    cfg = verify.VerifyConfig(q=args.q, alpha=alpha, beta=beta,
                               tol=args.tol, nodes=args.nodes)
     results = verify.run_suites(names, cfg)
     header = ["suite", "passed", "max_err", "tol", "detail"]

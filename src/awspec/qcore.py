@@ -32,8 +32,8 @@ class QContext:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"q must be in (0,1), got {self.q}")
-        if self.tol <= 0.0:
-            raise DomainError("tol must be positive")
+        if not 0.0 < self.tol < 1.0:  # also rejects nan
+            raise DomainError(f"tol must be finite and in (0,1), got {self.tol}")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
 

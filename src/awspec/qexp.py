@@ -161,35 +161,38 @@ def _expansion_params(level, q):
     return (b, b * math.sqrt(q), -c, -c * math.sqrt(q))
 
 
-def jm_quadrature(m, a, r, level, ctx, rule=None):
-    """J_m(a; r) by quadrature of the defining weighted integral."""
-    rule = rule if rule is not None else make_rule(200)
+def _aw_projections(mmax, values, level, rule, ctx):
+    """sum_i w_i w(x_i) sin(theta_i) prefactor_m p_m(x_i) f(x_i) over the
+    rule's nodes x_i = cos(theta_i), for m = 0..mmax, given the values
+    f(x_i): the unnormalized projections of f on the expansion family."""
     q = ctx.q
     params = _expansion_params(level, q)
     xs = np.cos(rule.nodes)
     w = weight_theta(params, xs, ctx).real
-    seq = aw_phi_seq(m, params, xs, q)
-    conv = _aw_prefactor(m, params, q)
-    ev = np.array([eq_exp(x, a, r, ctx) for x in xs])
-    return complex(np.sum(rule.weights * w * conv * seq[m] * ev))
+    seq = aw_phi_seq(mmax, params, xs, q)
+    return [np.sum(rule.weights * w * _aw_prefactor(m, params, q) * seq[m] * values)
+            for m in range(mmax + 1)]
+
+
+def jm_quadrature(m, a, r, level, ctx, rule=None):
+    """J_m(a; r) by quadrature of the defining weighted integral."""
+    rule = rule if rule is not None else make_rule(200)
+    ev = np.array([eq_exp(x, a, r, ctx) for x in np.cos(rule.nodes)])
+    return complex(_aw_projections(m, ev, level, rule, ctx)[m])
 
 
 def imn_quadrature(m, n, a, level, ctx, rule=None):
     """I_{m,n}(a, b, c) by quadrature; vanishes for n < m."""
     rule = rule if rule is not None else make_rule(200)
     q = ctx.q
-    params = _expansion_params(level, q)
     xs = np.cos(rule.nodes)
-    w = weight_theta(params, xs, ctx).real
-    seq = aw_phi_seq(m, params, xs, q)
-    conv = _aw_prefactor(m, params, q)
     ws = xs + 1j * np.sqrt(1.0 - xs * xs)
     g = a * q ** ((1.0 - n) / 2.0)
     hr = np.ones(rule.size, dtype=complex)
     for _ in range(n):
         hr *= (1.0 - g * ws) * (1.0 - g / ws)
         g *= q
-    return complex(np.sum(rule.weights * w * conv * seq[m] * hr))
+    return complex(_aw_projections(m, hr, level, rule, ctx)[m])
 
 
 def expansion_residual(x, r, level, ctx, m_trunc=25):

@@ -13,6 +13,7 @@ base^{-n(n-1)/2}), so residuals of that kind are normalized by the largest
 participating term, the backward-error scale; everything else uses plain
 relative error.
 """
+import functools
 import math
 from dataclasses import dataclass
 
@@ -507,20 +508,11 @@ def _eigen_certify(config):
     conjugate symmetry, pure-imaginary regimes."""
     ctx = config.ctx
     level = config.level
-    rule = awop.make_rule(config.nodes)
-
-    def op_resid(lam, coeffs):
-        def g(t):
-            return awop.eval_coeffvector(coeffs, t, ctx)
-        worst = 0.0
-        for x in np.linspace(-0.85, 0.85, 10):
-            tg = awop.t_quadrature(g, x, level, rule, ctx)
-            worst = max(worst, abs(tg - lam * g(x)))
-        return worst
-
+    resid = functools.partial(awop.operator_residual, xs=np.linspace(-0.85, 0.85, 10),
+                              level=level, rule=awop.make_rule(config.nodes), ctx=ctx)
     res40 = spectral.eigenvalues(level, ctx, count=5, nmat=40)
     res80 = spectral.eigenvalues(level, ctx, count=5, nmat=80,
-                                 operator_residual=op_resid)
+                                 operator_residual=resid)
     drift = max(abs(a.lam - b.lam) for a, b in zip(res40, res80))
     fres = max(r.residual_f for r in res80)
     opres = max(r.residual_operator for r in res80)
@@ -590,14 +582,11 @@ def _expansion_coeffs(config):
     xs = np.cos(rule.nodes)
     q = config.q
     params = qexp._expansion_params(level, q)
-    w = qpolys.weight_theta(params, xs, ctx).real
-    seq = qpolys.aw_phi_seq(10, params, xs, q)
     ev = np.array([qexp.eq_exp(x, -1j, r, ctx) for x in xs])
+    projs = qexp._aw_projections(10, ev, level, rule, ctx)
     worst = 0.0
     for m in range(11):
-        conv = qpolys._aw_prefactor(m, params, q)
-        proj = (np.sum(rule.weights * w * conv * seq[m] * ev)
-                / qpolys.aw_norm(m, params, q, ctx.tol))
+        proj = projs[m] / qpolys.aw_norm(m, params, q, ctx.tol)
         am = qexp.am_coeff(m, r, level, ctx)
         worst = max(worst, abs(proj - am) / max(1.0, abs(am)))
     return worst, "m <= 10 at r=0.3"

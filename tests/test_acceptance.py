@@ -139,13 +139,12 @@ def test_criterion_11_q_coulomb():
            "spectral.markov")
 
 
-def test_criterion_12_cli(tmp_path):
-    t0 = time.time()
-    rc = main(["verify", "--suite", "all",
-               "--out", str(tmp_path / "verify.csv")])
+def test_criterion_12_cli(tmp_path, verify_all):
+    # the verify.csv of this run is also checked against tests/golden
+    rc, _, seconds = verify_all
     ok = rc == 0
     print(f"ACCEPTANCE 12 {'PASS' if ok else 'FAIL'} verify all exits 0 "
-          f"({time.time() - t0:.0f}s)")
+          f"({seconds:.0f}s)")
     assert ok
     stable = True
     for cmd in (["poly", "--degree", "4", "--grid", "7"],

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from awspec import verify
 from awspec.awop import (CoeffVector, dq_coeffs, dq_pointwise, eval_coeffvector,
-                         kernel_eval, make_rule, t_coeffs, t_factor,
-                         t_quadrature, weight_theta_grid, xi_factor)
+                         kernel_eval, make_rule, operator_residual, t_coeffs,
+                         t_factor, t_quadrature, weight_theta_grid, xi_factor)
 from awspec.exceptions import DomainError
 from awspec.qcore import QContext
 from awspec.qpolys import JacobiLevel, cqjacobi, cqjacobi_seq
+from awspec.spectral import eigenvalues
 
 
 class TestDqPointwise:
@@ -155,6 +156,77 @@ class TestQuadrature:
         want = (0.5 - 1.0 * cqjacobi(1, level, x, ctx)
                 + 2.0 * cqjacobi(2, level, x, ctx))
         assert abs(eval_coeffvector(vec, x, ctx) - want) <= 1e-13 * abs(want)
+
+
+class TestArrays:
+    """T and K applied to arrays: g is called on the ndarray of node
+    cosines, once per rule, and x (and y) may be arrays that broadcast."""
+
+    def test_g_is_called_once_per_rule(self, ctx, level):
+        calls = []
+
+        def g(t):
+            calls.append(np.shape(t))
+            return t * t
+
+        rule = make_rule(48)
+        t_quadrature(g, 0.3, level, rule, ctx)
+        assert calls == [(48,)]
+        calls.clear()
+        t_quadrature(g, np.linspace(-0.5, 0.5, 4), level, rule, ctx,
+                     return_error=True)
+        assert calls == [(48,), (96,)]
+
+    @pytest.mark.parametrize("lv", [JacobiLevel(0.3, -0.2),
+                                    JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)])
+    def test_t_quadrature_at_array_matches_scalar(self, ctx, lv):
+        rule = make_rule(96)
+        vec = CoeffVector(lv.shifted(1), (0.5, -1.0, 0.25j, 0.1))
+
+        def g(t):
+            return eval_coeffvector(vec, t, ctx)
+
+        xs = np.array([-0.9, -0.3, 0.0, 0.45, 0.8, 0.2 + 0.3j])
+        got = t_quadrature(g, xs, lv, rule, ctx)
+        assert got.shape == xs.shape
+        for x, v in zip(xs, got):
+            want = t_quadrature(g, x, lv, rule, ctx)
+            assert abs(v - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("lv", [JacobiLevel(0.3, -0.2),
+                                    JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)])
+    def test_kernel_on_broadcast_grid_matches_scalar(self, ctx, lv):
+        from awspec.awop import _kernel_factor, kernel_truncation
+        nterms = kernel_truncation(lv, ctx)
+        xs = np.linspace(-0.8, 0.8, 4)
+        ys = np.linspace(-0.7, 0.9, 3)
+        grid = kernel_eval(xs[:, None], ys[None, :], lv, ctx)
+        assert grid.shape == (4, 3)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                want = kernel_eval(float(x), float(y), lv, ctx)
+                assert abs(grid[i, j] - want) <= 1e-13 * abs(want)
+                # the term-by-term partial sum as reference
+                px = cqjacobi_seq(nterms, lv, float(x), ctx)
+                py = cqjacobi_seq(nterms - 1, lv.shifted(1), float(y), ctx)
+                loop = sum(_kernel_factor(n, lv, ctx) * px[n + 1] * py[n]
+                           for n in range(nterms))
+                assert abs(want - loop) <= 1e-13 * abs(loop)
+
+    def test_operator_residual_matches_pointwise_loop(self, ctx, level):
+        rule = make_rule(160)
+        xs = np.linspace(-0.85, 0.85, 10)
+        for r in eigenvalues(level, ctx, count=2, nmat=60):
+            def g(t):
+                return eval_coeffvector(r.coeffs, t, ctx)
+            loop = max(abs(t_quadrature(g, x, level, rule, ctx) - r.lam * g(x))
+                       for x in xs)
+            got = operator_residual(r.lam, r.coeffs, xs, level, rule, ctx)
+            assert abs(got - loop) <= 1e-15
+
+    def test_one_node_rule_is_a_domain_error(self, ctx, level):
+        with pytest.raises(DomainError, match="at least 2 nodes"):
+            t_quadrature(lambda t: t, 0.2, level, make_rule(1), ctx)
 
 
 class TestSuites:

@@ -43,6 +43,9 @@ class TestUsage:
         (["eigfun", "--grid", "-1"], "--grid"),
         (["expand", "--mmax", "-1"], "--mmax"),
         (["poly", "--degree", "-1"], "--degree"),
+        # a 1-node rule resolves no moment of T
+        (["eigen", "--nodes", "1", "--count", "1"], "--nodes"),
+        (["verify", "--suite", "awop.kernel-coeff", "--nodes", "1"], "--nodes"),
     ])
     def test_sizes_below_one_are_usage_errors(self, argv, flag):
         r = _run(argv)
@@ -56,6 +59,14 @@ class TestUsage:
         r = _run(argv)
         assert r.returncode == 2
         assert r.stderr.startswith("error: q must be in (0,1)")
+        assert len(r.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["coulomb", "--tol", "inf", "--grid", "2"],
+                                      ["kernel", "--tol", "nan", "--grid", "2"]])
+    def test_tol_outside_zero_one_is_usage_error(self, argv):
+        r = _run(argv)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: tol must be finite and in (0,1)")
         assert len(r.stderr.strip().splitlines()) == 1
 
     def test_coulomb_empty_grid(self):

@@ -11,6 +11,14 @@ from awspec.qcore import (HypergeometricSpec, QContext, exp_itheta, h_product,
                           phi, qpoch, qpoch_inf, qpoch_multi, rphis, w8w7)
 
 
+class TestQContext:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-14,
+                                     1.0, 2.0])
+    def test_tol_must_be_finite_in_zero_one(self, tol):
+        with pytest.raises(DomainError, match="tol must be finite"):
+            QContext(0.5, tol)
+
+
 class TestQPoch:
     def test_n_zero_is_one(self):
         assert qpoch(2.3 - 1.1j, 0.5, 0) == 1.0
