@@ -151,17 +151,13 @@ def t_coeffs(g, ctx):
 # ---------------------------------------------------------------------------
 
 def _kernel_factors(n, level, ctx):
-    """Coefficients of P_{k+1}(x) P_k^{(a+1,b+1)}(y) in the kernel for
-    k < n, from the table kept in the level's plan."""
+    """Coefficients t_factor(k) / h_k^{(a+1,b+1)} of P_{k+1}(x)
+    P_k^{(a+1,b+1)}(y) in the kernel for k < n, from the table kept in the
+    level's plan."""
     kf = level_plan(level, ctx).kernel_factors
-    if len(kf) < n:
-        q = ctx.q
-        al, be = _ab(level)
-        lvl1 = level.shifted(1)
-        po2 = (1 + q ** ((al + be + 1) / 2)) * (1 + q ** ((al + be + 2) / 2))
-        for k in range(len(kf), n):
-            kf.append((1 - q) * po2 * q ** (k - (2 * al + 1) / 4)
-                      / (2 * (1 - q ** (al + be + k + 2)) * norm_h(k, lvl1, ctx)))
+    lvl1 = level.shifted(1)
+    kf.extend(t_factor(k, level, ctx.q) / norm_h(k, lvl1, ctx)
+              for k in range(len(kf), n))
     return kf[:n]
 
 

@@ -1,10 +1,13 @@
-"""Scalar kernel primitives: the finite and infinite q-shifted factorials
-and the core summation of a basic hypergeometric series.
+"""Scalar kernel primitives: the finite and infinite q-shifted factorials,
+the terms of a basic hypergeometric series and the one adaptive summer.
 
 Everything here is scalar complex arithmetic: the hot loops of every
-series in the package bottom out in these three functions, and
-``awspec.qcore`` calls them through this module.
+series in the package bottom out in these functions, and
+``awspec.qcore`` calls them through this module.  ``sum_series`` holds
+the only adaptive stopping rule of the package.
 """
+import itertools
+
 from .exceptions import NonConvergenceError, PoleError
 
 BACKEND = "python"
@@ -43,32 +46,23 @@ def qpoch_inf(a, base, tol=1e-14, max_terms=10000):
     return out
 
 
-def phi_sum(num, den, base, z, sign_power, nterms, tol=1e-14, max_terms=10000):
-    """Core summation of a basic hypergeometric series.
-
-    Terms follow the ratio recursion
+def phi_terms(num, den, base, z, sign_power):
+    """The terms t_0 = 1, t_1, ... of a basic hypergeometric series, by the
+    ratio recursion
 
         t_{k+1}/t_k = prod(1 - num_i base^k) / prod(1 - den_j base^k)
                       * z / (1 - base^{k+1}) * (-base^k)^sign_power,
 
     i.e. the r-phi-s series with the [(-1)^k base^{k(k-1)/2}]^{1+s-r}
-    factor folded in via ``sign_power`` = 1 + s - r.
-
-    ``nterms >= 0`` sums exactly ``nterms + 1`` terms (terminating case);
-    ``nterms < 0`` truncates adaptively: two consecutive relative terms
-    below ``tol`` and a geometric tail estimate below ``tol``.
+    factor folded in via ``sign_power`` = 1 + s - r.  The generator never
+    ends; a denominator factor that vanishes raises ``PoleError``.
     """
     z = complex(z)
     num = [complex(v) for v in num]
     den = [complex(v) for v in den]
     term = 1.0 + 0.0j
-    total = term
-    k = 0
-    small = 0
-    prev_mag = 1.0
-    while True:
-        if 0 <= nterms <= k:
-            break
+    for k in itertools.count():
+        yield term
         bk = base ** k
         ratio = z / (1.0 - base * bk)
         for v in num:
@@ -76,25 +70,50 @@ def phi_sum(num, den, base, z, sign_power, nterms, tol=1e-14, max_terms=10000):
         for v in den:
             dfac = 1.0 - v * bk
             if abs(dfac) < 1e-15 * (1.0 + abs(v * bk)):
-                raise PoleError(f"phi_sum: denominator factor vanished at k={k}")
+                raise PoleError(f"phi_terms: denominator factor vanished at k={k}")
             ratio /= dfac
         if sign_power:
             ratio *= (-bk) ** sign_power
         term *= ratio
+
+
+def sum_series(terms, tol, max_terms, name):
+    """Adaptive sum of the series whose terms ``terms`` yields.
+
+    Stops after two consecutive terms below ``tol`` relative to the
+    partial sum, once the geometric tail estimate from the last term ratio
+    is below ``tol`` too; a finite ``terms`` that runs out ends the sum.
+    Raises ``NonConvergenceError`` naming ``name`` when the rule is not met
+    by term ``max_terms`` (the first term is term 0).
+    """
+    total = 0.0 + 0.0j
+    small = 0
+    prev_mag = _TINY
+    for k, term in enumerate(terms):
         total += term
-        k += 1
-        if nterms < 0:
-            mag = abs(term)
-            scale = max(abs(total), _TINY)
-            if mag < tol * scale:
-                small += 1
-                if small >= 2:
-                    r = mag / prev_mag if prev_mag > 0.0 else 0.0
-                    if r < 1.0 and mag * r / (1.0 - r) < tol * scale:
-                        break
-            else:
-                small = 0
-            prev_mag = mag if mag > 0.0 else _TINY
-            if k >= max_terms:
-                raise NonConvergenceError("phi_sum: max_terms exceeded")
+        mag = abs(term)
+        scale = max(abs(total), _TINY)
+        if mag < tol * scale:
+            small += 1
+            if small >= 2:
+                r = mag / prev_mag
+                if r < 1.0 and mag * r / (1.0 - r) < tol * scale:
+                    return total
+        else:
+            small = 0
+        prev_mag = mag or _TINY
+        if k >= max_terms:
+            raise NonConvergenceError(f"{name}: max_terms exceeded")
+    return total
+
+
+def phi_sum(num, den, base, z, sign_power, nterms, tol=1e-14, max_terms=10000):
+    """Sum of the series of ``phi_terms``: exactly ``nterms + 1`` terms
+    for ``nterms >= 0`` (terminating case), else by ``sum_series``."""
+    terms = phi_terms(num, den, base, z, sign_power)
+    if nterms < 0:
+        return sum_series(terms, tol, max_terms, "phi_sum")
+    total = 0.0 + 0.0j
+    for _, term in zip(range(nterms + 1), terms):
+        total += term
     return total

@@ -18,11 +18,13 @@ structure; every form here is validated against quadrature of the defining
 integrals by the test-suite.
 """
 import cmath
+import itertools
 import math
 
 import numpy as np
 
 from .awop import make_rule
+from .backend import sum_series
 from .exceptions import NonConvergenceError
 from .qcore import exp_itheta, phi, qpoch, qpoch_inf
 from .qpolys import (_ab, _aw_prefactor, aw_norm, aw_phi_seq, cqjacobi_seq,
@@ -38,31 +40,40 @@ __all__ = [
 
 
 def eq_exp(x, a, b, ctx, nmax=None):
-    """E_q(x; a, b): series with the q^{n^2/4} term scale.
+    """E_q(x; a, b): series with the q^{n^2/4} term scale, summed by
+    ``backend.sum_series`` within the term budget ``nmax``.
 
     Each term's finite shifted factorial is computed as the direct
     2n-factor product.  The q^{n^2/4} decay exactly offsets the growth of
     that product, leaving term magnitudes ~ |ab|^n: the series converges
-    on |ab| < 1 only, and arguments outside that disc are rejected."""
+    on |ab| < 1 only, and arguments outside that disc are rejected.  A
+    term scale that overflows before the sum converges raises
+    ``NonConvergenceError`` too."""
     q = ctx.q
     if abs(a * b) >= 1.0:
         raise NonConvergenceError(
             "eq_exp: series converges only for |a*b| < 1")
     if b == 0:
         return 1.0 + 0.0j
-    w = exp_itheta(x)
     if nmax is None:
         # terms decay like |ab|^n; budget for the slow near-boundary cases
         r = abs(a * b)
         est = 240 if r < 0.6 else int(math.log(ctx.tol * 1e-2) / math.log(r)) + 60
         nmax = min(ctx.max_terms, max(240, est))
-    tot = 0.0 + 0.0j
+    try:
+        return sum_series(_eq_exp_terms(exp_itheta(x), a, b, q), ctx.tol,
+                          nmax, "eq_exp")
+    except OverflowError:
+        raise NonConvergenceError(
+            "eq_exp: the term scale overflows before the sum converges") from None
+
+
+def _eq_exp_terms(w, a, b, q):
     qfac = 1.0
-    small = 0
     ln10 = math.log(10.0)
     argb = cmath.phase(complex(b))
     lnb = math.log(abs(b))
-    for n in range(nmax):
+    for n in itertools.count():
         if n > 0:
             qfac *= 1.0 - q ** n
         # the 2n-factor product spans ~q^{-3n^2/16} of dynamic range even
@@ -81,16 +92,7 @@ def eq_exp(x, a, b, ctx, nmax=None):
                 ex = int(math.floor(math.log10(m)))
                 pr *= 10.0 ** -ex
                 sl += ex
-        term = (pr / qfac * cmath.exp(complex(sl * ln10 + n * lnb, n * argb)))
-        tot += term
-        # stop on two small terms in a row, skipping exact zeros: a factor
-        # that vanishes (every odd n at x = 0 when a = -i) leaves one term 0
-        # or at rounding level, which says nothing about the tail
-        if term != 0.0:
-            small = small + 1 if abs(term) < ctx.tol * max(1.0, abs(tot)) * 1e-2 else 0
-        if n > 6 and small >= 2:
-            return tot
-    raise NonConvergenceError("eq_exp: term budget exhausted")
+        yield pr / qfac * cmath.exp(complex(sl * ln10 + n * lnb, n * argb))
 
 
 def eq_eigenvalue_dq(a, b, q):
@@ -128,7 +130,9 @@ def jm_closed(m, r, level, ctx):
 
 def jm_double_series(m, a, r, level, ctx, nmax=60):
     """J_m(a; r) for general a as the double series (n-sum of terminating
-    4phi3 in base q^{1/2}), with the corrected m-prefactor."""
+    4phi3 in base q^{1/2}), with the corrected m-prefactor, summed by
+    ``backend.sum_series`` within the term budget ``nmax``.  The n-sum
+    converges for |a r| < 1."""
     q = ctx.q
     b, c = bc_params(level, q)
     rt = math.sqrt(q)
@@ -137,23 +141,20 @@ def jm_double_series(m, a, r, level, ctx, nmax=60):
     pre = (kappa_aw(_expansion_params(level, q), q, ctx.tol)
            * qpoch(c * c * rt, q, m) * (-a * b * r) ** m * q ** (m * m / 4.0)
            / (qpoch(b * c * rt, q, m) * qpoch(b * c * q, q, m)))
-    tot = 0.0 + 0.0j
-    coef = 1.0 + 0.0j
-    for n in range(nmax):
-        if n > 0:
-            coef *= ((1 + a * q ** (0.25 + (n - 1) / 2.0))
-                     * (1 + q ** (0.25 + (n - 1) / 2.0) / a) * (a * r)
-                     / ((1 - rt ** n) * (1 + rt ** n)))
-        f43 = phi([q ** (-n / 2.0), -q ** (-n / 2.0),
-                   c * q ** ((m + 0.5) / 2.0), -b * q ** ((m + 0.5) / 2.0)],
-                  [b * c * q ** (m + 0.5), -a * q ** ((-n + 0.5) / 2.0),
-                   -q ** ((-n + 0.5) / 2.0) / a],
-                  rt, rt, nterms=n, tol=ctx.tol, max_terms=ctx.max_terms)
-        t = coef * f43
-        tot += t
-        if n > 8 and abs(t) < ctx.tol * max(1.0, abs(tot)):
-            break
-    return fcorr * pre * tot
+
+    def terms():
+        coef = 1.0 + 0.0j
+        for n in itertools.count():
+            if n > 0:
+                coef *= ((1 + a * q ** (0.25 + (n - 1) / 2.0))
+                         * (1 + q ** (0.25 + (n - 1) / 2.0) / a) * (a * r)
+                         / ((1 - rt ** n) * (1 + rt ** n)))
+            yield coef * phi([q ** (-n / 2.0), -q ** (-n / 2.0),
+                              c * q ** ((m + 0.5) / 2.0), -b * q ** ((m + 0.5) / 2.0)],
+                             [b * c * q ** (m + 0.5), -a * q ** ((-n + 0.5) / 2.0),
+                              -q ** ((-n + 0.5) / 2.0) / a],
+                             rt, rt, nterms=n, tol=ctx.tol, max_terms=ctx.max_terms)
+    return fcorr * pre * sum_series(terms(), ctx.tol, nmax, "jm_double_series")
 
 
 def _expansion_params(level, q):
@@ -212,19 +213,17 @@ def expansion_residual(x, r, level, ctx, m_trunc=25):
 # ---------------------------------------------------------------------------
 
 def hermite_series(z, x, ctx, nmax=90):
-    """sum_n q^{n^2/4} (-z)^{-n} / (q; q)_n H_n(x|q)."""
+    """sum_n q^{n^2/4} (-z)^{-n} / (q; q)_n H_n(x|q), summed by
+    ``backend.sum_series`` within the term budget ``nmax``."""
     q = ctx.q
-    tot = 0.0 + 0.0j
-    qfac = 1.0
-    for n in range(nmax):
-        if n > 0:
-            qfac *= 1.0 - q ** n
-        term = q ** (n * n / 4.0) * (-z) ** float(-n) / qfac * hermite_h(n, x, q)
-        tot += term
-        # H_n(0) = 0 for odd n: an exactly-zero term does not end the sum
-        if n > 6 and 0.0 < abs(term) < ctx.tol * max(1.0, abs(tot)) * 1e-2:
-            break
-    return tot
+
+    def terms():
+        qfac = 1.0
+        for n in itertools.count():
+            if n > 0:
+                qfac *= 1.0 - q ** n
+            yield q ** (n * n / 4.0) * (-z) ** float(-n) / qfac * hermite_h(n, x, q)
+    return sum_series(terms(), ctx.tol, nmax, "hermite_series")
 
 
 def hermite_identity_residual(lam, x, ctx):
@@ -241,26 +240,25 @@ def e_series_invariant(x, lam, level, ctx, nmax=60):
     kappa_n = u^{n-1} prod_{j<n} c_{jj}/xi_{j+1} and mu = lambda u.
 
     Identical at every level (alpha + k, beta + k); equals the closed form
-    of e_series_invariant_closed."""
+    of e_series_invariant_closed.  Summed by ``backend.sum_series`` within
+    the term budget ``nmax``."""
     from .awop import xi_factor
     from .qpolys import connection_down
     q = ctx.q
     u = 2.0 * math.sqrt(q) / (1.0 - q)
     mu = lam * u
     fam = cqjacobi_seq(nmax, level, x, ctx)
-    tot = 0.0 + 0.0j
-    prod = 1.0 / u
-    sign = -1.0
-    for n in range(nmax):
-        if n > 0:
-            prod *= u * connection_down(n - 1, level, ctx).c_nn \
-                / xi_factor(n, level, q)
-            sign = -sign
-        term = prod * sign * x_nu(n - 1, mu, level, ctx) * fam[n]
-        tot += term
-        if n > 8 and abs(term) < ctx.tol * max(1.0, abs(tot)) * 1e-2:
-            break
-    return tot
+
+    def terms():
+        prod = 1.0 / u
+        sign = -1.0
+        for n, pn in enumerate(fam):
+            if n > 0:
+                prod *= u * connection_down(n - 1, level, ctx).c_nn \
+                    / xi_factor(n, level, q)
+                sign = -sign
+            yield prod * sign * x_nu(n - 1, mu, level, ctx) * pn
+    return sum_series(terms(), ctx.tol, nmax, "e_series_invariant")
 
 
 def e_series_invariant_closed(x, lam, ctx):

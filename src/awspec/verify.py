@@ -16,10 +16,12 @@ relative error.
 import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import awop, framework, qexp, qpolys, spectral
+from .backend import phi_terms
 from .exceptions import NonConvergenceError
 from .qcore import QContext, phi, qpoch, qpoch_inf
 from .qpolys import JacobiLevel
@@ -100,22 +102,6 @@ def _combine(pairs, tol):
     return max(e / t for e, t in pairs) * tol
 
 
-def _phi_term_scale(num, den, base, z, nterms):
-    """Largest |term| of a terminating series (the backward-error scale)."""
-    term = 1.0 + 0.0j
-    peak = 1.0
-    for k in range(nterms):
-        bk = base ** k
-        r = z / (1.0 - base * bk)
-        for v in num:
-            r *= 1.0 - v * bk
-        for v in den:
-            r /= 1.0 - v * bk
-        term *= r
-        peak = max(peak, abs(term))
-    return peak
-
-
 # ---------------------------------------------------------------------------
 # qcore
 # ---------------------------------------------------------------------------
@@ -177,7 +163,7 @@ def _sears(config):
             rhs = pre * phi([q ** -n, a, d / b, d / c],
                             [d, a * q ** (1 - n) / e, a * q ** (1 - n) / f],
                             q, q, nterms=n)
-            scale = _phi_term_scale(num, [d, e, f], q, q, n)
+            scale = max(map(abs, islice(phi_terms(num, [d, e, f], q, q, 0), n + 1)))
             worst = max(worst, abs(lhs - rhs) / max(scale, abs(lhs), 1.0))
     return worst, "n<=8, 6 draws each; max-term normalized"
 
@@ -198,7 +184,7 @@ def _saalschutz(config):
             lhs = phi(num, den, q, q, nterms=n)
             rhs = (qpoch(c / a, q, n) * qpoch(c / b, q, n)
                    / (qpoch(c, q, n) * qpoch(c / (a * b), q, n)))
-            scale = _phi_term_scale(num, den, q, q, n)
+            scale = max(map(abs, islice(phi_terms(num, den, q, q, 0), n + 1)))
             worst = max(worst, abs(lhs - rhs) / max(scale, abs(lhs), 1.0))
     return worst, "n<=8; max-term normalized"
 
@@ -305,16 +291,15 @@ def _contiguous(config):
     al = complex(config.alpha).real
     be = complex(config.beta).real
 
+    def params(nn):
+        return ([p ** -nn, p ** (nn + al + be + 3), p ** (be + 1), -p ** (al + 1)],
+                [p ** (al + be + 2), p ** (be + 2), -p ** (al + 2)])
+
     def phi_n(nn):
-        return phi([p ** -nn, p ** (nn + al + be + 3), p ** (be + 1),
-                    -p ** (al + 1)],
-                   [p ** (al + be + 2), p ** (be + 2), -p ** (al + 2)],
-                   p, p, nterms=nn)
+        return phi(*params(nn), p, p, nterms=nn)
 
     def peak_n(nn):
-        return _phi_term_scale(
-            [p ** -nn, p ** (nn + al + be + 3), p ** (be + 1), -p ** (al + 1)],
-            [p ** (al + be + 2), p ** (be + 2), -p ** (al + 2)], p, p, nn)
+        return max(map(abs, islice(phi_terms(*params(nn), p, p, 0), nn + 1)))
 
     worst = 0.0
     for nn in range(1, 9):

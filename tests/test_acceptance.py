@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one pass/fail line (run with ``pytest -s tests/test_acceptance.py`` to see
 them inline)."""
+import csv
 import math
 import time
 
@@ -28,9 +29,16 @@ def _suite(num, label, name, config=verify.DEFAULT_CONFIG):
             r.max_err, r.tol, r.passed)
 
 
-def test_criterion_01_closed_form_vs_recurrence():
-    _suite(1, "closed form vs recurrence, n<=20, |mu|<=3, 9 cells",
-           "spectral.bn-closed-form")
+def test_criterion_01_closed_form_vs_recurrence(verify_all):
+    # the suite's row of the shared ``verify --suite all`` run, at the same
+    # default config, rather than a second run of its own
+    name = "spectral.bn-closed-form"
+    _, path, _ = verify_all
+    with open(path, newline="") as fh:
+        r = next(r for r in csv.DictReader(fh) if r["suite"] == name)
+    _report(1, f"closed form vs recurrence, n<=20, |mu|<=3, 9 cells [{name}, "
+            f"verify all]", float(r["max_err"]), float(r["tol"]),
+            r["passed"] == "true")
 
 
 def test_criterion_02_ladder_identity():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import awspec
@@ -16,6 +18,20 @@ class TestKernels:
             backend.phi_sum([0.3, 0.2, 0.4], [0.1], 0.5, 1.5, 0, -1,
                             1e-14, 200)
 
+    def test_sum_series_geometric(self):
+        terms = (0.5 ** k for k in itertools.count())
+        got = backend.sum_series(terms, 1e-14, 10000, "geometric")
+        assert abs(got - 2.0) <= 2e-14
+
+    def test_sum_series_budget_exhausted(self):
+        # 0.9^k needs about 330 terms to reach 1e-14; 50 are allowed
+        terms = (0.9 ** k for k in itertools.count())
+        with pytest.raises(NonConvergenceError, match="^geometric: max_terms"):
+            backend.sum_series(terms, 1e-14, 50, "geometric")
+
+    def test_sum_series_finite_terms_end_the_sum(self):
+        assert backend.sum_series([1.0, 2.0, 3.0], 1e-14, 10000, "finite") == 6.0
+
     def test_sign_power_path(self):
         # 1phi2(a; b, c; q, z) = sum_k (a;q)_k / (q, b, c; q)_k
         #                          * (-1)^{2k} q^{k(k-1)} z^k
@@ -33,5 +49,5 @@ class TestSelection:
         assert awspec.BACKEND == backend.BACKEND == "python"
 
     def test_pure_python_backend_is_complete(self):
-        for name in ("qpoch", "qpoch_inf", "phi_sum"):
+        for name in ("qpoch", "qpoch_inf", "phi_terms", "sum_series", "phi_sum"):
             assert callable(getattr(backend, name))

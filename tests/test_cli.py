@@ -69,6 +69,15 @@ class TestUsage:
         assert r.stderr.startswith("error: tol must be finite and in (0,1)")
         assert len(r.stderr.strip().splitlines()) == 1
 
+    def test_expand_past_the_reach_of_the_series(self):
+        # at |ab| = 0.99 the term scale of eq_exp overflows before the sum
+        # converges
+        r = _run(["expand", "--q", "0.3", "--r", "0.99", "--grid", "1",
+                  "--mmax", "0"])
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: eq_exp:")
+        assert len(r.stderr.strip().splitlines()) == 1
+
     def test_coulomb_empty_grid(self):
         r = _run(["coulomb", "--grid", "0"])
         assert r.returncode == 2

@@ -4,8 +4,10 @@ import pytest
 
 from awspec import verify
 from awspec.awop import dq_pointwise, make_rule
+from awspec.exceptions import NonConvergenceError
 from awspec.qcore import QContext, qpoch_inf, phi
 from awspec.qpolys import JacobiLevel
+from awspec.spectral import mu_from_lambda
 from awspec.qexp import (am_coeff, bc_params, e_series_invariant,
                          e_series_invariant_closed, eq_eigenvalue_dq, eq_exp,
                          expansion_residual, hermite_identity_residual,
@@ -158,6 +160,44 @@ class TestInvariantValue:
         c0 = e_series_invariant(0.3, 1.7, level, ctx)
         c1 = e_series_invariant(0.3, 1.7, level.shifted(1), ctx)
         assert abs(c0 - c1) <= 1e-9 * abs(c0)
+
+
+class TestTermBudget:
+    """An exhausted term budget raises NonConvergenceError; no series
+    returns its partial sum instead."""
+
+    def test_hermite_series_near_q_one(self):
+        # 90 terms are far from enough at q = 0.95
+        with pytest.raises(NonConvergenceError, match="^hermite_series"):
+            hermite_series(0.3, 0.3, QContext(0.95))
+
+    def test_jm_double_series_outside_its_disc(self, ctx, level):
+        # |a r| = 1.6: the n-sum diverges
+        with pytest.raises(NonConvergenceError, match="^jm_double_series"):
+            jm_double_series(1, 0.8, 2.0, level, ctx)
+
+    def test_jm_double_series_budget(self, ctx, level):
+        with pytest.raises(NonConvergenceError, match="^jm_double_series"):
+            jm_double_series(3, -1j, 0.9, level, ctx)
+        want = jm_closed(3, 0.9, level, ctx)
+        got = jm_double_series(3, -1j, 0.9, level, ctx, nmax=400)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_eq_exp_overflow_is_a_nonconvergence(self):
+        # |ab| = 0.99: the q^{n^2/4} scaling overflows near n = 1200
+        with pytest.raises(NonConvergenceError, match="^eq_exp"):
+            eq_exp(0.1, -1j, 0.99, QContext(0.3))
+
+    @pytest.mark.parametrize("x", [0.0, 0.1])
+    def test_eq_exp_near_the_disc_boundary(self, x):
+        # |ab| = 0.946 sums within the default budget and agrees with the
+        # q-Hermite route of the same value
+        ctx = QContext(0.3)
+        lam = 0.5
+        want = lam * hermite_series(-mu_from_lambda(lam, ctx.q) * ctx.q ** -0.25,
+                                    x, ctx)
+        got = e_series_invariant_closed(x, lam, ctx)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestSuites:
