@@ -10,8 +10,8 @@ from .exceptions import (DomainError, NonConvergenceError, PoleError,
                          QSeriesError)
 from .qcore import (HypergeometricSpec, QContext, exp_itheta, h_product,
                     phi, qpoch, qpoch_inf, qpoch_multi, rphis, w8w7)
-from .qpolys import (AWParams, ConnectionTriple, JacobiLevel, Normalization,
-                     aw_norm, aw_poly, connection_down, cqjacobi,
+from .qpolys import (AWParams, ConnectionTriple, JacobiLevel, aw_norm,
+                     aw_poly, connection_down, cqjacobi, cqjacobi_classical,
                      cqjacobi_seq, dual_expansion, dual_expansion_aw,
                      hermite_h, kappa_aw, norm_h, weight_w)
 from .awop import (CoeffVector, QuadratureRule, dq_coeffs, dq_pointwise,

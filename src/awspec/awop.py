@@ -214,7 +214,7 @@ def kernel_eval(x, y, level, ctx, nterms=None):
     return _kernel_sum(x, py, level, ctx)
 
 
-def t_quadrature(g, x, level, rule, ctx, nterms=None, return_error=False):
+def t_quadrature(g, x, level, rule, ctx, return_error=False):
     """(T g)(x) by quadrature of the truncated-kernel integral
     int K(x,y) g(y) w_{a+1,b+1}(y) dy.
 
@@ -225,22 +225,20 @@ def t_quadrature(g, x, level, rule, ctx, nterms=None, return_error=False):
     """
     if rule.size < 2:
         raise DomainError("t_quadrature: the rule needs at least 2 nodes")
-    val = _t_quad_once(g, x, level, rule, ctx, nterms)
+    val = _t_quad_once(g, x, level, rule, ctx)
     if not return_error:
         return val
-    val2 = _t_quad_once(g, x, level, make_rule(2 * rule.size), ctx, nterms)
+    val2 = _t_quad_once(g, x, level, make_rule(2 * rule.size), ctx)
     return val2, abs(val2 - val)
 
 
-def _t_quad_once(g, x, level, rule, ctx, nterms):
-    if nterms is None:
-        nterms = kernel_truncation(level, ctx)
+def _t_quad_once(g, x, level, rule, ctx):
     # the rule resolves moments only up to ~half its node count (beyond
     # that the oscillatory P_n alias); within that, moments below the
     # quadrature noise floor carry no information, and at complex x (the
     # dq-shifted ellipse) the kernel amplifies them exponentially, so
     # truncate where the data ends
-    nterms = min(nterms, rule.size // 2)
+    nterms = min(kernel_truncation(level, ctx), rule.size // 2)
     ys = np.cos(rule.nodes)
     gy = np.broadcast_to(np.asarray(g(ys), dtype=complex), ys.shape)
     lvl1 = level.shifted(1)

@@ -11,6 +11,7 @@ import itertools
 from .exceptions import NonConvergenceError, PoleError
 
 BACKEND = "python"
+MAX_TERMS = 10000  # term budget of every adaptive product and series
 _TINY = 1e-300
 
 
@@ -25,23 +26,25 @@ def qpoch(a, base, n):
     return out
 
 
-def qpoch_inf(a, base, tol=1e-14, max_terms=10000):
+def qpoch_inf(a, base, tol=1e-14):
     """Infinite q-shifted factorial (a; base)_inf.
 
     Truncates once the geometric tail bound of the log-product,
-    |a| base^j / (1 - base), drops below ``tol``.
+    |a| base^j / (1 - base), drops below ``tol``; raises
+    ``NonConvergenceError`` past ``MAX_TERMS`` factors.
     """
     a = complex(a)
     out = 1.0 + 0.0j
     f = a
     bound = abs(a) / (1.0 - base)
     j = 0
+    limit = MAX_TERMS
     while bound > tol:
         out *= 1.0 - f
         f *= base
         bound *= base
         j += 1
-        if j > max_terms:
+        if j > limit:
             raise NonConvergenceError("qpoch_inf: tail bound not met")
     return out
 
@@ -84,35 +87,39 @@ def sum_series(terms, tol, max_terms, name):
     partial sum, once the geometric tail estimate from the last term ratio
     is below ``tol`` too; a finite ``terms`` that runs out ends the sum.
     Raises ``NonConvergenceError`` naming ``name`` when the rule is not met
-    by term ``max_terms`` (the first term is term 0).
+    by term ``max_terms`` (the first term is term 0), or when the terms or
+    the partial sum overflow before it is met.
     """
     total = 0.0 + 0.0j
     small = 0
     prev_mag = _TINY
-    for k, term in enumerate(terms):
-        total += term
-        mag = abs(term)
-        scale = max(abs(total), _TINY)
-        if mag < tol * scale:
-            small += 1
-            if small >= 2:
-                r = mag / prev_mag
-                if r < 1.0 and mag * r / (1.0 - r) < tol * scale:
-                    return total
-        else:
-            small = 0
-        prev_mag = mag or _TINY
-        if k >= max_terms:
-            raise NonConvergenceError(f"{name}: max_terms exceeded")
+    try:
+        for k, term in enumerate(terms):
+            total += term
+            mag = abs(term)
+            scale = max(abs(total), _TINY)
+            if mag < tol * scale:
+                small += 1
+                if small >= 2:
+                    r = mag / prev_mag
+                    if r < 1.0 and mag * r / (1.0 - r) < tol * scale:
+                        return total
+            else:
+                small = 0
+            prev_mag = mag or _TINY
+            if k >= max_terms:
+                raise NonConvergenceError(f"{name}: max_terms exceeded")
+    except OverflowError:
+        raise NonConvergenceError(f"{name}: the terms overflow") from None
     return total
 
 
-def phi_sum(num, den, base, z, sign_power, nterms, tol=1e-14, max_terms=10000):
+def phi_sum(num, den, base, z, sign_power, nterms, tol=1e-14):
     """Sum of the series of ``phi_terms``: exactly ``nterms + 1`` terms
     for ``nterms >= 0`` (terminating case), else by ``sum_series``."""
     terms = phi_terms(num, den, base, z, sign_power)
     if nterms < 0:
-        return sum_series(terms, tol, max_terms, "phi_sum")
+        return sum_series(terms, tol, MAX_TERMS, "phi_sum")
     total = 0.0 + 0.0j
     for _, term in zip(range(nterms + 1), terms):
         total += term

@@ -61,12 +61,14 @@ def _add_common(p):
     p.add_argument("--beta", type=str, default="-0.2",
                    help="beta, or 'conj' for the conjugate of alpha")
     p.add_argument("--tol", type=float, default=1e-14)
-    p.add_argument("--trunc", type=int_at_least(1), default=80,
-                   help="series/matrix truncation")
-    p.add_argument("--nodes", type=int_at_least(2), default=160,
-                   help="quadrature nodes")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-", help="output path or - for stdout")
+
+
+# flags registered only on the commands that read them
+_TRUNC = {"type": int_at_least(1), "default": 80,
+          "help": "size of the matrix section that seeds the eigenvalues"}
+_NODES = {"type": int_at_least(2), "default": 160, "help": "quadrature nodes"}
 
 
 def build_parser():
@@ -76,10 +78,13 @@ def build_parser():
 
     p = sub.add_parser("eigen", help="eigenvalues of the integral operator")
     _add_common(p)
+    p.add_argument("--trunc", **_TRUNC)
+    p.add_argument("--nodes", **_NODES)
     p.add_argument("--count", type=int_at_least(1), default=5)
 
     p = sub.add_parser("eigfun", help="eigenfunction coefficients and samples")
     _add_common(p)
+    p.add_argument("--trunc", **_TRUNC)
     p.add_argument("--index", type=int, default=0,
                    help="eigenvalue index (by descending |lambda|)")
     p.add_argument("--grid", type=int_at_least(1), default=21,
@@ -109,6 +114,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run named verification suites")
     _add_common(p)
+    p.add_argument("--nodes", **_NODES)
     p.add_argument("--suite", default="all",
                    help="suite name or 'all'")
     p.add_argument("--list", action="store_true", help="list suite names")

@@ -9,7 +9,7 @@ from typing import Callable, Optional
 
 from .awop import xi_factor
 from .exceptions import DomainError, NonConvergenceError
-from .qpolys import ConnectionTriple, connection_down, norm_h
+from .qpolys import ConnectionTriple, _ab, connection_down, norm_h
 from .spectral import bn_B, bn_C
 
 __all__ = [
@@ -199,7 +199,7 @@ def four_param_b(n, A, B, C, D, q):
 def large_param_a(n, level, q):
     """a'_n: the displayed large-A limit after the q -> sqrt(q) replacement
     and the B = q^{1+a/2} = -C, D = q^{2+(a+b)/2} identification."""
-    al, be = complex(level.alpha).real, complex(level.beta).real
+    al, be = _ab(level)
     return (-q ** ((n - 1) / 2) * (1 + q ** (n + (al + be + 3) / 2))
             * (1 - q ** ((be - al) / 2))
             / ((1 - q ** (n + 1 + (al + be) / 2))
@@ -208,7 +208,7 @@ def large_param_a(n, level, q):
 
 def large_param_b(n, level, q):
     """b'_n of the displayed limit (see large_param_a)."""
-    al, be = complex(level.alpha).real, complex(level.beta).real
+    al, be = _ab(level)
     return (q ** (n + (be - al - 3) / 2) * (1 - q ** (n + al + 1))
             * (1 - q ** (n + be + 1))
             / ((1 - q ** (n + (al + be + 1) / 2))
@@ -224,7 +224,7 @@ def large_param_limit_check(level, n_max, ctx):
     if not level.is_real:
         raise DomainError("large_param_limit_check requires real alpha, beta")
     q = ctx.q
-    al = complex(level.alpha).real
+    al, _ = _ab(level)
     s = q ** ((2 * al + 5) / 4)
     dev = 0.0
     for n in range(1, n_max + 1):

@@ -21,21 +21,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QContext:
-    """Evaluation context: the base q in (0,1) plus truncation controls.
+    """Evaluation context: the base q in (0,1) and the truncation
+    tolerance of its series and products.  Their term budget is the
+    constant ``backend.MAX_TERMS``.
 
     ``p = sqrt(q)`` is always derived from ``q`` (single source of truth).
     """
     q: float
     tol: float = 1e-14
-    max_terms: int = 10000
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"q must be in (0,1), got {self.q}")
         if not 0.0 < self.tol < 1.0:  # also rejects nan
             raise DomainError(f"tol must be finite and in (0,1), got {self.tol}")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
 
     @property
     def p(self):
@@ -62,32 +61,33 @@ def qpoch(a, base, n):
     return backend.qpoch(a, base, n)
 
 
-def qpoch_inf(a, base, tol=1e-14, max_terms=10000):
+def qpoch_inf(a, base, tol=1e-14):
     """(a; base)_inf, truncated by the geometric tail bound of the log-product."""
     _check_base(base)
-    return backend.qpoch_inf(a, base, tol, max_terms)
+    return backend.qpoch_inf(a, base, tol)
 
 
-def qpoch_multi(params, base, n, tol=1e-14, max_terms=10000):
+def qpoch_multi(params, base, n, tol=1e-14):
     """(a_1, ..., a_m; base)_n, n a nonnegative integer or None for infinity."""
     out = 1.0 + 0.0j
     for a in params:
         if n is None:
-            out *= qpoch_inf(a, base, tol, max_terms)
+            out *= qpoch_inf(a, base, tol)
         else:
             out *= qpoch(a, base, n)
     return out
 
 
-def terminating_order(num_params, base, tol=1e-12, max_order=400):
-    """Smallest n >= 0 with some numerator parameter equal to base^(-n), else None."""
+def terminating_order(num_params, base):
+    """Smallest n in [0, 400] with some numerator parameter equal to
+    base^(-n) to 1e-12 relative, else None."""
     best = None
     for a in num_params:
         a = complex(a)
         if a == 0.0 or a.imag != 0.0 or a.real <= 0.0:
             continue
         m = round(-math.log(a.real) / math.log(base))
-        if 0 <= m <= max_order and abs(a - base ** (-m)) <= tol * base ** (-m):
+        if 0 <= m <= 400 and abs(a - base ** (-m)) <= 1e-12 * base ** (-m):
             best = m if best is None else min(best, m)
     return best
 
@@ -99,8 +99,6 @@ class HypergeometricSpec:
     den_params: tuple
     base: float
     argument: complex
-    tol: float = 1e-14
-    max_terms: int = 10000
 
     def __post_init__(self):
         object.__setattr__(self, "num_params", tuple(complex(v) for v in self.num_params))
@@ -112,16 +110,13 @@ class HypergeometricSpec:
         return terminating_order(self.num_params, self.base)
 
 
-def rphis(spec, ctx=None):
+def rphis(spec, ctx):
     """Evaluate the basic hypergeometric series of ``spec``.
 
     Includes the [(-1)^n base^{n(n-1)/2}]^{1+s-r} factor.  Terminating
     series (a numerator parameter equal to base^{-n}) are summed exactly;
-    otherwise partial sums run until the truncation criteria of the
-    context are met.
+    otherwise partial sums run until the tolerance of the context is met.
     """
-    tol = ctx.tol if ctx is not None else spec.tol
-    max_terms = ctx.max_terms if ctx is not None else spec.max_terms
     nt = spec.terminating_order
     # guard denominator poles over the summation range actually visited
     if nt is not None:
@@ -131,10 +126,10 @@ def rphis(spec, ctx=None):
             if m is not None and m < limit:
                 raise PoleError(f"rphis: denominator parameter {b} = base^-{m}")
     return phi(spec.num_params, spec.den_params, spec.base, spec.argument,
-               nterms=nt, tol=tol, max_terms=max_terms)
+               nterms=nt, tol=ctx.tol)
 
 
-def phi(num, den, base, z, nterms=None, tol=1e-14, max_terms=10000):
+def phi(num, den, base, z, nterms=None, tol=1e-14):
     """r-phi-s series with explicit parameter lists.
 
     ``nterms``: if None, detect termination from the numerator parameters;
@@ -146,11 +141,10 @@ def phi(num, den, base, z, nterms=None, tol=1e-14, max_terms=10000):
         nt = terminating_order(num, base)
         nterms = -1 if nt is None else nt
     sign_power = 1 + len(den) - len(num)
-    return backend.phi_sum(num, den, base, complex(z), sign_power, nterms,
-                           tol, max_terms)
+    return backend.phi_sum(num, den, base, complex(z), sign_power, nterms, tol)
 
 
-def w8w7(a, b, c, d, e, f, base, z, ctx=None):
+def w8w7(a, b, c, d, e, f, base, z, ctx):
     """Very-well-poised 8W7(a; b, c, d, e, f; base, z) in standard W-notation.
 
     Summed as the 8-phi-7 with numerator a, q s, -q s, b, c, d, e, f and
@@ -158,8 +152,6 @@ def w8w7(a, b, c, d, e, f, base, z, ctx=None):
     The products of the +-s pairs depend only on a, so the branch of s does
     not matter.  Termination is read from b, c, d, e, f alone.
     """
-    tol = ctx.tol if ctx is not None else 1e-14
-    max_terms = ctx.max_terms if ctx is not None else 10000
     _check_base(base)
     if z == 0:
         return 1.0 + 0.0j
@@ -168,7 +160,7 @@ def w8w7(a, b, c, d, e, f, base, z, ctx=None):
     nt = terminating_order([b, c, d, e, f], base)
     return phi([a, base * s, -base * s, b, c, d, e, f],
                [s, -s, aq / b, aq / c, aq / d, aq / e, aq / f], base, z,
-               nterms=-1 if nt is None else nt, tol=tol, max_terms=max_terms)
+               nterms=-1 if nt is None else nt, tol=ctx.tol)
 
 
 def h_product(x, params, base, tol=1e-14):

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .awop import make_rule
-from .backend import sum_series
+from .backend import MAX_TERMS, sum_series
 from .exceptions import NonConvergenceError
 from .qcore import exp_itheta, phi, qpoch, qpoch_inf
 from .qpolys import (_ab, _aw_prefactor, aw_norm, aw_phi_seq, cqjacobi_seq,
@@ -59,13 +59,9 @@ def eq_exp(x, a, b, ctx, nmax=None):
         # terms decay like |ab|^n; budget for the slow near-boundary cases
         r = abs(a * b)
         est = 240 if r < 0.6 else int(math.log(ctx.tol * 1e-2) / math.log(r)) + 60
-        nmax = min(ctx.max_terms, max(240, est))
-    try:
-        return sum_series(_eq_exp_terms(exp_itheta(x), a, b, q), ctx.tol,
-                          nmax, "eq_exp")
-    except OverflowError:
-        raise NonConvergenceError(
-            "eq_exp: the term scale overflows before the sum converges") from None
+        nmax = min(MAX_TERMS, max(240, est))
+    return sum_series(_eq_exp_terms(exp_itheta(x), a, b, q), ctx.tol, nmax,
+                      "eq_exp")
 
 
 def _eq_exp_terms(w, a, b, q):
@@ -118,7 +114,7 @@ def am_coeff(m, r, level, ctx):
         / qpoch_inf(-1j * r, q, ctx.tol)
     return pre * phi([c * q ** (m / 2.0 + 0.25), -b * q ** (m / 2.0 + 0.25)],
                      [b * c * q ** (m + 0.5)], math.sqrt(q), 1j * r,
-                     nterms=-1, tol=ctx.tol, max_terms=ctx.max_terms)
+                     nterms=-1, tol=ctx.tol)
 
 
 def jm_closed(m, r, level, ctx):
@@ -153,7 +149,7 @@ def jm_double_series(m, a, r, level, ctx, nmax=60):
                               c * q ** ((m + 0.5) / 2.0), -b * q ** ((m + 0.5) / 2.0)],
                              [b * c * q ** (m + 0.5), -a * q ** ((-n + 0.5) / 2.0),
                               -q ** ((-n + 0.5) / 2.0) / a],
-                             rt, rt, nterms=n, tol=ctx.tol, max_terms=ctx.max_terms)
+                             rt, rt, nterms=n, tol=ctx.tol)
     return fcorr * pre * sum_series(terms(), ctx.tol, nmax, "jm_double_series")
 
 
@@ -245,7 +241,7 @@ def e_series_invariant(x, lam, level, ctx, nmax=60):
     from .awop import xi_factor
     from .qpolys import connection_down
     q = ctx.q
-    u = 2.0 * math.sqrt(q) / (1.0 - q)
+    u = mu_from_lambda(1.0, q)
     mu = lam * u
     fam = cqjacobi_seq(nmax, level, x, ctx)
 

@@ -1,9 +1,11 @@
 """Continuous q-Jacobi and Askey-Wilson polynomials, weights, norms and
 connection coefficients.
 
-Two normalizations are supported: the classically normalized form P_n(x; q)
-(whose q -> 1 limit is the classical Jacobi polynomial) and the
-Askey-Wilson form P_n(x | q), related by
+The polynomials, weights and norms are those of the Askey-Wilson form
+P_n(x | q), the normalization of the integral operator, its kernel and its
+eigenfunctions.  The classically normalized form P_n(x; q), whose q -> 1
+limit is the classical Jacobi polynomial, is given by
+``cqjacobi_classical`` through
 
     P_n(x; q) = (-q^{a+b+1}; q)_n / (-q; q)_n * q^{-a n} * P_n(x | q^2).
 
@@ -15,7 +17,6 @@ recurrence is stable on [-1, 1].  Tests cross-validate the two routes.
 import functools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .qcore import (QContext, exp_itheta, h_product, phi, qpoch, qpoch_inf,
                     qpoch_multi)
 
 __all__ = [
-    "Normalization", "JacobiLevel", "AWParams", "ConnectionTriple",
-    "aw_poly", "aw_phi_seq", "cqjacobi", "cqjacobi_seq", "hermite_h",
+    "JacobiLevel", "AWParams", "ConnectionTriple", "aw_poly", "aw_phi_seq",
+    "cqjacobi", "cqjacobi_classical", "cqjacobi_seq", "hermite_h",
     "weight_w", "weight_theta", "norm_h", "norm_ratio", "LevelPlan",
     "level_plan", "aw_norm", "kappa_aw", "connection_down",
     "dual_expansion", "dual_expansion_aw", "classical_to_aw_factor",
@@ -33,21 +34,15 @@ __all__ = [
 ]
 
 
-class Normalization(Enum):
-    CLASSICAL = "classical"
-    ASKEY_WILSON = "askey-wilson"
-
-
 @dataclass(frozen=True)
 class JacobiLevel:
-    """Parameter level (alpha, beta) plus the normalization tag.
+    """Parameter level (alpha, beta).
 
     alpha, beta may be real or a complex-conjugate pair; mixed complex
     values are rejected.
     """
     alpha: complex
     beta: complex
-    normalization: Normalization = Normalization.ASKEY_WILSON
 
     def __post_init__(self):
         a, b = complex(self.alpha), complex(self.beta)
@@ -59,7 +54,7 @@ class JacobiLevel:
         return complex(self.alpha).imag == 0.0 and complex(self.beta).imag == 0.0
 
     def shifted(self, k):
-        return JacobiLevel(self.alpha + k, self.beta + k, self.normalization)
+        return JacobiLevel(self.alpha + k, self.beta + k)
 
 
 def _ab(level):
@@ -162,8 +157,7 @@ def aw_poly(n, params, x, ctx, method="auto"):
         w = exp_itheta(x)
         abcd = a * b * c * d
         val = phi([q ** (-n), abcd * q ** (n - 1), a * w, a / w],
-                  [a * b, a * c, a * d], q, q, nterms=n,
-                  tol=ctx.tol, max_terms=ctx.max_terms)
+                  [a * b, a * c, a * d], q, q, nterms=n, tol=ctx.tol)
         return _aw_prefactor(n, params, q) * val
     seq = aw_phi_seq(n, params, x, q)
     return _aw_prefactor(n, params, q) * seq[n]
@@ -211,39 +205,41 @@ def cqjacobi_seq(nmax, level, x, ctx):
 
 
 def cqjacobi(n, level, x, ctx, method="auto"):
-    """Continuous q-Jacobi polynomial in the level's normalization.
-
-    Askey-Wilson form: Eq-style 4phi3 with base q (or its stable
-    recurrence equivalent).  Classical-normalization form: evaluated as the conversion
-    factor times the Askey-Wilson form at base q^2, with the literal
-    series available via ``method="phi"``.
-    """
+    """Continuous q-Jacobi polynomial P_n(x | q), Askey-Wilson form: the
+    Eq-style 4phi3 with base q with ``method="phi"``, else its stable
+    recurrence equivalent."""
     q = ctx.q
     if n < 0:
         return 0.0 + 0.0j
-    al, be = _ab(level)
-    if level.normalization is Normalization.ASKEY_WILSON:
-        if method == "phi":
-            w = exp_itheta(x)
-            pre = qpoch(q ** (al + 1), q, n) / qpoch(q, q, n)
-            return pre * phi(
-                [q ** (-n), q ** (n + al + be + 1),
-                 q ** ((2 * al + 1) / 4) * w, q ** ((2 * al + 1) / 4) / w],
-                [q ** (al + 1), -q ** ((al + be + 1) / 2), -q ** ((al + be + 2) / 2)],
-                q, q, nterms=n, tol=ctx.tol, max_terms=ctx.max_terms)
-        return cqjacobi_seq(n, level, x, ctx)[n]
-    # classical normalization, base q
     if method == "phi":
+        al, be = _ab(level)
+        w = exp_itheta(x)
+        pre = qpoch(q ** (al + 1), q, n) / qpoch(q, q, n)
+        return pre * phi(
+            [q ** (-n), q ** (n + al + be + 1),
+             q ** ((2 * al + 1) / 4) * w, q ** ((2 * al + 1) / 4) / w],
+            [q ** (al + 1), -q ** ((al + be + 1) / 2), -q ** ((al + be + 2) / 2)],
+            q, q, nterms=n, tol=ctx.tol)
+    return cqjacobi_seq(n, level, x, ctx)[n]
+
+
+def cqjacobi_classical(n, level, x, ctx, method="auto"):
+    """Classically normalized continuous q-Jacobi polynomial P_n(x; q):
+    the conversion factor times the Askey-Wilson form at base q^2, or the
+    literal 4phi3 with base q with ``method="phi"``."""
+    q = ctx.q
+    if n < 0:
+        return 0.0 + 0.0j
+    if method == "phi":
+        al, be = _ab(level)
         w = exp_itheta(x)
         pre = (qpoch(q ** (al + 1), q, n) * qpoch(-q ** (be + 1), q, n)
                / (qpoch(q, q, n) * qpoch(-q, q, n)))
         return pre * phi(
             [q ** (-n), q ** (n + al + be + 1), math.sqrt(q) * w, math.sqrt(q) / w],
-            [q ** (al + 1), -q ** (be + 1), -q], q, q, nterms=n,
-            tol=ctx.tol, max_terms=ctx.max_terms)
-    ctx2 = QContext(q * q, ctx.tol, ctx.max_terms)
-    aw_level = JacobiLevel(al, be, Normalization.ASKEY_WILSON)
-    return classical_to_aw_factor(n, level, q) * cqjacobi(n, aw_level, x, ctx2, method=method)
+            [q ** (al + 1), -q ** (be + 1), -q], q, q, nterms=n, tol=ctx.tol)
+    return (classical_to_aw_factor(n, level, q)
+            * cqjacobi(n, level, x, QContext(q * q, ctx.tol), method=method))
 
 
 def classical_to_aw_factor(n, level, q):

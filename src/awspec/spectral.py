@@ -251,7 +251,7 @@ def bn_explicit_nested(n, mu, level, ctx):
         inner = phi([p ** (-j), p ** (2 * n + al + be + 3 - j), p ** (be + 1),
                      -p ** (al + 1)],
                     [p ** (al + be + 2), p ** (n + be + 2 - j), -p ** (al + n + 2 - j)],
-                    p, p, nterms=j, tol=ctx.tol, max_terms=ctx.max_terms)
+                    p, p, nterms=j, tol=ctx.tol)
         total += coeff * (-1.0) ** j * p ** (j / 2) * mu ** (n - j) * inner
         coeff *= ((1 - p ** (-be - n - 1 + j)) * (1 + p ** (-al - n - 1 + j))
                   / ((1 - p ** (j + 1)) * (1 - p ** (-2 * n - al - be - 2 + j))))
@@ -336,6 +336,13 @@ def an_prefactor(k, level, ctx):
             / (qpoch(q ** (al + 2), q, k) * qpoch(q ** (be + 2), q, k)))
 
 
+def _an_prefactor_ratio(k, al, be, q):
+    """f_{k+1} / f_k of an_prefactor."""
+    return ((1 - q ** (al + be + 2 + k)) * (1 - q ** ((al + be + 4) / 2 + k))
+            * (1 - q ** ((al + be + 5) / 2 + k))
+            / ((1 - q ** (al + 2 + k)) * (1 - q ** (be + 2 + k))))
+
+
 def an_from_bn(k, lam, level, ctx, bn_value=None):
     """a_{k+1}(lambda|q) from the monic polynomial; a_0 = 0, a_1 = 1."""
     if k < 0:
@@ -369,13 +376,13 @@ def x_nu(nu, x, level, ctx, route="heine"):
         return ((-x) ** (-nu) * qpoch_inf(p ** 0.5 / x, p, ctx.tol)
                 * phi([-p ** (al + 2 + nu), p ** (be + 2 + nu)],
                       [p ** (al + be + 2 * nu + 4)], p, p ** 0.5 / x,
-                      nterms=-1, tol=ctx.tol, max_terms=ctx.max_terms))
+                      nterms=-1, tol=ctx.tol))
     pref = ((-x) ** (-nu) * qpoch_inf(p ** (be + nu + 2), p, ctx.tol)
             * qpoch_inf(-p ** (al + nu + 2.5) / x, p, ctx.tol)
             / qpoch_inf(p ** (al + be + 2 * nu + 4), p, ctx.tol))
     return pref * phi([p ** (al + nu + 2), p ** 0.5 / x],
                       [-p ** (al + nu + 2.5) / x], p, p ** (be + nu + 2),
-                      nterms=-1, tol=ctx.tol, max_terms=ctx.max_terms)
+                      nterms=-1, tol=ctx.tol)
 
 
 def f_eval(x, level, ctx):
@@ -389,8 +396,7 @@ def f_eval(x, level, ctx):
             * qpoch_inf(-p ** (al + 1.5) / x, p, ctx.tol)
             / qpoch_inf(p ** (al + be + 2), p, ctx.tol)
             * phi([p ** (al + 1), p ** 0.5 / x], [-p ** (al + 1.5) / x],
-                  p, p ** (be + 1), nterms=-1, tol=ctx.tol,
-                  max_terms=ctx.max_terms))
+                  p, p ** (be + 1), nterms=-1, tol=ctx.tol))
 
 
 def bn_growth_limit(x, level, ctx):
@@ -425,8 +431,7 @@ def eigenvalue_equation(x, level, ctx):
     z = (1.0 - q) * x / 2.0
     return (qpoch_inf(-p ** (al + 1.5) * z, p, ctx.tol)
             * phi([p ** (al + 1), z * p ** 0.5], [-p ** (al + 1.5) * z],
-                  p, p ** (be + 1), nterms=-1, tol=ctx.tol,
-                  max_terms=ctx.max_terms))
+                  p, p ** (be + 1), nterms=-1, tol=ctx.tol))
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +475,9 @@ class EigenResult:
             raise DomainError("lambda = 0 is not an eigenvalue")
 
 
-def _newton_f(mu0, level, ctx, maxit=80):
+def _newton_f(mu0, level, ctx):
     mu = complex(mu0)
-    for _ in range(maxit):
+    for _ in range(80):
         h = 1e-7 * max(1.0, abs(mu))
         f0 = f_eval(mu, level, ctx)
         d = (f_eval(mu + h, level, ctx) - f_eval(mu - h, level, ctx)) / (2 * h)
@@ -485,12 +490,13 @@ def _newton_f(mu0, level, ctx, maxit=80):
     return mu, abs(f_eval(mu, level, ctx)) < 1e-9
 
 
-def eigenvalues(level, ctx, count=5, nmat=80, ncoeff=48, operator_residual=None):
+def eigenvalues(level, ctx, count=5, nmat=80, operator_residual=None):
     """Locate eigenvalues: truncated-matrix seeds, Newton refinement on F
-    in the mu variable, residual certification.  Results sorted by
-    (|lambda| desc, arg lambda); conjugate-pair symmetry is enforced for
-    real parameter levels.  Seeds that fail to refine are reported with
-    ``converged=False``, never dropped."""
+    in the mu variable, residual certification, and the eigenfunction
+    coefficients a_0..a_48.  Results sorted by (|lambda| desc, arg lambda);
+    conjugate-pair symmetry is enforced for real parameter levels.  Seeds
+    that fail to refine are reported with ``converged=False``, never
+    dropped."""
     q = ctx.q
     seeds = [ev for ev in matrix_oracle(nmat, level, ctx) if abs(ev) > 1e-13]
     if level.is_real:
@@ -503,7 +509,7 @@ def eigenvalues(level, ctx, count=5, nmat=80, ncoeff=48, operator_residual=None)
         mu, ok = _newton_f(mu_from_lambda(lam0, q), level, ctx)
         lam = lambda_from_mu(mu, q)
         res_f = abs(f_eval(mu, level, ctx))
-        coeffs = eigenfunction(lam, level, ncoeff, ctx)
+        coeffs = eigenfunction(lam, level, 48, ctx)
         res_op = math.nan
         if operator_residual is not None:
             res_op = operator_residual(lam, coeffs)
@@ -530,17 +536,16 @@ def eigenfunction(lam, level, nmax, ctx):
     w = bn_minimal_scaled(nmax, xi, level, ctx)
     coeffs = [0.0 + 0.0j, 1.0 + 0.0j]
     lnq = math.log(q)
-    alr = al.real if isinstance(al, complex) else al
+    f = 1.0  # an_prefactor(k), by its running product
     for k in range(1, nmax):
+        f *= _an_prefactor_ratio(k - 1, al, be, q)
         # log-magnitude guard against underflow of q^{k^2/4 + ...}
-        expo = k * k / 4 + k * (1 - alr) / 2
-        mag = expo * lnq - k * math.log(abs(xi))
+        expo = k * k / 4 + k * (1 - al) / 2
+        mag = expo.real * lnq - k * math.log(abs(xi))
         if mag < -690.0:
             coeffs.append(0.0 + 0.0j)
             continue
-        a = (an_prefactor(k, level, ctx) * xi ** (-k)
-             * q ** (k * k / 4 + k * (1 - al) / 2) * w[k])
-        coeffs.append(a)
+        coeffs.append(f * xi ** (-k) * q ** expo * w[k])
     return CoeffVector(level, tuple(coeffs[:nmax + 1]))
 
 
@@ -554,10 +559,8 @@ def eigen_tail_ratios(lam, level, nmax, ctx):
     out = []
     for k in range(1, nmax):
         hr = norm_ratio(k, level, q)
-        fr = ((1 - q ** (al + be + 2 + k)) * (1 - q ** ((al + be + 4) / 2 + k))
-              * (1 - q ** ((al + be + 5) / 2 + k))
-              / ((1 - q ** (al + 2 + k)) * (1 - q ** (be + 2 + k))))
-        ar = fr / xi * q ** ((2 * k + 1) / 4 + (1 - al) / 2) * (w[k + 1] / w[k])
+        ar = (_an_prefactor_ratio(k, al, be, q) / xi
+              * q ** ((2 * k + 1) / 4 + (1 - al) / 2) * (w[k + 1] / w[k]))
         out.append(abs(hr) * abs(ar) ** 2)
     return out
 
@@ -622,8 +625,7 @@ def q_coulomb(L, eta, rho, ctx):
     if abs(z) < 0.9:
         return (qpoch_inf(z, q, ctx.tol)
                 * phi([-A, B], [q ** (2 * L + 2)], q, z, nterms=-1,
-                      tol=ctx.tol, max_terms=ctx.max_terms))
+                      tol=ctx.tol))
     return (qpoch_inf(B, q, ctx.tol) * qpoch_inf(-A * z, q, ctx.tol)
             / qpoch_inf(q ** (2 * L + 2), q, ctx.tol)
-            * phi([A, z], [-A * z], q, B, nterms=-1, tol=ctx.tol,
-                  max_terms=ctx.max_terms))
+            * phi([A, z], [-A * z], q, B, nterms=-1, tol=ctx.tol))

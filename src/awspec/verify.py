@@ -24,7 +24,7 @@ from . import awop, framework, qexp, qpolys, spectral
 from .backend import phi_terms
 from .exceptions import NonConvergenceError
 from .qcore import QContext, phi, qpoch, qpoch_inf
-from .qpolys import JacobiLevel
+from .qpolys import JacobiLevel, _ab
 
 __all__ = ["VerifyConfig", "SuiteResult", "REGISTRY", "run_suite",
            "run_suites", "suite_names", "DEFAULT_CONFIG"]
@@ -288,8 +288,7 @@ def _contiguous(config):
     """Three-term contiguous relation of the balanced 4phi3 family."""
     q = config.q
     p = math.sqrt(q)
-    al = complex(config.alpha).real
-    be = complex(config.beta).real
+    al, be = _ab(config.level)
 
     def params(nn):
         return ([p ** -nn, p ** (nn + al + be + 3), p ** (be + 1), -p ** (al + 1)],
@@ -630,7 +629,7 @@ def _fw_qjacobi(config):
     """Monicized q-Jacobi ladder equals the direct recurrence coefficients."""
     ctx = config.ctx
     level = config.level
-    u = 2 * math.sqrt(config.q) / (1 - config.q)
+    u = spectral.mu_from_lambda(1.0, config.q)
     sys = framework.monicize(framework.qjacobi_family(level, ctx), u)
     worst = 0.0
     for n in range(21):
@@ -659,7 +658,7 @@ def _fw_ultra(config):
         worst = max(worst, 1.0)
     qj_ok = framework.shift_invariance_check(
         framework.qjacobi_family(config.level, config.ctx),
-        2 * math.sqrt(config.q) / (1 - config.q), 8)
+        spectral.mu_from_lambda(1.0, config.q), 8)
     if not qj_ok:
         worst = max(worst, 1.0)
     return worst, "recurrence + shift-invariance detector"
@@ -691,7 +690,7 @@ def _fw_cf(config):
     divergence at a certified eigenvalue."""
     ctx = config.ctx
     level = config.level
-    u = 2 * math.sqrt(config.q) / (1 - config.q)
+    u = spectral.mu_from_lambda(1.0, config.q)
     sys = framework.monicize(framework.qjacobi_family(level, ctx), u)
     vals = []
     for mu in (1.5, 2.5):

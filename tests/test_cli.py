@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from awspec import verify
-from awspec.cli import main
+from awspec.cli import build_parser, main
 
 
 def _run(argv):
@@ -83,6 +84,43 @@ class TestUsage:
         assert r.returncode == 2
         assert len(r.stderr.strip().splitlines()) == 1
         assert "--grid" in r.stderr and "Traceback" not in r.stderr
+
+
+COMMON_FLAGS = ["--q", "--alpha", "--beta", "--tol", "--format", "--out"]
+# each command's flags beyond COMMON_FLAGS: --trunc and --nodes only where
+# the command reads them
+COMMAND_FLAGS = {
+    "eigen": ["--trunc", "--nodes", "--count"],
+    "eigfun": ["--trunc", "--index", "--grid"],
+    "poly": ["--degree", "--grid"],
+    "kernel": ["--grid"],
+    "expand": ["--r", "--mmax", "--grid"],
+    "coulomb": ["--ell", "--eta", "--rho-max", "--grid"],
+    "verify": ["--nodes", "--suite", "--list"],
+}
+
+
+class TestOptionInventory:
+    def test_flags_of_each_command(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: [a.option_strings[-1] for a in p._actions
+                      if a.option_strings and a.dest != "help"]
+               for name, p in sub.choices.items()}
+        assert got == {name: COMMON_FLAGS + extra
+                       for name, extra in COMMAND_FLAGS.items()}
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["poly", "--trunc", "3"], "--trunc"),
+        (["kernel", "--nodes", "64"], "--nodes"),
+        (["verify", "--trunc", "3"], "--trunc"),
+    ])
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv, flag):
+        r = _run(argv)
+        assert r.returncode == 2
+        assert len(r.stderr.strip().splitlines()) == 1
+        assert r.stderr.startswith("error: unrecognized arguments")
+        assert flag in r.stderr
 
 
 class TestOutputs:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -17,6 +18,9 @@ class TestQContext:
     def test_tol_must_be_finite_in_zero_one(self, tol):
         with pytest.raises(DomainError, match="tol must be finite"):
             QContext(0.5, tol)
+
+    def test_fields_are_q_and_tol(self):
+        assert [f.name for f in dataclasses.fields(QContext)] == ["q", "tol"]
 
 
 class TestQPoch:
@@ -62,7 +66,7 @@ class TestQPochInf:
 
     def test_guard_against_budget_exhaustion(self):
         with pytest.raises(NonConvergenceError):
-            qpoch_inf(0.5, 0.99999, tol=1e-14, max_terms=5)
+            qpoch_inf(0.5, 0.99999, tol=1e-14)
 
 
 class TestQPochMulti:
@@ -98,6 +102,10 @@ class TestRphis:
                * phi([c / b, z], [a * z], q, b, nterms=-1))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
+    def test_spec_fields(self):
+        assert [f.name for f in dataclasses.fields(HypergeometricSpec)] == [
+            "num_params", "den_params", "base", "argument"]
+
     def test_termination_detection(self):
         spec = HypergeometricSpec((0.5 ** -3, 0.2), (0.7,), 0.5, 1.2)
         assert spec.terminating_order == 3
@@ -110,7 +118,12 @@ class TestRphis:
     def test_divergence_error(self, ctx):
         spec = HypergeometricSpec((0.3, 0.2, 0.4), (0.1,), 0.5, 1.8)
         with pytest.raises(NonConvergenceError):
-            rphis(spec, QContext(0.5, max_terms=300))
+            rphis(spec, ctx)
+
+    def test_overflowing_series_is_non_convergence(self):
+        # the terms outgrow the float range long before the term budget
+        with pytest.raises(NonConvergenceError, match="^phi_sum: the terms overflow"):
+            phi([0.3, 0.2, 0.4], [0.1], 0.5, 1.8, nterms=-1)
 
 
 class TestW8W7:
@@ -132,8 +145,7 @@ class TestW8W7:
     def test_divergent_series_is_non_convergence(self):
         # |z| > 1: the terms of a non-terminating 8W7 grow like z^k
         with pytest.raises(NonConvergenceError):
-            w8w7(0.3, 0.1, 0.2, 0.35, 0.25, 0.05, 0.5, 5.0,
-                 QContext(0.5, max_terms=200))
+            w8w7(0.3, 0.1, 0.2, 0.35, 0.25, 0.05, 0.5, 5.0, QContext(0.5))
 
     def test_watson_transform(self, ctx):
         # terminating 8W7 equals a multiple of a balanced 4phi3

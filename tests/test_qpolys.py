@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from awspec import awop, verify
 from awspec.exceptions import DomainError
 from awspec.qcore import QContext, phi
-from awspec.qpolys import (AWParams, JacobiLevel, Normalization, aw_norm,
-                           aw_poly, awpoly_to_cqj_factor, connection_down,
-                           cqjacobi, cqjacobi_seq, dual_expansion,
+from awspec.qpolys import (AWParams, JacobiLevel, aw_norm, aw_poly,
+                           awpoly_to_cqj_factor, connection_down, cqjacobi,
+                           cqjacobi_classical, cqjacobi_seq, dual_expansion,
                            dual_expansion_aw, hermite_h, kappa_aw, norm_h,
                            classical_to_aw_factor, weight_w, _weight_w_complex)
 
@@ -56,20 +57,21 @@ class TestAWPoly:
 
 class TestCqjacobi:
     def test_degree_zero_both_normalizations(self, ctx):
-        aw = JacobiLevel(0.3, -0.2, Normalization.ASKEY_WILSON)
-        ra = JacobiLevel(0.3, -0.2, Normalization.CLASSICAL)
-        assert cqjacobi(0, aw, 0.4, ctx) == 1.0
-        assert cqjacobi(0, ra, 0.4, ctx) == 1.0
+        level = JacobiLevel(0.3, -0.2)
+        assert cqjacobi(0, level, 0.4, ctx) == 1.0
+        assert cqjacobi_classical(0, level, 0.4, ctx) == 1.0
 
     def test_normalization_relation(self):
         # classical normalization at base q vs Askey-Wilson form at base q^2
         n, al, be, q, x = 3, 0.5, -0.25, 0.49, 0.2
-        ra = JacobiLevel(al, be, Normalization.CLASSICAL)
-        lhs = cqjacobi(n, ra, x, QContext(q), method="phi")
-        aw = JacobiLevel(al, be, Normalization.ASKEY_WILSON)
-        rhs = (classical_to_aw_factor(n, ra, q)
-               * cqjacobi(n, aw, x, QContext(q * q)))
+        level = JacobiLevel(al, be)
+        lhs = cqjacobi_classical(n, level, x, QContext(q), method="phi")
+        rhs = (classical_to_aw_factor(n, level, q)
+               * cqjacobi(n, level, x, QContext(q * q)))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+    def test_level_is_alpha_beta_only(self):
+        assert [f.name for f in dataclasses.fields(JacobiLevel)] == ["alpha", "beta"]
 
     def test_aw_equals_specialized_askey_wilson(self, ctx, level, rng):
         # the alternate representation equals the four-parameter polynomial
@@ -228,12 +230,12 @@ class TestDualExpansion:
     def test_pointwise_identity_classical(self, ctx):
         n, al, be, q, x = 3, 0.5, -0.25, 0.36, 0.4
         ctx = QContext(q)
-        level = JacobiLevel(al, be, Normalization.CLASSICAL)
+        level = JacobiLevel(al, be)
         A = dual_expansion(n, level, ctx)
         quad = ((1 - 2 * x * q ** (al + 0.5) + q ** (2 * al + 1))
                 * (1 + 2 * x * q ** (be + 0.5) + q ** (2 * be + 1)))
-        lhs = quad * cqjacobi(n - 1, level.shifted(1), x, ctx, method="phi")
-        rhs = sum(c * cqjacobi(m, level, x, ctx, method="phi")
+        lhs = quad * cqjacobi_classical(n - 1, level.shifted(1), x, ctx, method="phi")
+        rhs = sum(c * cqjacobi_classical(m, level, x, ctx, method="phi")
                   for c, m in zip(A, (n - 1, n, n + 1)))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
