@@ -7,6 +7,7 @@ series in the package bottom out in these functions, and
 the only adaptive stopping rule of the package.
 """
 import itertools
+import math
 
 from .exceptions import NonConvergenceError, PoleError
 
@@ -98,6 +99,8 @@ def sum_series(terms, tol, max_terms, name):
             total += term
             mag = abs(term)
             scale = max(abs(total), _TINY)
+            if not math.isfinite(scale):  # also catches any non-finite term
+                raise NonConvergenceError(f"{name}: the terms overflow")
             if mag < tol * scale:
                 small += 1
                 if small >= 2:

@@ -5,9 +5,11 @@ The polynomials, weights and norms are those of the Askey-Wilson form
 P_n(x | q), the normalization of the integral operator, its kernel and its
 eigenfunctions.  The classically normalized form P_n(x; q), whose q -> 1
 limit is the classical Jacobi polynomial, is given by
-``cqjacobi_classical`` through
+``cqjacobi_classical`` as its defining 4phi3; the two forms are related by
 
-    P_n(x; q) = (-q^{a+b+1}; q)_n / (-q; q)_n * q^{-a n} * P_n(x | q^2).
+    P_n(x; q) = (-q^{a+b+1}; q)_n / (-q; q)_n * q^{-a n} * P_n(x | q^2),
+
+whose factor is ``classical_to_aw_factor``.
 
 Large-degree evaluation goes through the standard Askey-Wilson three-term
 recurrence: the defining terminating 4phi3 alternates with terms of size
@@ -223,23 +225,19 @@ def cqjacobi(n, level, x, ctx, method="auto"):
     return cqjacobi_seq(n, level, x, ctx)[n]
 
 
-def cqjacobi_classical(n, level, x, ctx, method="auto"):
-    """Classically normalized continuous q-Jacobi polynomial P_n(x; q):
-    the conversion factor times the Askey-Wilson form at base q^2, or the
-    literal 4phi3 with base q with ``method="phi"``."""
+def cqjacobi_classical(n, level, x, ctx):
+    """Classically normalized continuous q-Jacobi polynomial P_n(x; q): the
+    literal terminating 4phi3 with base q."""
     q = ctx.q
     if n < 0:
         return 0.0 + 0.0j
-    if method == "phi":
-        al, be = _ab(level)
-        w = exp_itheta(x)
-        pre = (qpoch(q ** (al + 1), q, n) * qpoch(-q ** (be + 1), q, n)
-               / (qpoch(q, q, n) * qpoch(-q, q, n)))
-        return pre * phi(
-            [q ** (-n), q ** (n + al + be + 1), math.sqrt(q) * w, math.sqrt(q) / w],
-            [q ** (al + 1), -q ** (be + 1), -q], q, q, nterms=n, tol=ctx.tol)
-    return (classical_to_aw_factor(n, level, q)
-            * cqjacobi(n, level, x, QContext(q * q, ctx.tol), method=method))
+    al, be = _ab(level)
+    w = exp_itheta(x)
+    pre = (qpoch(q ** (al + 1), q, n) * qpoch(-q ** (be + 1), q, n)
+           / (qpoch(q, q, n) * qpoch(-q, q, n)))
+    return pre * phi(
+        [q ** (-n), q ** (n + al + be + 1), math.sqrt(q) * w, math.sqrt(q) / w],
+        [q ** (al + 1), -q ** (be + 1), -q], q, q, nterms=n, tol=ctx.tol)
 
 
 def classical_to_aw_factor(n, level, q):

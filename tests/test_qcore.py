@@ -117,13 +117,8 @@ class TestRphis:
 
     def test_divergence_error(self, ctx):
         spec = HypergeometricSpec((0.3, 0.2, 0.4), (0.1,), 0.5, 1.8)
-        with pytest.raises(NonConvergenceError):
-            rphis(spec, ctx)
-
-    def test_overflowing_series_is_non_convergence(self):
-        # the terms outgrow the float range long before the term budget
         with pytest.raises(NonConvergenceError, match="^phi_sum: the terms overflow"):
-            phi([0.3, 0.2, 0.4], [0.1], 0.5, 1.8, nterms=-1)
+            rphis(spec, ctx)
 
 
 class TestW8W7:
@@ -144,7 +139,7 @@ class TestW8W7:
 
     def test_divergent_series_is_non_convergence(self):
         # |z| > 1: the terms of a non-terminating 8W7 grow like z^k
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NonConvergenceError, match="overflow"):
             w8w7(0.3, 0.1, 0.2, 0.35, 0.25, 0.05, 0.5, 5.0, QContext(0.5))
 
     def test_watson_transform(self, ctx):

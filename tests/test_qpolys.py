@@ -65,7 +65,7 @@ class TestCqjacobi:
         # classical normalization at base q vs Askey-Wilson form at base q^2
         n, al, be, q, x = 3, 0.5, -0.25, 0.49, 0.2
         level = JacobiLevel(al, be)
-        lhs = cqjacobi_classical(n, level, x, QContext(q), method="phi")
+        lhs = cqjacobi_classical(n, level, x, QContext(q))
         rhs = (classical_to_aw_factor(n, level, q)
                * cqjacobi(n, level, x, QContext(q * q)))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
@@ -234,8 +234,8 @@ class TestDualExpansion:
         A = dual_expansion(n, level, ctx)
         quad = ((1 - 2 * x * q ** (al + 0.5) + q ** (2 * al + 1))
                 * (1 + 2 * x * q ** (be + 0.5) + q ** (2 * be + 1)))
-        lhs = quad * cqjacobi_classical(n - 1, level.shifted(1), x, ctx, method="phi")
-        rhs = sum(c * cqjacobi_classical(m, level, x, ctx, method="phi")
+        lhs = quad * cqjacobi_classical(n - 1, level.shifted(1), x, ctx)
+        rhs = sum(c * cqjacobi_classical(m, level, x, ctx)
                   for c, m in zip(A, (n - 1, n, n + 1)))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
