@@ -71,7 +71,10 @@ _TRUNC = {"type": int_at_least(1), "default": 80,
 _NODES = {"type": int_at_least(2), "default": 160, "help": "quadrature nodes"}
 
 
+@functools.cache
 def build_parser():
+    """The ``awspec`` argument parser, built once per process: parsing
+    leaves it unchanged, so every request shares it."""
     ap = _Parser(prog="awspec",
                  description="continuous q-Jacobi / Askey-Wilson spectral toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -180,14 +183,10 @@ def _cmd_eigfun(args):
         return USAGE_ERROR
     r = res[args.index]
     header = ["kind", "index_or_x", "value_re", "value_im"]
-    rows = []
-    for n, c in enumerate(r.coeffs.coeffs):
-        vr, vi = fmt_c(c)
-        rows.append(["coeff", str(n), vr, vi])
-    for x in np.linspace(-0.9, 0.9, args.grid):
-        v = awop.eval_coeffvector(r.coeffs, x, ctx)
-        vr, vi = fmt_c(v)
-        rows.append(["sample", fmt(x), vr, vi])
+    rows = [["coeff", str(n), *fmt_c(c)] for n, c in enumerate(r.coeffs.coeffs)]
+    xs = np.linspace(-0.9, 0.9, args.grid)
+    values = awop.eval_coeffvector(r.coeffs, xs, ctx)
+    rows += [["sample", fmt(x), *fmt_c(v)] for x, v in zip(xs, values)]
     lr, li = fmt_c(r.lam)
     _emit(args, header, rows,
           {"lambda_re": lr, "lambda_im": li, "residual_f": fmt(r.residual_f)})
@@ -223,15 +222,11 @@ def _cmd_kernel(args):
 def _cmd_expand(args):
     ctx, level = _config(args)
     header = ["kind", "index_or_x", "value_re", "value_im"]
-    rows = []
-    for m in range(args.mmax + 1):
-        a = qexp.am_coeff(m, args.r, level, ctx)
-        vr, vi = fmt_c(a)
-        rows.append(["coeff", str(m), vr, vi])
-    for x in np.linspace(-0.8, 0.8, args.grid):
-        resid = qexp.expansion_residual(float(x), args.r, level, ctx,
-                                         m_trunc=args.mmax)
-        rows.append(["residual", fmt(x), fmt(resid), fmt(0.0)])
+    coeffs = [qexp.am_coeff(m, args.r, level, ctx) for m in range(args.mmax + 1)]
+    xs = np.linspace(-0.8, 0.8, args.grid)
+    resids = qexp._truncation_residual(coeffs, xs, args.r, level, ctx)
+    rows = [["coeff", str(m), *fmt_c(a)] for m, a in enumerate(coeffs)]
+    rows += [["residual", fmt(x), fmt(e), fmt(0.0)] for x, e in zip(xs, resids)]
     _emit(args, header, rows, {"r": str(args.r), "mmax": str(args.mmax)})
     return 0
 

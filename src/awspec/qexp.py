@@ -107,9 +107,10 @@ def am_coeff(m, r, level, ctx):
     polynomials p_m(x; b, b sqrt(q), -c, -c sqrt(q)) (corrected closed form)."""
     q = ctx.q
     b, c = bc_params(level, q)
-    b2c2 = b * b * c * c
-    pre = (q ** (m * m / 4.0) * (1j * r) ** m * qpoch(b2c2, q, m)
-           / (qpoch(q, q, m) * qpoch(b2c2, q, 2 * m)))
+    # (b^2c^2; q)_m / (b^2c^2; q)_{2m} = 1/(b^2c^2 q^m; q)_m, which stays
+    # finite at b^2c^2 = q^{alpha+beta+1} = 1
+    pre = (q ** (m * m / 4.0) * (1j * r) ** m
+           / (qpoch(q, q, m) * qpoch(b * b * c * c * q ** m, q, m)))
     pre *= qpoch_inf(1j * r * math.sqrt(q), q, ctx.tol) \
         / qpoch_inf(-1j * r, q, ctx.tol)
     return pre * phi([c * q ** (m / 2.0 + 0.25), -b * q ** (m / 2.0 + 0.25)],
@@ -193,14 +194,24 @@ def imn_quadrature(m, n, a, level, ctx, rule=None):
 
 
 def expansion_residual(x, r, level, ctx, m_trunc=25):
-    """|E_q(x; -i, r) - sum_{m<=M} a_m p_m(x; b, b sqrt q, -c, -c sqrt q)|."""
+    """|E_q(x; -i, r) - sum_{m<=M} a_m p_m(x; b, b sqrt q, -c, -c sqrt q)| at
+    a point or at every point of an ndarray ``x``.  The coefficients a_m
+    are summed once per call, whatever the number of points."""
+    coeffs = [am_coeff(m, r, level, ctx) for m in range(m_trunc + 1)]
+    return _truncation_residual(coeffs, x, r, level, ctx)
+
+
+def _truncation_residual(coeffs, x, r, level, ctx):
+    """expansion_residual from the coefficient list a_0..a_M."""
     q = ctx.q
     params = _expansion_params(level, q)
-    lhs = eq_exp(x, -1j, r, ctx)
-    seq = aw_phi_seq(m_trunc, params, x, q)
-    rhs = 0.0 + 0.0j
-    for m in range(m_trunc + 1):
-        rhs += am_coeff(m, r, level, ctx) * _aw_prefactor(m, params, q) * seq[m]
+    if isinstance(x, np.ndarray):
+        lhs = np.array([eq_exp(t, -1j, r, ctx) for t in x.tolist()])
+    else:
+        lhs = eq_exp(x, -1j, r, ctx)
+    seq = aw_phi_seq(len(coeffs) - 1, params, x, q)
+    rhs = sum(a * _aw_prefactor(m, params, q) * p
+              for m, (a, p) in enumerate(zip(coeffs, seq)))
     return abs(lhs - rhs)
 
 

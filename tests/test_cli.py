@@ -1,17 +1,27 @@
 import argparse
 import json
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from awspec import verify
+from awspec import qexp, verify
 from awspec.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def _run(argv):
+    # the checkout's src goes first, so a bare pytest run finds awspec too
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "awspec.cli"] + argv,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestUsage:
@@ -184,6 +194,40 @@ class TestOutputs:
         rc = main(["poly", "--alpha", "0.3+0.5j", "--beta", "conj",
                    "--degree", "2", "--grid", "3", "--out", str(out)])
         assert rc == 0
+
+
+class TestRequestWork:
+    def test_expand_sums_each_coefficient_once(self, tmp_path, monkeypatch):
+        calls = []
+        am_coeff = qexp.am_coeff
+        monkeypatch.setattr(qexp, "am_coeff",
+                            lambda m, *rest: calls.append(m) or am_coeff(m, *rest))
+        rc = main(["expand", "--mmax", "6", "--grid", "4",
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == 0
+        assert sorted(calls) == list(range(7))
+
+    def test_expand_where_alpha_plus_beta_is_minus_one(self, tmp_path):
+        # b^2 c^2 = q^{alpha+beta+1} = 1 there
+        out = tmp_path / "e.csv"
+        rc = main(["expand", "--alpha", "-0.5", "--beta", "-0.5", "--grid", "2",
+                   "--mmax", "2", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["coeff"] * 3 + ["residual"] * 2
+        assert all(math.isfinite(float(v)) for r in rows for v in r[2:])
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_requests_in_a_row_share_no_state(self, capsys):
+        # the conj request goes first: a value it left in the shared parser
+        # would show in the defaults' output
+        for name, argv in [("kernel-conj.csv", ["kernel", "--q", "0.7", "--alpha",
+                                                "0.3+0.5j", "--beta", "conj"]),
+                           ("kernel.csv", ["kernel"])]:
+            assert main(argv) == 0
+            assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 class TestVerifyCommand:

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from awspec import verify
+from awspec import qexp, verify
 from awspec.awop import dq_pointwise, make_rule
 from awspec.exceptions import NonConvergenceError
 from awspec.qcore import QContext, qpoch_inf, phi
@@ -104,6 +105,27 @@ class TestExpansionResidual:
 
     def test_r_zero_exact(self, ctx, level):
         assert expansion_residual(0.2, 0.0, level, ctx, m_trunc=3) < 1e-14
+
+    def test_array_x_matches_pointwise(self, ctx, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qexp, "am_coeff",
+                            lambda m, *rest: calls.append(m) or am_coeff(m, *rest))
+        xs = np.linspace(-0.8, 0.8, 5)
+        for level in (JacobiLevel(0.3, -0.2), JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)):
+            for r in (0.3, 0.5j):
+                calls.clear()
+                got = expansion_residual(xs, r, level, ctx, m_trunc=12)
+                assert sorted(calls) == list(range(13))
+                want = [expansion_residual(x, r, level, ctx, m_trunc=12)
+                        for x in xs.tolist()]
+                assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_alpha_plus_beta_minus_one(self, ctx):
+        # (b^2c^2; q)_m/(b^2c^2; q)_{2m} is 0/0 at b^2c^2 = 1; its limit is
+        # 1/(q^m; q)_m
+        level = JacobiLevel(-0.5, -0.5)
+        assert expansion_residual(np.array([0.2, -0.5]), 0.3, level, ctx,
+                                  m_trunc=25).max() <= 1e-13
 
     def test_residual_decreases_in_truncation(self, ctx, level):
         # strictly decreasing until the 1e-14 roundoff floor (reached by
