@@ -241,11 +241,10 @@ def _t_quad_once(g, x, level, rule, ctx):
     nterms = min(kernel_truncation(level, ctx), rule.size // 2)
     ys = np.cos(rule.nodes)
     gy = np.broadcast_to(np.asarray(g(ys), dtype=complex), ys.shape)
-    lvl1 = level.shifted(1)
-    w1, py = level_plan(lvl1, ctx).on_nodes(rule.nodes)
+    plan1 = level_plan(level.shifted(1), ctx)
+    w1, py = plan1.on_nodes(rule.nodes)
     moments = py[:nterms] @ (rule.weights * w1 * gy)
-    hn = np.abs([norm_h(n, lvl1, ctx) for n in range(nterms)])
-    scales = np.abs(moments) / np.maximum(hn, 1e-300) ** 0.5
+    scales = np.abs(moments) / np.maximum(plan1.abs_norms(nterms), 1e-300) ** 0.5
     last = np.flatnonzero(scales >= scales.max() * 1e-12)
     neff = min(nterms, (last[-1] if last.size else 0) + 3)
     return _kernel_sum(x, moments[:neff], level, ctx)

@@ -103,24 +103,53 @@ class ConnectionTriple:
 # polynomial evaluation
 # ---------------------------------------------------------------------------
 
-def aw_phi_seq(nmax, params, x, q):
-    """phi_n(x) = a^n p_n(x)/ (ab,ac,ad;q)_n for n = 0..nmax via the
-    Askey-Wilson three-term recurrence; ``x`` may be a scalar or ndarray."""
-    a, b, c, d = params.as_tuple() if isinstance(params, AWParams) else params
+_COEFF_TABLES = 32  # recurrence tables kept by each coefficient memo
+
+
+@functools.lru_cache(maxsize=_COEFF_TABLES)
+def _aw_table(a, b, c, d, q):
+    return []
+
+
+def _aw_coeffs(nmax, a, b, c, d, q):
+    """[(A_0, C_0), ...], at least nmax pairs, of the Askey-Wilson
+    recurrence at (a, b, c, d | q): a table memoised per parameter set and
+    grown on demand."""
+    table = _aw_table(a, b, c, d, q)
     abcd = a * b * c * d
-    one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0 + 0.0j
-    vals = [one * (1.0 + 0.0j)]
-    pm1 = one * 0.0j
-    p0 = vals[0]
-    for n in range(nmax):
+    for n in range(len(table), nmax):
         qn = q ** n
+        if n == 0 and 1 - abcd / q == 0:
+            # abcd = q: the factor 1 - abcd/q stands above and below in A_0
+            # and C_0; cancelled, A_0 is finite and C_0 is its limit, 0
+            table.append(((1 - a * b) * (1 - a * c) * (1 - a * d)
+                          / (a * (1 - abcd)), 0.0))
+            continue
         An = ((1 - a * b * qn) * (1 - a * c * qn) * (1 - a * d * qn)
               * (1 - abcd * qn / q)
               / (a * (1 - abcd * qn * qn / q) * (1 - abcd * qn * qn)))
         Cn = (a * (1 - qn) * (1 - b * c * qn / q) * (1 - b * d * qn / q)
               * (1 - c * d * qn / q)
               / ((1 - abcd * qn * qn / (q * q)) * (1 - abcd * qn * qn / q)))
-        p1 = ((2 * x - a - 1 / a + An + Cn) * p0 - Cn * pm1) / An
+        table.append((An, Cn))
+    return table
+
+
+def aw_phi_seq(nmax, params, x, q):
+    """phi_n(x) = a^n p_n(x)/ (ab,ac,ad;q)_n for n = 0..nmax via the
+    Askey-Wilson three-term recurrence; ``x`` may be a scalar or ndarray.
+    The coefficients A_n, C_n are read from a table memoised per
+    (a, b, c, d, q)."""
+    a, b, c, d = params.as_tuple() if isinstance(params, AWParams) else params
+    coeffs = _aw_coeffs(nmax, a, b, c, d, q)
+    one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0 + 0.0j
+    vals = [one * (1.0 + 0.0j)]
+    pm1 = one * 0.0j
+    p0 = vals[0]
+    t = 2 * x - a - 1 / a
+    for n in range(nmax):
+        An, Cn = coeffs[n]
+        p1 = ((t + An + Cn) * p0 - Cn * pm1) / An
         vals.append(p1)
         pm1, p0 = p0, p1
     return vals
@@ -192,18 +221,28 @@ def awpoly_to_cqj_factor(n, level, q):
             * qpoch(q, q, n) * q ** (-n * (2 * al + 1) / 4))
 
 
+@functools.lru_cache(maxsize=_COEFF_TABLES)
+def _cq_table(al, q):
+    return [1.0 + 0.0j]
+
+
+def _cq_factors(nmax, al, q):
+    """c_0..c_nmax (at least) of P_n = c_n phi_n, c_0 = 1: a table
+    memoised per (alpha, q) and grown on demand."""
+    cs = _cq_table(al, q)
+    for n in range(len(cs) - 1, nmax):
+        cs.append(cs[n] * ((1 - q ** (al + 1 + n)) / (1 - q ** (n + 1))))
+    return cs
+
+
 def cqjacobi_seq(nmax, level, x, ctx):
-    """[P_0, ..., P_nmax] at ``x`` (scalar or ndarray), Askey-Wilson form, base q."""
+    """[P_0, ..., P_nmax] at ``x`` (scalar or ndarray), Askey-Wilson form,
+    base q: c_n phi_n with c_n and the coefficients of phi_n's recurrence
+    read from memoised tables."""
     q = ctx.q
-    al, be = _ab(level)
-    params = AWParams.from_level(level, q)
-    seq = aw_phi_seq(nmax, params, x, q)
-    out = []
-    cv = 1.0 + 0.0j
-    for n in range(nmax + 1):
-        out.append(cv * seq[n])
-        cv *= (1 - q ** (al + 1 + n)) / (1 - q ** (n + 1))
-    return out
+    al, _ = _ab(level)
+    seq = aw_phi_seq(nmax, AWParams.from_level(level, q), x, q)
+    return [c * p for c, p in zip(_cq_factors(nmax, al, q), seq)]
 
 
 def cqjacobi(n, level, x, ctx, method="auto"):
@@ -296,10 +335,8 @@ def norm_h(n, level, ctx):
     whose table grows by h_{n+1} = h_n norm_ratio(n)."""
     if n < 0:
         raise DomainError("norm_h: n must be >= 0")
-    hs = level_plan(level, ctx).norms
-    while len(hs) <= n:
-        hs.append(hs[-1] * norm_ratio(len(hs) - 1, level, ctx.q))
-    return complex(hs[n].real, 0.0) if level.is_real else hs[n]
+    h = level_plan(level, ctx).grown_norms(n + 1)[n]
+    return complex(h.real, 0.0) if level.is_real else h
 
 
 def norm_ratio(n, level, q):
@@ -319,12 +356,14 @@ _PLAN_NODE_SETS = 4  # quadrature node sets kept per plan, oldest dropped first
 @dataclass(frozen=True)
 class LevelPlan:
     """What is reused at one (level, q), built once: the norms h_n (grown
-    by norm_h), per set of theta nodes the weight grid and P_0..P_{size//2},
-    and the kernel factors and truncation of T at this level (set by
-    awop)."""
+    on demand) and their moduli as one array, per set of theta nodes the
+    weight grid and P_0..P_{size//2}, and the kernel factors and
+    truncation of T at this level (set by awop)."""
     level: JacobiLevel
     ctx: QContext
     norms: list = field(default_factory=list, init=False, compare=False, repr=False)
+    _abs_norms: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False,
+                                   compare=False, repr=False)
     kernel_factors: list = field(default_factory=list, init=False, compare=False, repr=False)
     truncation: int | None = field(default=None, init=False, compare=False, repr=False)
     _nodes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -338,6 +377,24 @@ class LevelPlan:
             [q ** ((s + 2) / 2), q ** ((s + 3) / 2)], q, None, tol) / qpoch_multi(
             [q, q ** (al + 1), q ** (be + 1), -q ** ((s + 1) / 2), -q ** ((s + 2) / 2)],
             q, None, tol))
+
+    def grown_norms(self, n):
+        """The norm table h_0, h_1, ..., grown by h_{k+1} = h_k
+        norm_ratio(k) to at least n entries."""
+        hs = self.norms
+        while len(hs) < n:
+            hs.append(hs[-1] * norm_ratio(len(hs) - 1, self.level, self.ctx.q))
+        return hs
+
+    def abs_norms(self, n):
+        """|h_0|, ..., |h_{n-1}| of the values norm_h returns (the real part
+        on real levels), one read-only array rebuilt only when it grows."""
+        if self._abs_norms.size < n:
+            hs = np.array(self.grown_norms(n))
+            absh = np.abs(hs.real if self.level.is_real else hs)
+            absh.flags.writeable = False
+            object.__setattr__(self, "_abs_norms", absh)
+        return self._abs_norms[:n]
 
     def on_nodes(self, nodes):
         """(w(cos theta) sin(theta), rows P_0..P_{size//2}) on the theta

@@ -21,6 +21,7 @@ Numerical conventions that matter here:
   recurrence, which would destroy minimality.
 """
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,7 +31,7 @@ import numpy as np
 from .awop import CoeffVector
 from .exceptions import DomainError
 from .qcore import phi, qpoch, qpoch_inf
-from .qpolys import _ab, norm_ratio
+from .qpolys import _COEFF_TABLES, _ab, norm_ratio
 
 
 __all__ = [
@@ -258,6 +259,23 @@ def bn_explicit_nested(n, mu, level, ctx):
     return total
 
 
+@functools.lru_cache(maxsize=_COEFF_TABLES)
+def _miller_table(level, q):
+    return []
+
+
+def _miller_coeffs(kmax, level, q):
+    """(bn_B(k), bn_C(k), q^{2k+a+b+3}, q^{k+(a+b+2)/2}) for k = 0..kmax
+    (at least): the coefficients of the scaled backward recurrence, a
+    table memoised per (level, q) and grown on demand."""
+    table = _miller_table(level, q)
+    al, be = _ab(level)
+    for k in range(len(table), kmax + 1):
+        table.append((bn_B(k, level, q), bn_C(k, level, q),
+                      q ** (2 * k + al + be + 3), q ** (k + (al + be + 2) / 2)))
+    return table
+
+
 def bn_minimal_scaled(nmax, xi, level, ctx):
     """w_n = b_n(xi) (-xi)^n q^{-n(n+a+b+3)/2} for n = 0..nmax at a zero xi
     of F, by backward (Miller) recurrence in the scaled variable.
@@ -265,18 +283,19 @@ def bn_minimal_scaled(nmax, xi, level, ctx):
     At a root the b_n(xi) sequence is minimal, so the forward recurrence is
     exponentially contaminated; backward recursion with tail seed (0, 1)
     and normalization w_0 = 1 recovers it.  w_n tends to the constant of
-    the root asymptotics."""
-    q = ctx.q
-    al, be = _ab(level)
+    the root asymptotics.  The recurrence coefficients are read from a
+    table memoised per (level, q)."""
+    if xi == 0:
+        raise DomainError("bn_minimal_scaled: xi must be nonzero")
     M = nmax + 40  # the recurrence starts 40 steps past the last w_n kept
+    coeffs = _miller_coeffs(M, level, ctx.q)
+    xi2 = xi * xi
     w = [0.0 + 0.0j] * (M + 2)
     w[M + 1] = 0.0
     w[M] = 1.0
     for k in range(M, 0, -1):
-        s_pp = q ** (2 * k + al + be + 3) / (xi * xi)
-        s_p = q ** (k + (al + be + 2) / 2) / xi
-        w[k - 1] = (w[k + 1] * s_pp + (xi + bn_B(k, level, q)) * w[k] * s_p) \
-            / bn_C(k, level, q)
+        B, C, q_pp, q_p = coeffs[k]
+        w[k - 1] = (w[k + 1] * (q_pp / xi2) + (xi + B) * w[k] * (q_p / xi)) / C
         m = abs(w[k - 1])
         if m > 1e200:
             for j in range(k - 1, M + 2):
@@ -385,16 +404,26 @@ def x_nu(nu, x, level, ctx, route="heine"):
                       nterms=-1, tol=ctx.tol)
 
 
+@functools.lru_cache(maxsize=_COEFF_TABLES)
+def _f_products(level, ctx):
+    """(p^{b+1}; p)_inf and (p^{a+b+2}; p)_inf of F, memoised per (level,
+    ctx): they do not depend on x, and the context's tol truncates them."""
+    p = math.sqrt(ctx.q)
+    al, be = _ab(level)
+    return (qpoch_inf(p ** (be + 1), p, ctx.tol),
+            qpoch_inf(p ** (al + be + 2), p, ctx.tol))
+
+
 def f_eval(x, level, ctx):
-    """F(x); F(x) = 0 iff X_{-1}(x) = 0 (eigencondition in the mu variable)."""
+    """F(x); F(x) = 0 iff X_{-1}(x) = 0 (eigencondition in the mu variable).
+    The two products that do not depend on x are memoised per (level, ctx)."""
     if x == 0:
         raise DomainError("f_eval: x must be nonzero")
     q = ctx.q
     p = math.sqrt(q)
     al, be = _ab(level)
-    return (qpoch_inf(p ** (be + 1), p, ctx.tol)
-            * qpoch_inf(-p ** (al + 1.5) / x, p, ctx.tol)
-            / qpoch_inf(p ** (al + be + 2), p, ctx.tol)
+    num, den = _f_products(level, ctx)
+    return (num * qpoch_inf(-p ** (al + 1.5) / x, p, ctx.tol) / den
             * phi([p ** (al + 1), p ** 0.5 / x], [-p ** (al + 1.5) / x],
                   p, p ** (be + 1), nterms=-1, tol=ctx.tol))
 
@@ -438,23 +467,37 @@ def eigenvalue_equation(x, level, ctx):
 # eigenvalues
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=_COEFF_TABLES)
+def _oracle_table(level, ctx):
+    return []
+
+
+def _oracle_rows(n, level, ctx):
+    """(s P, s Q, s R) of recurrence_a_coeffs(k) for k = 1..n (at least),
+    s = -q^{-(a/2+1/4)}: the rows of the tridiagonal section, a table
+    memoised per (level, ctx) and grown on demand."""
+    table = _oracle_table(level, ctx)
+    al, _ = _ab(level)
+    s = -ctx.q ** -(al / 2 + 0.25)
+    for k in range(len(table) + 1, n + 1):
+        P, Q, R = recurrence_a_coeffs(k, level, ctx)
+        table.append((s * P, s * Q, s * R))
+    return table
+
+
 def matrix_oracle(n, level, ctx):
     """Eigenvalues of the N x N tridiagonal section of the recurrence,
-    general complex eigensolver, sorted by |lambda| descending."""
+    general complex eigensolver, sorted by |lambda| descending.  The
+    section's rows are read from a table memoised per (level, ctx)."""
     if n < 1:
         raise DomainError("matrix_oracle: N >= 1 required")
-    q = ctx.q
-    al, _ = _ab(level)
-    s = -q ** -(al / 2 + 0.25)
     m = np.zeros((n, n), dtype=complex)
-    for k in range(1, n + 1):
-        P, Q, R = recurrence_a_coeffs(k, level, ctx)
-        i = k - 1
-        m[i, i] = s * Q
+    for i, (sP, sQ, sR) in enumerate(_oracle_rows(n, level, ctx)[:n]):
+        m[i, i] = sQ
         if i + 1 < n:
-            m[i, i + 1] = s * P
+            m[i, i + 1] = sP
         if i - 1 >= 0:
-            m[i, i - 1] = s * R
+            m[i, i - 1] = sR
     ev = np.linalg.eigvals(m)
     order = np.lexsort((np.angle(ev), -np.abs(ev)))
     return ev[order]

@@ -10,6 +10,7 @@ import pytest
 
 from awspec import qexp, verify
 from awspec.cli import build_parser, main
+from awspec.qpolys import level_plan
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -216,6 +217,29 @@ class TestRequestWork:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [r[0] for r in rows] == ["coeff"] * 3 + ["residual"] * 2
         assert all(math.isfinite(float(v)) for r in rows for v in r[2:])
+
+    @pytest.mark.parametrize("q", ["0.25", "0.36", "0.81"])
+    def test_expand_where_abcd_equals_q(self, tmp_path, q):
+        # sqrt(q)^2 == q in floating point here, so the expansion parameters
+        # give abcd = q exactly and A_0, C_0 of aw_phi_seq carry 0/0
+        out = tmp_path / "e.csv"
+        rc = main(["expand", "--alpha", "-0.5", "--beta", "-0.5", "--q", q,
+                   "--mmax", "25", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        resid = [float(r[2]) for r in rows if r[0] == "residual"]
+        assert len(resid) == 9 and max(resid) <= 1e-13
+
+    @pytest.mark.parametrize("argv", [
+        ["poly"], ["eigfun"], ["expand"], ["coulomb"],
+        ["poly", "--alpha", "0.3+0.5j", "--beta", "conj"],
+    ])
+    def test_requests_without_t_build_no_level_plan(self, tmp_path, argv):
+        # the recurrence tables live in their own memos: a request that
+        # does not apply T must not evict the plans that T requests reuse
+        misses = level_plan.cache_info().misses
+        assert main(argv + ["--q", "0.37", "--out", str(tmp_path / "o.csv")]) == 0
+        assert level_plan.cache_info().misses == misses
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()

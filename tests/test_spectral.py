@@ -12,7 +12,7 @@ from awspec.qpolys import JacobiLevel, norm_h
 from awspec.spectral import (EigenResult, an_from_bn, bn_B, bn_C, bn_explicit,
                              bn_explicit_nested, bn_minimal_scaled, bn_recurrence,
                              bn_sequence, classical_a_coeffs, eigenvalue_equation,
-                             eigen_tail_ratios, eigenvalues, f_eval,
+                             eigen_tail_ratios, eigenfunction, eigenvalues, f_eval,
                              markov_ratio, markov_stieltjes, matrix_oracle,
                              mu_from_lambda, q_coulomb, recurrence_a_coeffs,
                              s_recurrence_coeffs, s_poly, x_nu)
@@ -294,6 +294,15 @@ class TestEigenfunction:
         bx = prod * x_nu(n, xi, level, ctx) / x_nu(0, xi, level, ctx)
         got = w[n] * (-xi) ** -n * ctx.q ** (n * (n + 0.3 - 0.2 + 3) / 2)
         assert abs(got - bx) <= 1e-10 * abs(bx)
+
+    @pytest.mark.parametrize("call", [
+        lambda level, ctx: eigenfunction(0.0, level, 10, ctx),
+        lambda level, ctx: eigen_tail_ratios(0.0, level, 10, ctx),
+        lambda level, ctx: bn_minimal_scaled(10, 0.0, level, ctx),
+    ], ids=["eigenfunction", "eigen_tail_ratios", "bn_minimal_scaled"])
+    def test_lambda_zero_is_a_domain_error(self, ctx, level, call):
+        with pytest.raises(DomainError):
+            call(level, ctx)
 
 
 class TestSPolynomials:

@@ -1,0 +1,242 @@
+"""The memoised recurrence-coefficient tables: bit-identical to the per-step
+loops they replace, kept apart per key, and bounded."""
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from awspec import qpolys, spectral
+from awspec.qcore import QContext
+from awspec.qpolys import AWParams, JacobiLevel, _ab, aw_phi_seq, cqjacobi_seq
+from awspec.spectral import bn_B, bn_C, bn_minimal_scaled, f_eval, matrix_oracle
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "awspec"
+LEVELS = [JacobiLevel(0.3, -0.2), JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)]
+MEMOS = [qpolys._aw_table, qpolys._cq_table, spectral._miller_table,
+         spectral._oracle_table, spectral._f_products]
+
+
+def _clear_tables():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+# the per-step loops as they were before the tables, kept as references
+
+
+def _aw_step(n, a, b, c, d, q):
+    abcd = a * b * c * d
+    qn = q ** n
+    An = ((1 - a * b * qn) * (1 - a * c * qn) * (1 - a * d * qn)
+          * (1 - abcd * qn / q)
+          / (a * (1 - abcd * qn * qn / q) * (1 - abcd * qn * qn)))
+    Cn = (a * (1 - qn) * (1 - b * c * qn / q) * (1 - b * d * qn / q)
+          * (1 - c * d * qn / q)
+          / ((1 - abcd * qn * qn / (q * q)) * (1 - abcd * qn * qn / q)))
+    return An, Cn
+
+
+def _aw_phi_seq_loop(nmax, params, x, q):
+    a, b, c, d = params.as_tuple() if isinstance(params, AWParams) else params
+    one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0 + 0.0j
+    vals = [one * (1.0 + 0.0j)]
+    pm1 = one * 0.0j
+    p0 = vals[0]
+    for n in range(nmax):
+        An, Cn = _aw_step(n, a, b, c, d, q)
+        p1 = ((2 * x - a - 1 / a + An + Cn) * p0 - Cn * pm1) / An
+        vals.append(p1)
+        pm1, p0 = p0, p1
+    return vals
+
+
+def _cqjacobi_seq_loop(nmax, level, x, ctx):
+    q = ctx.q
+    al, be = _ab(level)
+    seq = _aw_phi_seq_loop(nmax, AWParams.from_level(level, q), x, q)
+    out = []
+    cv = 1.0 + 0.0j
+    for n in range(nmax + 1):
+        out.append(cv * seq[n])
+        cv *= (1 - q ** (al + 1 + n)) / (1 - q ** (n + 1))
+    return out
+
+
+def _bn_minimal_scaled_loop(nmax, xi, level, ctx):
+    q = ctx.q
+    al, be = _ab(level)
+    M = nmax + 40
+    w = [0.0 + 0.0j] * (M + 2)
+    w[M + 1] = 0.0
+    w[M] = 1.0
+    for k in range(M, 0, -1):
+        s_pp = q ** (2 * k + al + be + 3) / (xi * xi)
+        s_p = q ** (k + (al + be + 2) / 2) / xi
+        w[k - 1] = (w[k + 1] * s_pp + (xi + bn_B(k, level, q)) * w[k] * s_p) \
+            / bn_C(k, level, q)
+        m = abs(w[k - 1])
+        if m > 1e200:
+            for j in range(k - 1, M + 2):
+                w[j] /= m
+    c = 1.0 / w[0]
+    return [w[n] * c for n in range(nmax + 1)]
+
+
+def _same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=["real", "conj"])
+@pytest.mark.parametrize("x", [0.37, np.linspace(-0.9, 0.9, 7)],
+                         ids=["scalar", "array"])
+class TestBitIdentity:
+    def test_aw_phi_seq(self, level, x):
+        _clear_tables()
+        q = 0.6
+        params = AWParams.from_level(level, q)
+        for nmax in (60, 5, 0, -1, 61):
+            _same(aw_phi_seq(nmax, params, x, q), _aw_phi_seq_loop(nmax, params, x, q))
+        # a real parameter spelled as complex reads the same table: CPython's
+        # complex arithmetic rounds a zero imaginary part like float's
+        cparams = tuple(complex(v) for v in params.as_tuple())
+        _same(aw_phi_seq(30, cparams, x, q), _aw_phi_seq_loop(30, cparams, x, q))
+
+    def test_cqjacobi_seq(self, level, x):
+        _clear_tables()
+        ctx = QContext(0.6)
+        for nmax in (60, 5, 61):
+            _same(cqjacobi_seq(nmax, level, x, ctx),
+                  _cqjacobi_seq_loop(nmax, level, x, ctx))
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=["real", "conj"])
+def test_bn_minimal_scaled_matches_loop(level):
+    _clear_tables()
+    ctx = QContext(0.5)
+    for nmax, xi in ((60, 2.3 - 0.4j), (5, 2.3 - 0.4j), (5, -1.1), (61, 0.7j)):
+        _same(bn_minimal_scaled(nmax, xi, level, ctx),
+              _bn_minimal_scaled_loop(nmax, xi, level, ctx))
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=["real", "conj"])
+def test_matrix_oracle_matches_loop(level):
+    _clear_tables()
+    ctx = QContext(0.5)
+    al, _ = _ab(level)
+    s = -ctx.q ** -(al / 2 + 0.25)
+    for n in (40, 12, 41):
+        m = np.zeros((n, n), dtype=complex)
+        for k in range(1, n + 1):
+            P, Q, R = spectral.recurrence_a_coeffs(k, level, ctx)
+            m[k - 1, k - 1] = s * Q
+            if k < n:
+                m[k - 1, k] = s * P
+            if k > 1:
+                m[k - 1, k - 2] = s * R
+        ev = np.linalg.eigvals(m)
+        want = ev[np.lexsort((np.angle(ev), -np.abs(ev)))]
+        assert np.array_equal(matrix_oracle(n, level, ctx), want)
+
+
+@pytest.mark.parametrize("q", [0.25, 0.36, 0.81])
+def test_abcd_equal_to_q_cancels_only_the_first_entry(q):
+    # the expansion parameters at alpha = beta = -1/2: (1, sqrt q, -1, -sqrt q)
+    _clear_tables()
+    params = (1.0, q ** 0.5, -1.0, -q ** 0.5)
+    assert np.prod(params) == q
+    ctx = QContext(q)
+    # against the 4phi3, while its cancellation (q^{-n(n-1)/2}) stays small
+    for n in range(1, 5):
+        got = qpolys.aw_poly(n, params, 0.3, ctx)
+        want = qpolys.aw_poly(n, params, 0.3, ctx, method="phi")
+        assert abs(got - want) <= 1e-11 * abs(want)
+    table = qpolys._aw_coeffs(9, *params, q)
+    assert table[0][1] == 0.0
+    assert table[1:] == [_aw_step(n, *params, q) for n in range(1, 9)]
+
+
+class TestMemo:
+    def test_f_eval_tables_are_kept_per_tol(self):
+        level = JacobiLevel(0.3, -0.2)
+        tight, loose = QContext(0.5, 1e-14), QContext(0.5, 1e-8)
+        alone = []
+        for ctx in (tight, loose):
+            _clear_tables()
+            alone.append(f_eval(1.7 - 0.2j, level, ctx))
+        _clear_tables()
+        assert [f_eval(1.7 - 0.2j, level, ctx) for ctx in (tight, loose)] == alone
+        assert alone[0] != alone[1]
+
+    @pytest.mark.parametrize("memo", MEMOS, ids=lambda m: m.__name__)
+    def test_memo_stays_bounded(self, memo):
+        bound = memo.cache_info().maxsize
+        assert bound is not None
+        for k in range(bound + 5):
+            level, ctx = JacobiLevel(0.1 + 0.01 * k, 0.2), QContext(0.5)
+            cqjacobi_seq(4, level, 0.3, ctx)
+            bn_minimal_scaled(2, 1.5, level, ctx)
+            matrix_oracle(3, level, ctx)
+            f_eval(1.5, level, ctx)
+            assert memo.cache_info().currsize <= bound
+
+
+def _int_constants(tree):
+    consts = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, int)):
+            consts[node.targets[0].id] = node.value.value
+    return consts
+
+
+def _dotted(node):
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_every_memo_is_bounded():
+    # an unbounded memo grows for the life of the process; a bound must be
+    # a positive integer constant, and functools.cache only memoises a
+    # function of no arguments
+    seen = 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        consts = _int_constants(tree)
+        for imp in ast.walk(tree):
+            if isinstance(imp, ast.ImportFrom) and imp.level == 1 and imp.module:
+                other = _int_constants(ast.parse(
+                    (SRC / f"{imp.module}.py").read_text(encoding="utf-8")))
+                consts.update((a.name, other[a.name]) for a in imp.names
+                              if a.name in other)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for dec in fn.decorator_list:
+                name = _dotted(dec.func if isinstance(dec, ast.Call) else dec)
+                where = f"{path.name}:{fn.name}"
+                if name in ("functools.cache", "cache"):
+                    seen += 1
+                    args = fn.args
+                    assert not (args.posonlyargs or args.args or args.vararg
+                                or args.kwonlyargs or args.kwarg), where
+                elif name in ("functools.lru_cache", "lru_cache"):
+                    seen += 1
+                    assert isinstance(dec, ast.Call), f"{where}: no explicit maxsize"
+                    sizes = [k.value for k in dec.keywords if k.arg == "maxsize"]
+                    sizes += dec.args[:1]
+                    assert len(sizes) == 1, f"{where}: no explicit maxsize"
+                    size = sizes[0]
+                    if isinstance(size, ast.Name):
+                        assert size.id in consts, f"{where}: {size.id} is no constant"
+                        size = consts[size.id]
+                    else:
+                        assert isinstance(size, ast.Constant), where
+                        size = size.value
+                    assert isinstance(size, int) and size > 0, where
+    assert seen >= len(MEMOS) + 2  # the memos above, level_plan, build_parser
