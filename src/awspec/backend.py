@@ -27,7 +27,7 @@ def qpoch(a, base, n):
     return out
 
 
-def qpoch_inf(a, base, tol=1e-14):
+def qpoch_inf(a, base, tol):
     """Infinite q-shifted factorial (a; base)_inf.
 
     Truncates once the geometric tail bound of the log-product,
@@ -117,7 +117,7 @@ def sum_series(terms, tol, max_terms, name):
     return total
 
 
-def phi_sum(num, den, base, z, sign_power, nterms, tol=1e-14):
+def phi_sum(num, den, base, z, sign_power, nterms, tol):
     """Sum of the series of ``phi_terms``: exactly ``nterms + 1`` terms
     for ``nterms >= 0`` (terminating case), else by ``sum_series``."""
     terms = phi_terms(num, den, base, z, sign_power)

@@ -253,9 +253,10 @@ def _cmd_verify(args):
         if n not in verify.REGISTRY:
             sys.stderr.write(f"error: unknown suite {n!r}\n")
             return USAGE_ERROR
-    alpha, beta = _alpha_beta(args)
-    cfg = verify.VerifyConfig(q=args.q, alpha=alpha, beta=beta,
-                              tol=args.tol, nodes=args.nodes)
+    # out-of-domain input is a usage error before any suite runs
+    ctx, level = _config(args)
+    cfg = verify.VerifyConfig(q=ctx.q, alpha=level.alpha, beta=level.beta,
+                              tol=ctx.tol, nodes=args.nodes)
     results = verify.run_suites(names, cfg)
     header = ["suite", "passed", "max_err", "tol", "detail"]
     rows = [[r.name, str(r.passed).lower(), fmt(r.max_err), fmt(r.tol),

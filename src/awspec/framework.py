@@ -19,6 +19,8 @@ __all__ = [
     "large_param_b", "large_param_limit_check",
 ]
 
+_SHIFT_TOL = 1e-12  # relative tolerance of shift_invariance_check
+
 
 @dataclass(frozen=True)
 class LadderFamily:
@@ -85,9 +87,9 @@ def monicize(family, u):
     return MonicSystem(B, C, u)
 
 
-def shift_invariance_check(family, u, n_max, tol=1e-12, perturb=None):
-    """True iff B_n(A) = B_0(A+n) and C_n(A) = C_1(A+n-1) up to ``tol``
-    for 1 <= n <= n_max.
+def shift_invariance_check(family, u, n_max, perturb=None):
+    """True iff B_n(A) = B_0(A+n) and C_n(A) = C_1(A+n-1) to the relative
+    tolerance ``_SHIFT_TOL`` for 1 <= n <= n_max.
 
     The C comparison is anchored at index 1 rather than 0 because the
     degree-0 connection triple has no structural c_{1,-1} entry; for an
@@ -107,9 +109,9 @@ def shift_invariance_check(family, u, n_max, tol=1e-12, perturb=None):
             cn = perturb(n, cn)
         b0 = monicize(shifts[n], u).B(0)
         c1 = monicize(shifts[n - 1], u).C(1)
-        if abs(bn - b0) > tol * max(1.0, abs(bn)):
+        if abs(bn - b0) > _SHIFT_TOL * max(1.0, abs(bn)):
             return False
-        if abs(cn - c1) > tol * max(1.0, abs(cn)):
+        if abs(cn - c1) > _SHIFT_TOL * max(1.0, abs(cn)):
             return False
     return True
 
@@ -138,8 +140,8 @@ def cf_minimal_ratio(system, lam, ctx, depth=200, max_depth=12800):
     raise NonConvergenceError("cf_minimal_ratio: depth doubling did not settle")
 
 
-def telescope_residual(f, a_fn, b_fn, c_fn, n, x, sign=+1, nu0=0.0):
-    """Residual of the telescoping identity
+def telescope_residual(f, a_fn, b_fn, c_fn, n, x, sign=+1):
+    """Residual of the telescoping identity, anchored at order nu0 = 0,
 
         C_{nu0} ... C_{nu0+n-1} f(nu0+n)
             = f_{n,nu0}(x) f(nu0) +- f_{n-1,nu0+1}(x) f(nu0-1)
@@ -149,6 +151,7 @@ def telescope_residual(f, a_fn, b_fn, c_fn, n, x, sign=+1, nu0=0.0):
     The residual is normalized by the largest participating term."""
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
+    nu0 = 0.0  # a real order: f and the coefficients take real nu
 
     def poly_seq(nu, count):
         vals = [1.0 + 0.0j]

@@ -61,13 +61,14 @@ def qpoch(a, base, n):
     return backend.qpoch(a, base, n)
 
 
-def qpoch_inf(a, base, tol=1e-14):
-    """(a; base)_inf, truncated by the geometric tail bound of the log-product."""
+def qpoch_inf(a, base, tol):
+    """(a; base)_inf, truncated once the geometric tail bound of the
+    log-product is below ``tol``."""
     _check_base(base)
     return backend.qpoch_inf(a, base, tol)
 
 
-def qpoch_multi(params, base, n, tol=1e-14):
+def qpoch_multi(params, base, n, tol):
     """(a_1, ..., a_m; base)_n, n a nonnegative integer or None for infinity."""
     out = 1.0 + 0.0j
     for a in params:
@@ -129,12 +130,13 @@ def rphis(spec, ctx):
                nterms=nt, tol=ctx.tol)
 
 
-def phi(num, den, base, z, nterms=None, tol=1e-14):
+def phi(num, den, base, z, nterms=None, *, tol):
     """r-phi-s series with explicit parameter lists.
 
     ``nterms``: if None, detect termination from the numerator parameters;
     if an integer n, sum exactly n+1 terms; pass -1 to force the adaptive
-    non-terminating path.
+    non-terminating path, which stops at the tolerance ``tol`` (the
+    caller's, usually its ``QContext``'s).
     """
     _check_base(base)
     if nterms is None:
@@ -163,7 +165,7 @@ def w8w7(a, b, c, d, e, f, base, z, ctx):
                nterms=-1 if nt is None else nt, tol=ctx.tol)
 
 
-def h_product(x, params, base, tol=1e-14):
+def h_product(x, params, base, tol):
     """h(cos theta; a_1, ..., a_m) = prod_k (a_k e^{i theta}, a_k e^{-i theta}; base)_inf
     at a scalar x, or at every x of a real ndarray in [-1, 1].
 

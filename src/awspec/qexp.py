@@ -38,6 +38,10 @@ __all__ = [
     "e_series_invariant", "e_series_invariant_closed",
 ]
 
+_QUAD_NODES = 200  # nodes of the quadrature rule of the defining integrals
+_HERMITE_TERMS = 90  # term budget of hermite_series
+_E_SERIES_TERMS = 60  # term budget and family size of e_series_invariant
+
 
 def eq_exp(x, a, b, ctx, nmax=None):
     """E_q(x; a, b): series with the q^{n^2/4} term scale, summed by
@@ -174,14 +178,14 @@ def _aw_projections(mmax, values, level, rule, ctx):
 
 def jm_quadrature(m, a, r, level, ctx, rule=None):
     """J_m(a; r) by quadrature of the defining weighted integral."""
-    rule = rule if rule is not None else make_rule(200)
+    rule = rule if rule is not None else make_rule(_QUAD_NODES)
     ev = np.array([eq_exp(x, a, r, ctx) for x in np.cos(rule.nodes)])
     return complex(_aw_projections(m, ev, level, rule, ctx)[m])
 
 
-def imn_quadrature(m, n, a, level, ctx, rule=None):
+def imn_quadrature(m, n, a, level, ctx):
     """I_{m,n}(a, b, c) by quadrature; vanishes for n < m."""
-    rule = rule if rule is not None else make_rule(200)
+    rule = make_rule(_QUAD_NODES)
     q = ctx.q
     xs = np.cos(rule.nodes)
     ws = xs + 1j * np.sqrt(1.0 - xs * xs)
@@ -219,9 +223,9 @@ def _truncation_residual(coeffs, x, r, level, ctx):
 # q-Hermite identity and the level-invariant expansion
 # ---------------------------------------------------------------------------
 
-def hermite_series(z, x, ctx, nmax=90):
+def hermite_series(z, x, ctx):
     """sum_n q^{n^2/4} (-z)^{-n} / (q; q)_n H_n(x|q), summed by
-    ``backend.sum_series`` within the term budget ``nmax``."""
+    ``backend.sum_series`` within the term budget ``_HERMITE_TERMS``."""
     q = ctx.q
 
     def terms():
@@ -230,7 +234,7 @@ def hermite_series(z, x, ctx, nmax=90):
             if n > 0:
                 qfac *= 1.0 - q ** n
             yield q ** (n * n / 4.0) * (-z) ** float(-n) / qfac * hermite_h(n, x, q)
-    return sum_series(terms(), ctx.tol, nmax, "hermite_series")
+    return sum_series(terms(), ctx.tol, _HERMITE_TERMS, "hermite_series")
 
 
 def hermite_identity_residual(lam, x, ctx):
@@ -241,20 +245,20 @@ def hermite_identity_residual(lam, x, ctx):
     return abs(lhs - rhs)
 
 
-def e_series_invariant(x, lam, level, ctx, nmax=60):
+def e_series_invariant(x, lam, level, ctx):
     """The level-independent combined value of the generic eigen-expansion:
     the series sum_n kappa_n (-1)^{n-1} X_{n-1}(mu) P_n(x|q) with
     kappa_n = u^{n-1} prod_{j<n} c_{jj}/xi_{j+1} and mu = lambda u.
 
     Identical at every level (alpha + k, beta + k); equals the closed form
     of e_series_invariant_closed.  Summed by ``backend.sum_series`` within
-    the term budget ``nmax``."""
+    the term budget ``_E_SERIES_TERMS``."""
     from .awop import xi_factor
     from .qpolys import connection_down
     q = ctx.q
     u = mu_from_lambda(1.0, q)
     mu = lam * u
-    fam = cqjacobi_seq(nmax, level, x, ctx)
+    fam = cqjacobi_seq(_E_SERIES_TERMS, level, x, ctx)
 
     def terms():
         prod = 1.0 / u
@@ -265,7 +269,7 @@ def e_series_invariant(x, lam, level, ctx, nmax=60):
                     / xi_factor(n, level, q)
                 sign = -sign
             yield prod * sign * x_nu(n - 1, mu, level, ctx) * pn
-    return sum_series(terms(), ctx.tol, nmax, "e_series_invariant")
+    return sum_series(terms(), ctx.tol, _E_SERIES_TERMS, "e_series_invariant")
 
 
 def e_series_invariant_closed(x, lam, ctx):

@@ -14,8 +14,10 @@ whose factor is ``classical_to_aw_factor``.
 Large-degree evaluation goes through the standard Askey-Wilson three-term
 recurrence: the defining terminating 4phi3 alternates with terms of size
 base^{-n(n-1)/2} and loses that many digits to cancellation, while the
-recurrence is stable on [-1, 1].  Tests cross-validate the two routes.
+recurrence is stable on [-1, 1].  The literal forms stay as private
+oracles (``_aw_poly_4phi3`` and others) that the tests compare against.
 """
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -41,13 +43,15 @@ class JacobiLevel:
     """Parameter level (alpha, beta).
 
     alpha, beta may be real or a complex-conjugate pair; mixed complex
-    values are rejected.
+    values and non-finite ones are rejected.
     """
     alpha: complex
     beta: complex
 
     def __post_init__(self):
         a, b = complex(self.alpha), complex(self.beta)
+        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+            raise DomainError(f"alpha and beta must be finite, got {a}, {b}")
         if (a.imag != 0.0 or b.imag != 0.0) and abs(a - b.conjugate()) > 1e-12 * (1 + abs(a)):
             raise DomainError("complex alpha, beta must be conjugates")
 
@@ -161,56 +165,65 @@ def _aw_prefactor(n, params, q):
             * a ** (-n))
 
 
-def aw_poly(n, params, x, ctx, method="auto"):
-    """Askey-Wilson polynomial p_n(x; a, b, c, d | q).
+def _nonzero_first(params):
+    """The four parameters as complex numbers, a nonzero one first (p_n is
+    symmetric in them); all four stay zero if all are."""
+    if isinstance(params, AWParams):
+        params = params.as_tuple()
+    params = tuple(complex(v) for v in params)
+    if params[0] == 0.0:
+        nz = max(range(4), key=lambda i: abs(params[i]))
+        params = (params[nz],) + params[:nz] + params[nz + 1:]
+    return params
 
-    ``method="phi"`` evaluates the defining terminating 4phi3 (n+1 terms);
-    the default evaluates through the equivalent three-term recurrence,
-    which is stable (the raw series sheds q^{-n(n-1)/2} digits to
-    cancellation; the two routes are cross-validated by the tests).  Zero
-    parameters are handled by permuting a nonzero one to the front; the
-    all-zero case is the continuous q-Hermite polynomial H_n(x|q).
+
+def aw_poly(n, params, x, ctx):
+    """Askey-Wilson polynomial p_n(x; a, b, c, d | q), through its
+    three-term recurrence.  Zero parameters are handled by permuting a
+    nonzero one to the front; the all-zero case is the continuous q-Hermite
+    polynomial H_n(x|q).
     """
     q = ctx.q
     if n < 0:
         return 0.0 + 0.0j
-    if isinstance(params, AWParams):
-        params = params.as_tuple()
-    params = tuple(complex(v) for v in params)
-    if all(v == 0.0 for v in params):
-        return hermite_h(n, x, q, method="theta")
+    params = _nonzero_first(params)
     if params[0] == 0.0:
-        nz = max(range(4), key=lambda i: abs(params[i]))
-        order = (nz,) + tuple(i for i in range(4) if i != nz)
-        params = tuple(params[i] for i in order)
-    a, b, c, d = params
-    if method == "phi":
-        w = exp_itheta(x)
-        abcd = a * b * c * d
-        val = phi([q ** (-n), abcd * q ** (n - 1), a * w, a / w],
-                  [a * b, a * c, a * d], q, q, nterms=n, tol=ctx.tol)
-        return _aw_prefactor(n, params, q) * val
+        return hermite_h(n, x, q)
     seq = aw_phi_seq(n, params, x, q)
     return _aw_prefactor(n, params, q) * seq[n]
 
 
-def hermite_h(n, x, q, method="recurrence"):
-    """Continuous q-Hermite H_n(x|q).
+def _aw_poly_4phi3(n, params, x, ctx):
+    """p_n by its defining terminating 4phi3 (n+1 terms), the reference
+    oracle of ``aw_poly``: the series sheds q^{-n(n-1)/2} digits to
+    cancellation.  Needs a nonzero parameter."""
+    q = ctx.q
+    params = _nonzero_first(params)
+    a, b, c, d = params
+    w = exp_itheta(x)
+    val = phi([q ** (-n), a * b * c * d * q ** (n - 1), a * w, a / w],
+              [a * b, a * c, a * d], q, q, nterms=n, tol=ctx.tol)
+    return _aw_prefactor(n, params, q) * val
 
-    ``recurrence``: H_{n+1} = 2x H_n - (1-q^n) H_{n-1}, H_0 = 1, H_1 = 2x.
-    ``theta``: the q-binomial sum over e^{i(n-2k)theta} (independent route).
-    """
-    if method == "theta":
-        w = exp_itheta(x)
-        qn = qpoch(q, q, n)
-        return sum(qn / (qpoch(q, q, k) * qpoch(q, q, n - k)) * w ** (n - 2 * k)
-                   for k in range(n + 1))
+
+def hermite_h(n, x, q):
+    """Continuous q-Hermite H_n(x|q) by its recurrence
+    H_{n+1} = 2x H_n - (1-q^n) H_{n-1}, H_0 = 1, H_1 = 2x."""
     h0, h1 = 1.0 + 0.0j, 2.0 * x + 0.0j
     if n == 0:
         return h0
     for k in range(1, n):
         h0, h1 = h1, 2 * x * h1 - (1 - q ** k) * h0
     return h1
+
+
+def _hermite_h_theta(n, x, q):
+    """H_n(x|q) as the q-binomial sum over e^{i(n-2k)theta}, the reference
+    oracle of ``hermite_h``."""
+    w = exp_itheta(x)
+    qn = qpoch(q, q, n)
+    return sum(qn / (qpoch(q, q, k) * qpoch(q, q, n - k)) * w ** (n - 2 * k)
+               for k in range(n + 1))
 
 
 def awpoly_to_cqj_factor(n, level, q):
@@ -289,27 +302,36 @@ def classical_to_aw_factor(n, level, q):
 # weight and norms
 # ---------------------------------------------------------------------------
 
-def weight_w(level, x, ctx, route="h"):
-    """Weight w_{a,b}(x|q) of the Askey-Wilson-normalized family, base q.
+def weight_w(level, x, ctx):
+    """Weight w_{a,b}(x|q) of the Askey-Wilson-normalized family, base q:
+    h(x; 1, -1, sqrt(q), -sqrt(q)) / [h(x; a, b, c, d) sqrt(1-x^2)] with
+    the q-Jacobi parameters.
 
-    ``route="h"``: h-product form h(x; 1, -1, sqrt(q), -sqrt(q)) /
-    [h(x; a, b, c, d) sqrt(1-x^2)] with the q-Jacobi parameters.
-    ``route="literal"``: the explicit product form with base p = sqrt(q)
-    (the product form written at base q^2, with q -> sqrt(q) substituted).
     Returns a float; for conjugate-pair levels the imaginary part is
     checked by the tests, not silently assumed.
     """
-    return _weight_w_complex(level, x, ctx, route).real
+    return _weight_w_complex(level, x, ctx).real
 
 
-def _weight_w_complex(level, x, ctx, route="h"):
-    q = ctx.q
+def _interior_point(x):
+    """(x, sqrt(1-x^2)) for a real x in (-1, 1)."""
     xr = float(np.real(x))
     if not -1.0 < xr < 1.0:
         raise DomainError("weight_w: x must lie in (-1, 1)")
-    s = math.sqrt(1.0 - xr * xr)
-    if route == "h":
-        return weight_theta(AWParams.from_level(level, q).as_tuple(), xr, ctx) / s
+    return xr, math.sqrt(1.0 - xr * xr)
+
+
+def _weight_w_complex(level, x, ctx):
+    xr, s = _interior_point(x)
+    return weight_theta(AWParams.from_level(level, ctx.q).as_tuple(), xr, ctx) / s
+
+
+def _weight_w_literal(level, x, ctx):
+    """The weight (complex) by its explicit product form with base
+    p = sqrt(q), the product form written at base q^2 with q -> sqrt(q)
+    substituted: the reference oracle of ``weight_w``."""
+    xr, s = _interior_point(x)
+    q = ctx.q
     al, be = _ab(level)
     p = math.sqrt(q)
     w = exp_itheta(xr)
@@ -420,7 +442,7 @@ def level_plan(level, ctx):
     return LevelPlan(level, ctx)
 
 
-def kappa_aw(params, q, tol=1e-14):
+def kappa_aw(params, q, tol):
     """kappa(a,b,c,d|q) = 2 pi (abcd)_inf / (q, ab, ac, ad, bc, bd, cd)_inf."""
     a, b, c, d = params.as_tuple() if isinstance(params, AWParams) else params
     return (2 * math.pi * qpoch_inf(a * b * c * d, q, tol)
@@ -430,7 +452,7 @@ def kappa_aw(params, q, tol=1e-14):
                * qpoch_inf(c * d, q, tol)))
 
 
-def aw_norm(n, params, q, tol=1e-14):
+def aw_norm(n, params, q, tol):
     """Askey-Wilson orthogonality norm of p_n (right side of the AW
     orthogonality relation)."""
     a, b, c, d = params.as_tuple() if isinstance(params, AWParams) else params

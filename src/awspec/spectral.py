@@ -378,30 +378,32 @@ def an_from_bn(k, lam, level, ctx, bn_value=None):
 # minimal solutions, F, and the transcendental equation
 # ---------------------------------------------------------------------------
 
-def x_nu(nu, x, level, ctx, route="heine"):
-    """Minimal solution X_nu(x), nu >= -1 (real order allowed).
-
-    ``route="heine"`` uses the everywhere-convergent representation with
-    argument p^{b+nu+2}; ``route="series"`` uses the alternate form with
-    argument p^{1/2}/x, convergent only for |x| > sqrt(p)."""
+def x_nu(nu, x, level, ctx):
+    """Minimal solution X_nu(x), nu >= -1 (real order allowed), by the
+    everywhere-convergent representation with argument p^{b+nu+2}."""
     if x == 0:
         raise DomainError("x_nu: x must be nonzero")
-    q = ctx.q
-    p = math.sqrt(q)
+    p = math.sqrt(ctx.q)
     al, be = _ab(level)
-    if route == "series":
-        if abs(p ** 0.5 / x) >= 1.0:
-            raise DomainError("x_nu series route needs |x| > p^{1/2}")
-        return ((-x) ** (-nu) * qpoch_inf(p ** 0.5 / x, p, ctx.tol)
-                * phi([-p ** (al + 2 + nu), p ** (be + 2 + nu)],
-                      [p ** (al + be + 2 * nu + 4)], p, p ** 0.5 / x,
-                      nterms=-1, tol=ctx.tol))
     pref = ((-x) ** (-nu) * qpoch_inf(p ** (be + nu + 2), p, ctx.tol)
             * qpoch_inf(-p ** (al + nu + 2.5) / x, p, ctx.tol)
             / qpoch_inf(p ** (al + be + 2 * nu + 4), p, ctx.tol))
     return pref * phi([p ** (al + nu + 2), p ** 0.5 / x],
                       [-p ** (al + nu + 2.5) / x], p, p ** (be + nu + 2),
                       nterms=-1, tol=ctx.tol)
+
+
+def _x_nu_series(nu, x, level, ctx):
+    """X_nu(x) by the alternate form with argument p^{1/2}/x, convergent
+    only for |x| > p^{1/2}: the reference oracle of ``x_nu``."""
+    p = math.sqrt(ctx.q)
+    if x == 0 or abs(p ** 0.5 / x) >= 1.0:
+        raise DomainError("x_nu series form needs |x| > p^{1/2}")
+    al, be = _ab(level)
+    return ((-x) ** (-nu) * qpoch_inf(p ** 0.5 / x, p, ctx.tol)
+            * phi([-p ** (al + 2 + nu), p ** (be + 2 + nu)],
+                  [p ** (al + be + 2 * nu + 4)], p, p ** 0.5 / x,
+                  nterms=-1, tol=ctx.tol))
 
 
 @functools.lru_cache(maxsize=_COEFF_TABLES)

@@ -87,8 +87,7 @@ def run_suite(name, config=DEFAULT_CONFIG):
                        fn._suite_tol, detail)
 
 
-def run_suites(names=None, config=DEFAULT_CONFIG):
-    names = suite_names() if names is None else names
+def run_suites(names, config):
     return [run_suite(n, config) for n in names]
 
 
@@ -109,7 +108,7 @@ def _combine(pairs, tol):
 @_suite("qcore.heine", 1e-10)
 def _heine(config):
     """First Heine transformation on random admissible draws."""
-    q = config.q
+    q, tol = config.q, config.ctx.tol
     rng = _rng(config)
     worst = 0.0
     for _ in range(100):
@@ -117,10 +116,10 @@ def _heine(config):
         c = _disc(rng, 0.9)
         b = _disc(rng, 0.8, rmin=0.2)
         z = _disc(rng, 0.8)
-        lhs = phi([a, b], [c], q, z, nterms=-1)
-        rhs = (qpoch_inf(b, q) * qpoch_inf(a * z, q)
-               / (qpoch_inf(c, q) * qpoch_inf(z, q))
-               * phi([c / b, z], [a * z], q, b, nterms=-1))
+        lhs = phi([a, b], [c], q, z, nterms=-1, tol=tol)
+        rhs = (qpoch_inf(b, q, tol) * qpoch_inf(a * z, q, tol)
+               / (qpoch_inf(c, q, tol) * qpoch_inf(z, q, tol))
+               * phi([c / b, z], [a * z], q, b, nterms=-1, tol=tol))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return worst, "100 draws"
 
@@ -128,16 +127,16 @@ def _heine(config):
 @_suite("qcore.heine-iterated", 1e-10)
 def _heine2(config):
     """Iterated Heine transformation on random admissible draws."""
-    q = config.q
+    q, tol = config.q, config.ctx.tol
     rng = _rng(config)
     worst = 0.0
     for _ in range(100):
         a, b, z = (_disc(rng, 0.7) for _ in range(3))
         c = _disc(rng, 0.9, rmin=0.5)
         w = a * b * z / c
-        lhs = phi([a, b], [c], q, z, nterms=-1)
-        rhs = (qpoch_inf(w, q) / qpoch_inf(z, q)
-               * phi([c / a, c / b], [c], q, w, nterms=-1))
+        lhs = phi([a, b], [c], q, z, nterms=-1, tol=tol)
+        rhs = (qpoch_inf(w, q, tol) / qpoch_inf(z, q, tol)
+               * phi([c / a, c / b], [c], q, w, nterms=-1, tol=tol))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return worst, "100 draws"
 
@@ -145,7 +144,7 @@ def _heine2(config):
 @_suite("qcore.sears", 1e-10)
 def _sears(config):
     """Sears transformation of terminating balanced 4phi3, n <= 8."""
-    q = config.q
+    q, tol = config.q, config.ctx.tol
     rng = _rng(config)
     worst = 0.0
     for n in range(1, 9):
@@ -157,12 +156,12 @@ def _sears(config):
             e = _disc(rng, 0.8, rmin=0.3)
             f = a * b * c * q ** (1 - n) / (d * e)
             num = [q ** -n, a, b, c]
-            lhs = phi(num, [d, e, f], q, q, nterms=n)
+            lhs = phi(num, [d, e, f], q, q, nterms=n, tol=tol)
             pre = (qpoch(e / a, q, n) * qpoch(f / a, q, n)
                    / (qpoch(e, q, n) * qpoch(f, q, n)) * a ** n)
             rhs = pre * phi([q ** -n, a, d / b, d / c],
                             [d, a * q ** (1 - n) / e, a * q ** (1 - n) / f],
-                            q, q, nterms=n)
+                            q, q, nterms=n, tol=tol)
             scale = max(map(abs, islice(phi_terms(num, [d, e, f], q, q, 0), n + 1)))
             worst = max(worst, abs(lhs - rhs) / max(scale, abs(lhs), 1.0))
     return worst, "n<=8, 6 draws each; max-term normalized"
@@ -171,7 +170,7 @@ def _sears(config):
 @_suite("qcore.saalschutz", 1e-10)
 def _saalschutz(config):
     """q-Pfaff-Saalschuetz sum of the balanced terminating 3phi2, n <= 8."""
-    q = config.q
+    q, tol = config.q, config.ctx.tol
     rng = _rng(config)
     worst = 0.0
     for n in range(1, 9):
@@ -181,7 +180,7 @@ def _saalschutz(config):
             c = _disc(rng, 0.9, rmin=0.3)
             num = [q ** -n, a, b]
             den = [c, a * b * q ** (1 - n) / c]
-            lhs = phi(num, den, q, q, nterms=n)
+            lhs = phi(num, den, q, q, nterms=n, tol=tol)
             rhs = (qpoch(c / a, q, n) * qpoch(c / b, q, n)
                    / (qpoch(c, q, n) * qpoch(c / (a * b), q, n)))
             scale = max(map(abs, islice(phi_terms(num, den, q, q, 0), n + 1)))
@@ -208,7 +207,7 @@ def _poch_split(config):
 @_suite("qcore.phi-poly", 1e-10)
 def _phi_poly(config):
     """A terminating series is a polynomial in z: interpolation check."""
-    q = config.q
+    q, tol = config.q, config.ctx.tol
     rng = _rng(config)
     worst = 0.0
     for n in range(1, 7):
@@ -216,7 +215,7 @@ def _phi_poly(config):
         b = _disc(rng, 0.8, rmin=0.2)
         c = _disc(rng, 0.8, rmin=0.3)
         zs = np.linspace(-0.9, 0.9, n + 1)
-        vals = [phi([q ** -n, a, b], [c], q, z, nterms=n) for z in zs]
+        vals = [phi([q ** -n, a, b], [c], q, z, nterms=n, tol=tol) for z in zs]
         zt = 0.37
         # Lagrange interpolation at zt
         acc = 0.0 + 0.0j
@@ -226,7 +225,7 @@ def _phi_poly(config):
                 if j != i:
                     li *= (zt - zj) / (zi - zj)
             acc += vals[i] * li
-        direct = phi([q ** -n, a, b], [c], q, zt, nterms=n)
+        direct = phi([q ** -n, a, b], [c], q, zt, nterms=n, tol=tol)
         worst = max(worst, abs(acc - direct) / max(1.0, abs(direct)))
     return worst, "degree <= 6"
 
@@ -295,7 +294,7 @@ def _contiguous(config):
                 [p ** (al + be + 2), p ** (be + 2), -p ** (al + 2)])
 
     def phi_n(nn):
-        return phi(*params(nn), p, p, nterms=nn)
+        return phi(*params(nn), p, p, nterms=nn, tol=config.ctx.tol)
 
     def peak_n(nn):
         return max(map(abs, islice(phi_terms(*params(nn), p, p, 0), nn + 1)))

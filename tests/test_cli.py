@@ -66,7 +66,9 @@ class TestUsage:
         assert f"argument {flag}" in r.stderr and "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("argv", [["kernel", "--q", "1.2"],
-                                      ["poly", "--q", "1.5"]])
+                                      ["poly", "--q", "1.5"],
+                                      ["verify", "--suite", "qcore.heine",
+                                       "--q", "1.5"]])
     def test_out_of_domain_q(self, argv):
         r = _run(argv)
         assert r.returncode == 2
@@ -80,6 +82,21 @@ class TestUsage:
         assert r.returncode == 2
         assert r.stderr.startswith("error: tol must be finite and in (0,1)")
         assert len(r.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["poly", "--alpha", "nan", "--grid", "2"],
+        ["poly", "--alpha", "inf", "--grid", "2"],
+        ["poly", "--beta=-inf", "--grid", "2"],
+        ["verify", "--suite", "qpolys.orthogonality", "--alpha", "nan"],
+        ["verify", "--suite", "qpolys.orthogonality", "--beta", "inf"],
+    ])
+    def test_non_finite_level_is_usage_error(self, argv):
+        # exited 0 with NaN rows or a passed suite, or 1 with a traceback
+        r = _run(argv)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: alpha and beta must be finite")
+        assert len(r.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in r.stderr
 
     def test_expand_past_the_reach_of_the_series(self):
         # at |ab| = 0.99 the term scale of eq_exp overflows before the sum

@@ -77,12 +77,12 @@ class TestNodeTables:
     def test_grid_matches_scalar_weight(self, ctx):
         # the grid's h-products against the literal product form at base
         # sqrt(q), evaluated one node at a time
-        from awspec.qpolys import _weight_w_complex
+        from awspec.qpolys import _weight_w_literal
         level = JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)
         rule = make_rule(24)
         w = weight_theta_grid(level, rule, ctx)
         for th, wv in zip(rule.nodes, w):
-            lit = _weight_w_complex(level, math.cos(th), ctx, route="literal")
+            lit = _weight_w_literal(level, math.cos(th), ctx)
             assert abs(wv - lit * math.sin(th)) <= 1e-11 * abs(wv)
 
 

@@ -54,10 +54,10 @@ class TestQPoch:
 
 class TestQPochInf:
     def test_zero_argument(self):
-        assert qpoch_inf(0.0, 0.5) == 1.0
+        assert qpoch_inf(0.0, 0.5, tol=1e-14) == 1.0
 
     def test_unit_argument_vanishes(self):
-        assert qpoch_inf(1.0, 0.5) == 0.0
+        assert qpoch_inf(1.0, 0.5, tol=1e-14) == 0.0
 
     def test_two_truncations_agree(self):
         v1 = qpoch_inf(0.5, 0.5, tol=1e-10)
@@ -71,17 +71,19 @@ class TestQPochInf:
 
 class TestQPochMulti:
     def test_empty_product(self):
-        assert qpoch_multi([], 0.5, 4) == 1.0
+        assert qpoch_multi([], 0.5, 4, tol=1e-14) == 1.0
 
     def test_single_factor_reduction(self):
-        assert qpoch_multi([0.3 + 0.1j], 0.5, 5) == qpoch(0.3 + 0.1j, 0.5, 5)
+        assert (qpoch_multi([0.3 + 0.1j], 0.5, 5, tol=1e-14)
+                == qpoch(0.3 + 0.1j, 0.5, 5))
 
     def test_direct_two_factor(self):
-        assert qpoch_multi([0.3, 0.7], 0.5, 1) == pytest.approx(0.21)
+        assert qpoch_multi([0.3, 0.7], 0.5, 1, tol=1e-14) == pytest.approx(0.21)
 
     def test_infinite_variant(self):
-        v = qpoch_multi([0.3, 0.7], 0.5, None)
-        assert v == pytest.approx(qpoch_inf(0.3, 0.5) * qpoch_inf(0.7, 0.5))
+        v = qpoch_multi([0.3, 0.7], 0.5, None, tol=1e-14)
+        assert v == pytest.approx(qpoch_inf(0.3, 0.5, tol=1e-14)
+                                  * qpoch_inf(0.7, 0.5, tol=1e-14))
 
 
 class TestRphis:
@@ -96,10 +98,10 @@ class TestRphis:
     def test_heine_transformed_agreement(self, ctx):
         # 2phi1(a,b;c;q,z) against its first Heine transform
         a, b, c, z, q = 0.5, 0.25, 0.125, 0.3, 0.5
-        lhs = phi([a, b], [c], q, z, nterms=-1)
-        rhs = (qpoch_inf(b, q) * qpoch_inf(a * z, q)
-               / (qpoch_inf(c, q) * qpoch_inf(z, q))
-               * phi([c / b, z], [a * z], q, b, nterms=-1))
+        lhs = phi([a, b], [c], q, z, nterms=-1, tol=1e-14)
+        rhs = (qpoch_inf(b, q, tol=1e-14) * qpoch_inf(a * z, q, tol=1e-14)
+               / (qpoch_inf(c, q, tol=1e-14) * qpoch_inf(z, q, tol=1e-14))
+               * phi([c / b, z], [a * z], q, b, nterms=-1, tol=1e-14))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_spec_fields(self):
@@ -158,27 +160,27 @@ class TestW8W7:
             [q ** -n, -a * q ** (-n / 2) / c, -a * q ** ((1 - n) / 2) / c,
              b * b * q ** (j + 0.5)],
             [q ** (-n + 0.5) / (c * c), a * b * q ** (j + (1 - n) / 2),
-             a * b * q ** (1 - n / 2)], q, q, nterms=n)
+             a * b * q ** (1 - n / 2)], q, q, nterms=n, tol=1e-14)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
 class TestHProduct:
     def test_empty_params(self):
-        assert h_product(0.3, [], 0.5) == 1.0
+        assert h_product(0.3, [], 0.5, tol=1e-14) == 1.0
 
     def test_chebyshev_case(self):
         # h(cos t; 1, -1, sqrt(q), -sqrt(q)) = (e^{2it}, e^{-2it}; q)_inf
         q, theta = 0.5, math.pi / 3
         x = math.cos(theta)
-        lhs = h_product(x, [1.0, -1.0, math.sqrt(q), -math.sqrt(q)], q)
+        lhs = h_product(x, [1.0, -1.0, math.sqrt(q), -math.sqrt(q)], q, tol=1e-14)
         w2 = cmath.exp(2j * theta)
-        rhs = qpoch_inf(w2, q) * qpoch_inf(1.0 / w2, q)
+        rhs = qpoch_inf(w2, q, tol=1e-14) * qpoch_inf(1.0 / w2, q, tol=1e-14)
         assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
 
     def test_real_endpoint_square(self):
         q, a = 0.5, 0.4
-        lhs = h_product(1.0, [a], q)
-        assert abs(lhs - qpoch_inf(a, q) ** 2) <= 1e-13 * abs(lhs)
+        lhs = h_product(1.0, [a], q, tol=1e-14)
+        assert abs(lhs - qpoch_inf(a, q, tol=1e-14) ** 2) <= 1e-13 * abs(lhs)
 
 
 class TestExpITheta:
@@ -205,3 +207,12 @@ class TestTransformSuites:
     def test_suite_passes(self, name):
         r = verify.run_suite(name)
         assert r.passed, f"{name}: {r.max_err} > {r.tol} ({r.detail})"
+
+    @pytest.mark.parametrize("name", ["qcore.heine", "qcore.heine-iterated"])
+    def test_tol_reaches_the_series(self, name):
+        # the adaptive series and products of the suite stop at the
+        # configured tolerance, not at a default of their own
+        tight = verify.run_suite(name)
+        loose = verify.run_suite(name, verify.VerifyConfig(tol=1e-6))
+        assert loose.max_err != tight.max_err
+        assert loose.max_err > 1e3 * tight.max_err

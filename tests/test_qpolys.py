@@ -11,7 +11,9 @@ from awspec.qpolys import (AWParams, JacobiLevel, aw_norm, aw_poly,
                            awpoly_to_cqj_factor, connection_down, cqjacobi,
                            cqjacobi_classical, cqjacobi_seq, dual_expansion,
                            dual_expansion_aw, hermite_h, kappa_aw, norm_h,
-                           classical_to_aw_factor, weight_w, _weight_w_complex)
+                           classical_to_aw_factor, weight_w, _aw_poly_4phi3,
+                           _hermite_h_theta, _weight_w_complex,
+                           _weight_w_literal)
 
 
 class TestAWPoly:
@@ -30,8 +32,8 @@ class TestAWPoly:
 
     def test_hermite_routes_agree(self, ctx):
         for n in range(9):
-            a = hermite_h(n, 0.37, ctx.q, method="recurrence")
-            b = hermite_h(n, 0.37, ctx.q, method="theta")
+            a = hermite_h(n, 0.37, ctx.q)
+            b = _hermite_h_theta(n, 0.37, ctx.q)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     def test_bcd_permutation_symmetry(self, ctx, rng):
@@ -50,8 +52,8 @@ class TestAWPoly:
         params = AWParams.from_level(level, ctx.q)
         for n in range(7):
             x = rng.uniform(-0.9, 0.9)
-            v1 = aw_poly(n, params, x, ctx, method="phi")
-            v2 = aw_poly(n, params, x, ctx, method="recurrence")
+            v1 = _aw_poly_4phi3(n, params, x, ctx)
+            v2 = aw_poly(n, params, x, ctx)
             assert abs(v1 - v2) <= 1e-11 * max(1.0, abs(v1))
 
 
@@ -72,6 +74,14 @@ class TestCqjacobi:
 
     def test_level_is_alpha_beta_only(self):
         assert [f.name for f in dataclasses.fields(JacobiLevel)] == ["alpha", "beta"]
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (math.nan, 0.2), (0.3, math.inf), (-math.inf, 0.2),
+        (complex(0.3, math.nan), complex(0.3, -0.5)),
+    ])
+    def test_non_finite_level_rejected(self, alpha, beta):
+        with pytest.raises(DomainError, match="must be finite"):
+            JacobiLevel(alpha, beta)
 
     def test_aw_equals_specialized_askey_wilson(self, ctx, level, rng):
         # the alternate representation equals the four-parameter polynomial
@@ -95,8 +105,8 @@ class TestWeight:
     def test_two_routes_agree(self):
         ctx = QContext(0.64)
         level = JacobiLevel(0.3, -0.2)
-        a = weight_w(level, 0.5, ctx, route="h")
-        b = weight_w(level, 0.5, ctx, route="literal")
+        a = weight_w(level, 0.5, ctx)
+        b = _weight_w_literal(level, 0.5, ctx).real
         assert abs(a - b) <= 1e-10 * abs(a)
 
     def test_positive_on_grid(self, ctx, level):
@@ -115,8 +125,8 @@ class TestWeight:
         ctx = QContext(0.5)
         level = JacobiLevel(0.3 + 0.4j, 0.3 - 0.4j)
         for x in (-0.6, 0.2, 0.7):
-            v1 = _weight_w_complex(level, x, ctx, route="h")
-            v2 = _weight_w_complex(level, x, ctx, route="literal")
+            v1 = _weight_w_complex(level, x, ctx)
+            v2 = _weight_w_literal(level, x, ctx)
             assert abs(v1 - v2) <= 1e-11 * abs(v1)
 
     def test_domain_error_at_endpoints(self, ctx, level):
@@ -152,8 +162,8 @@ class TestNorms:
 
     def test_kappa_is_degree_zero_norm(self, ctx, level):
         params = AWParams.from_level(level, ctx.q)
-        k = kappa_aw(params, ctx.q)
-        assert abs(aw_norm(0, params, ctx.q) - k) <= 1e-13 * abs(k)
+        k = kappa_aw(params, ctx.q, tol=1e-14)
+        assert abs(aw_norm(0, params, ctx.q, tol=1e-14) - k) <= 1e-13 * abs(k)
 
 
 class TestConnection:

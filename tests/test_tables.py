@@ -1,5 +1,6 @@
 """The memoised recurrence-coefficient tables: bit-identical to the per-step
-loops they replace, kept apart per key, and bounded."""
+loops they replace, kept apart per key, and bounded; and AST checks on the
+source: every memo bounded, and few, route-free, tolerance-free defaults."""
 import ast
 from pathlib import Path
 
@@ -151,7 +152,7 @@ def test_abcd_equal_to_q_cancels_only_the_first_entry(q):
     # against the 4phi3, while its cancellation (q^{-n(n-1)/2}) stays small
     for n in range(1, 5):
         got = qpolys.aw_poly(n, params, 0.3, ctx)
-        want = qpolys.aw_poly(n, params, 0.3, ctx, method="phi")
+        want = qpolys._aw_poly_4phi3(n, params, 0.3, ctx)
         assert abs(got - want) <= 1e-11 * abs(want)
     table = qpolys._aw_coeffs(9, *params, q)
     assert table[0][1] == 0.0
@@ -240,3 +241,35 @@ def test_every_memo_is_bounded():
                         size = size.value
                     assert isinstance(size, int) and size > 0, where
     assert seen >= len(MEMOS) + 2  # the memos above, level_plan, build_parser
+
+
+MAX_DEFAULTS = 23  # defaulted function parameters in src/awspec, lambdas not counted
+# cqjacobi keeps method="phi": the benchmark checks its rows against the 4phi3
+ROUTED = {("qpolys.py", "cqjacobi")}
+
+
+def _defaulted(fn):
+    """The parameters of a function definition that have a default."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    return (pos[len(pos) - len(args.defaults):]
+            + [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def test_defaults_are_few_and_set_no_route_or_tolerance():
+    # a default nothing overrides is a constant, a route is a private
+    # oracle, and a tolerance comes from a QContext or the caller
+    count = 0
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            where = f"{path.name}:{fn.name}"
+            args = fn.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if (path.name, fn.name) not in ROUTED:
+                assert not names & {"method", "route"}, f"{where}: a route selector"
+            defaulted = _defaulted(fn)
+            assert "tol" not in {a.arg for a in defaulted}, f"{where}: tol has a default"
+            count += len(defaulted)
+    assert count <= MAX_DEFAULTS
