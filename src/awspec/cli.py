@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -37,6 +38,12 @@ def fmt_c(z):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that starts with "-" and a digit is a number, not a flag:
+        # argparse's own pattern misses -1e-3 and -0.3+0.5j
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         # one line, like the DomainError message of main; -h gives the usage
         sys.stderr.write(f"error: {message}\n")
@@ -88,7 +95,7 @@ def build_parser():
     p = sub.add_parser("eigfun", help="eigenfunction coefficients and samples")
     _add_common(p)
     p.add_argument("--trunc", **_TRUNC)
-    p.add_argument("--index", type=int, default=0,
+    p.add_argument("--index", type=int_at_least(0), default=0,
                    help="eigenvalue index (by descending |lambda|)")
     p.add_argument("--grid", type=int_at_least(1), default=21,
                    help="sample points in x")
@@ -257,7 +264,7 @@ def _cmd_verify(args):
     ctx, level = _config(args)
     cfg = verify.VerifyConfig(q=ctx.q, alpha=level.alpha, beta=level.beta,
                               tol=ctx.tol, nodes=args.nodes)
-    results = verify.run_suites(names, cfg)
+    results = [verify.run_suite(n, cfg) for n in names]
     header = ["suite", "passed", "max_err", "tol", "detail"]
     rows = [[r.name, str(r.passed).lower(), fmt(r.max_err), fmt(r.tol),
              r.detail.replace(",", ";")] for r in results]

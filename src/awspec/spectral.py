@@ -36,7 +36,7 @@ from .qpolys import _COEFF_TABLES, _ab, norm_ratio
 
 __all__ = [
     "recurrence_a_coeffs", "classical_a_coeffs", "bn_B", "bn_C",
-    "bn_recurrence", "bn_sequence", "bn_explicit", "bn_explicit_nested",
+    "bn_recurrence", "bn_sequence", "bn_explicit",
     "bn_minimal_scaled", "bn0_scaled_sequence", "zero_asymptotics_constants",
     "an_from_bn", "an_prefactor", "x_nu", "f_eval", "bn_growth_limit",
     "root_asymptotics_constant", "eigenvalue_equation", "matrix_oracle", "EigenResult",
@@ -239,10 +239,10 @@ def bn_explicit(n, mu, level, ctx):
     return _closed_form_sum(n, mu, A, B, ar)
 
 
-def bn_explicit_nested(n, mu, level, ctx):
-    """Literal outer-sum/inner-4phi3 form of the closed formula.  The inner
-    series cancels catastrophically beyond small degree; kept as a
-    small-n cross-check of the double-sum organization."""
+def _bn_explicit_nested(n, mu, level, ctx):
+    """Literal outer-sum/inner-4phi3 form of the closed formula: the
+    reference oracle of ``bn_explicit`` at small degree, where its inner
+    series does not yet cancel catastrophically."""
     q = ctx.q
     p = math.sqrt(q)
     al, be = _ab(level)
@@ -581,16 +581,21 @@ def eigenfunction(lam, level, nmax, ctx):
     w = bn_minimal_scaled(nmax, xi, level, ctx)
     coeffs = [0.0 + 0.0j, 1.0 + 0.0j]
     lnq = math.log(q)
+    lnxi = math.log(abs(xi))
     f = 1.0  # an_prefactor(k), by its running product
     for k in range(1, nmax):
         f *= _an_prefactor_ratio(k - 1, al, be, q)
         # log-magnitude guard against underflow of q^{k^2/4 + ...}
         expo = k * k / 4 + k * (1 - al) / 2
-        mag = expo.real * lnq - k * math.log(abs(xi))
+        mag = expo.real * lnq - k * lnxi
         if mag < -690.0:
             coeffs.append(0.0 + 0.0j)
-            continue
-        coeffs.append(f * xi ** (-k) * q ** expo * w[k])
+        elif -k * lnxi > 690.0:
+            # at a tiny xi, xi^{-k} alone overflows while q^expo brings the
+            # product back into range: take the two together in log form
+            coeffs.append(f * cmath.exp(expo * lnq - k * cmath.log(xi)) * w[k])
+        else:
+            coeffs.append(f * xi ** (-k) * q ** expo * w[k])
     return CoeffVector(level, tuple(coeffs[:nmax + 1]))
 
 

@@ -58,6 +58,8 @@ class TestUsage:
         # a 1-node rule resolves no moment of T
         (["eigen", "--nodes", "1", "--count", "1"], "--nodes"),
         (["verify", "--suite", "awop.kernel-coeff", "--nodes", "1"], "--nodes"),
+        # asked for eigenvalues past the seeds and exited 1 with a traceback
+        (["eigfun", "--index", "-3"], "--index"),
     ])
     def test_sizes_below_one_are_usage_errors(self, argv, flag):
         r = _run(argv)
@@ -206,6 +208,29 @@ class TestOutputs:
         assert main(["expand", "--mmax", "0", "--grid", "2", "--out", str(out)]) == 0
         kinds = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
         assert kinds == ["coeff", "residual", "residual"]
+
+    @pytest.mark.parametrize("command,flag,value,rest", [
+        ("poly", "--alpha", "-1e-3", []),
+        ("poly", "--beta", "-2e-1", []),
+        ("poly", "--alpha", "-0.3+0.5j", ["--beta", "conj"]),
+        ("expand", "--r", "-0.1+0.2j", ["--mmax", "3"]),
+    ])
+    def test_negative_value_parses_as_its_equals_form(self, capsys, command, flag,
+                                                       value, rest):
+        # argparse took "-1e-3" or "-0.3+0.5j" for a flag: "expected one argument"
+        rest = rest + ["--grid", "3", "--format", "json"]
+        assert main([command, f"{flag}={value}", *rest]) == 0
+        want = capsys.readouterr().out
+        assert main([command, flag, value, *rest]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_eigen_past_the_tiny_seeds(self, tmp_path):
+        # the 22nd seed's eigenfunction overflowed in xi ** -k: exit 1, traceback
+        out = tmp_path / "e.csv"
+        assert main(["eigen", "--count", "21", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == [str(i) for i in range(21)]
+        assert all(math.isfinite(float(v)) for r in rows for v in r[1:7])
 
     def test_beta_conj_spelling(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -10,7 +10,7 @@ from awspec.exceptions import DomainError
 from awspec.qcore import QContext, qpoch_inf
 from awspec.qpolys import JacobiLevel, norm_h
 from awspec.spectral import (EigenResult, an_from_bn, bn_B, bn_C, bn_explicit,
-                             bn_explicit_nested, bn_minimal_scaled, bn_recurrence,
+                             _bn_explicit_nested, bn_minimal_scaled, bn_recurrence,
                              bn_sequence, classical_a_coeffs, eigenvalue_equation,
                              eigen_tail_ratios, eigenfunction, eigenvalues, f_eval,
                              markov_ratio, markov_stieltjes, matrix_oracle,
@@ -77,7 +77,7 @@ class TestBn:
         # its cancellation stays below double precision
         for n in range(7):
             mu = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            a = bn_explicit_nested(n, mu, level, ctx)
+            a = _bn_explicit_nested(n, mu, level, ctx)
             b = bn_explicit(n, mu, level, ctx)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
