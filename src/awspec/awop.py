@@ -7,6 +7,7 @@ x = cos(theta), which cancels the (1-x^2)^{-1/2} weight singularity into a
 smooth integrand on [0, pi]; a Gauss-Legendre rule in theta with automatic
 node doubling then converges spectrally.
 """
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,7 +15,8 @@ import numpy as np
 
 from .exceptions import DomainError
 from .qcore import exp_itheta
-from .qpolys import JacobiLevel, _ab, cqjacobi_seq, level_plan, norm_h
+from .qpolys import (_COEFF_TABLES, JacobiLevel, _ab, _norms, cqjacobi_seq,
+                     norm_h, on_nodes)
 
 __all__ = [
     "CoeffVector", "QuadratureRule", "make_rule", "weight_theta_grid",
@@ -68,12 +70,12 @@ def make_rule(n):
 
 def weight_theta_grid(level, rule, ctx):
     """w(cos theta) sin(theta) on the rule's nodes (smooth in theta), read
-    only and shared through the level's plan.
+    only and memoised per (level, ctx).
 
     Real levels give a real grid; conjugate-pair levels keep the genuinely
     complex weight (the parameter multiset is not conjugation-stable), and
     the orthogonality relation holds bilinearly against it."""
-    return level_plan(level, ctx).on_nodes(rule.nodes)[0]
+    return on_nodes(level, rule.nodes, ctx)[0]
 
 
 def quad_weighted(level, rule, ctx, values):
@@ -150,11 +152,16 @@ def t_coeffs(g, ctx):
 # kernel and integral operator
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=_COEFF_TABLES)
+def _kernel_table(level, ctx):
+    return []
+
+
 def _kernel_factors(n, level, ctx):
     """Coefficients t_factor(k) / h_k^{(a+1,b+1)} of P_{k+1}(x)
-    P_k^{(a+1,b+1)}(y) in the kernel for k < n, from the table kept in the
-    level's plan."""
-    kf = level_plan(level, ctx).kernel_factors
+    P_k^{(a+1,b+1)}(y) in the kernel for k < n, from a table memoised per
+    (level, ctx) and grown on demand."""
+    kf = _kernel_table(level, ctx)
     lvl1 = level.shifted(1)
     kf.extend(t_factor(k, level, ctx.q) / norm_h(k, lvl1, ctx)
               for k in range(len(kf), n))
@@ -174,34 +181,32 @@ def _kernel_sum(x, c, level, ctx):
     return terms @ np.array(_kernel_factors(len(c), level, ctx), dtype=complex)
 
 
+@functools.lru_cache(maxsize=_COEFF_TABLES)
 def kernel_truncation(level, ctx):
     """Number of terms N, between 20 and 400, so the geometric tail bound of
-    the kernel series is below ctx.tol, kept in the level's plan.
+    the kernel series is below ctx.tol, memoised per (level, ctx).
 
     The per-term scale on the support is |factor_n| sqrt(|h_{n+1} h_n'|)
     (polynomials on [-1, 1] oscillate with amplitude ~ sqrt(norm)), which
     decays like sqrt(q)^n; the bound uses the measured trailing ratio
     capped at 0.95."""
-    plan = level_plan(level, ctx)
-    if plan.truncation is None:
-        lvl1 = level.shifted(1)
+    lvl1 = level.shifted(1)
 
-        def scale(n):
-            return (abs(_kernel_factor(n, level, ctx))
-                    * math.sqrt(abs(norm_h(n + 1, level, ctx))
-                                * abs(norm_h(n, lvl1, ctx))))
+    def scale(n):
+        return (abs(_kernel_factor(n, level, ctx))
+                * math.sqrt(abs(norm_h(n + 1, level, ctx))
+                            * abs(norm_h(n, lvl1, ctx))))
 
-        n = 20
-        fprev = scale(n)
-        while n < 400:
-            n += 1
-            f = scale(n)
-            r = min(0.95, max(f / fprev, math.sqrt(ctx.q)))
-            if f * r / (1.0 - r) < ctx.tol:
-                break
-            fprev = f
-        object.__setattr__(plan, "truncation", n)
-    return plan.truncation
+    n = 20
+    fprev = scale(n)
+    while n < 400:
+        n += 1
+        f = scale(n)
+        r = min(0.95, max(f / fprev, math.sqrt(ctx.q)))
+        if f * r / (1.0 - r) < ctx.tol:
+            break
+        fprev = f
+    return n
 
 
 def kernel_eval(x, y, level, ctx, nterms=None):
@@ -241,10 +246,13 @@ def _t_quad_once(g, x, level, rule, ctx):
     nterms = min(kernel_truncation(level, ctx), rule.size // 2)
     ys = np.cos(rule.nodes)
     gy = np.broadcast_to(np.asarray(g(ys), dtype=complex), ys.shape)
-    plan1 = level_plan(level.shifted(1), ctx)
-    w1, py = plan1.on_nodes(rule.nodes)
+    lvl1 = level.shifted(1)
+    w1, py = on_nodes(lvl1, rule.nodes, ctx)
     moments = py[:nterms] @ (rule.weights * w1 * gy)
-    scales = np.abs(moments) / np.maximum(plan1.abs_norms(nterms), 1e-300) ** 0.5
+    # |h_k| of the values norm_h returns (the real part on real levels)
+    hs = np.array(_norms(nterms, lvl1, ctx)[:nterms])
+    absh = np.abs(hs.real if lvl1.is_real else hs)
+    scales = np.abs(moments) / np.maximum(absh, 1e-300) ** 0.5
     last = np.flatnonzero(scales >= scales.max() * 1e-12)
     neff = min(nterms, (last[-1] if last.size else 0) + 3)
     return _kernel_sum(x, moments[:neff], level, ctx)

@@ -127,7 +127,7 @@ def rphis(spec, ctx):
             if m is not None and m < limit:
                 raise PoleError(f"rphis: denominator parameter {b} = base^-{m}")
     return phi(spec.num_params, spec.den_params, spec.base, spec.argument,
-               nterms=nt, tol=ctx.tol)
+               nterms=-1 if nt is None else nt, tol=ctx.tol)
 
 
 def phi(num, den, base, z, nterms=None, *, tol):

@@ -20,19 +20,19 @@ oracles (``_aw_poly_4phi3`` and others) that the tests compare against.
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainError
-from .qcore import (QContext, exp_itheta, h_product, phi, qpoch, qpoch_inf,
+from .qcore import (exp_itheta, h_product, phi, qpoch, qpoch_inf,
                     qpoch_multi)
 
 __all__ = [
     "JacobiLevel", "AWParams", "ConnectionTriple", "aw_poly", "aw_phi_seq",
     "cqjacobi", "cqjacobi_classical", "cqjacobi_seq", "hermite_h",
-    "weight_w", "weight_theta", "norm_h", "norm_ratio", "LevelPlan",
-    "level_plan", "aw_norm", "kappa_aw", "connection_down",
+    "weight_w", "weight_theta", "on_nodes", "norm_h", "norm_ratio",
+    "aw_norm", "kappa_aw", "connection_down",
     "dual_expansion", "dual_expansion_aw", "classical_to_aw_factor",
     "awpoly_to_cqj_factor",
 ]
@@ -351,13 +351,52 @@ def weight_theta(params, xs, ctx):
             / h_product(xs, params, q, ctx.tol))
 
 
+@functools.lru_cache(maxsize=_COEFF_TABLES)
+def _node_table(level, ctx, key):
+    nodes = np.frombuffer(key)
+    xs = np.cos(nodes)
+    w = weight_theta(AWParams.from_level(level, ctx.q).as_tuple(), xs, ctx)
+    w = w.real if level.is_real else w
+    polys = np.array(cqjacobi_seq(len(xs) // 2, level, xs, ctx))
+    w.flags.writeable = polys.flags.writeable = False
+    return w, polys
+
+
+def on_nodes(level, nodes, ctx):
+    """(w(cos theta) sin(theta), rows P_0..P_{size//2}) on the theta
+    nodes, read-only and memoised per (level, ctx) and node values.  The
+    grid is real for real levels."""
+    return _node_table(level, ctx, np.asarray(nodes, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=_COEFF_TABLES)
+def _norm_table(level, ctx):
+    # h_0: the seven infinite products of the constant, evaluated once
+    q, tol = ctx.q, ctx.tol
+    al, be = _ab(level)
+    s = al + be
+    return [2 * math.pi * qpoch_multi(
+        [q ** ((s + 2) / 2), q ** ((s + 3) / 2)], q, None, tol) / qpoch_multi(
+        [q, q ** (al + 1), q ** (be + 1), -q ** ((s + 1) / 2), -q ** ((s + 2) / 2)],
+        q, None, tol)]
+
+
+def _norms(n, level, ctx):
+    """h_0, h_1, ... (at least n of them): a table memoised per
+    (level, ctx) and grown by h_{k+1} = h_k norm_ratio(k)."""
+    hs = _norm_table(level, ctx)
+    while len(hs) < n:
+        hs.append(hs[-1] * norm_ratio(len(hs) - 1, level, ctx.q))
+    return hs
+
+
 def norm_h(n, level, ctx):
     """Normalization constant h_n^{(a,b)}(q) of Eq-form orthogonality
-    (with the corrected exponent q^{n(2a+1)/2}), from the level's plan,
-    whose table grows by h_{n+1} = h_n norm_ratio(n)."""
+    (with the corrected exponent q^{n(2a+1)/2}), memoised per
+    (level, ctx)."""
     if n < 0:
         raise DomainError("norm_h: n must be >= 0")
-    h = level_plan(level, ctx).grown_norms(n + 1)[n]
+    h = _norms(n + 1, level, ctx)[n]
     return complex(h.real, 0.0) if level.is_real else h
 
 
@@ -369,77 +408,6 @@ def norm_ratio(n, level, q):
             * (1 - q ** (2 * n + al + be + 1))
             / ((1 - q ** (2 * n + al + be + 3)) * (1 - q ** (n + 1))
                * (1 - q ** (al + be + 1 + n)) * (1 + q ** ((al + be + 1) / 2 + n))))
-
-
-_PLAN_LEVELS = 32  # plans kept by level_plan
-_PLAN_NODE_SETS = 4  # quadrature node sets kept per plan, oldest dropped first
-
-
-@dataclass(frozen=True)
-class LevelPlan:
-    """What is reused at one (level, q), built once: the norms h_n (grown
-    on demand) and their moduli as one array, per set of theta nodes the
-    weight grid and P_0..P_{size//2}, and the kernel factors and
-    truncation of T at this level (set by awop)."""
-    level: JacobiLevel
-    ctx: QContext
-    norms: list = field(default_factory=list, init=False, compare=False, repr=False)
-    _abs_norms: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False,
-                                   compare=False, repr=False)
-    kernel_factors: list = field(default_factory=list, init=False, compare=False, repr=False)
-    truncation: int | None = field(default=None, init=False, compare=False, repr=False)
-    _nodes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        # h_0: the seven infinite products of the constant, evaluated once
-        q, tol = self.ctx.q, self.ctx.tol
-        al, be = _ab(self.level)
-        s = al + be
-        self.norms.append(2 * math.pi * qpoch_multi(
-            [q ** ((s + 2) / 2), q ** ((s + 3) / 2)], q, None, tol) / qpoch_multi(
-            [q, q ** (al + 1), q ** (be + 1), -q ** ((s + 1) / 2), -q ** ((s + 2) / 2)],
-            q, None, tol))
-
-    def grown_norms(self, n):
-        """The norm table h_0, h_1, ..., grown by h_{k+1} = h_k
-        norm_ratio(k) to at least n entries."""
-        hs = self.norms
-        while len(hs) < n:
-            hs.append(hs[-1] * norm_ratio(len(hs) - 1, self.level, self.ctx.q))
-        return hs
-
-    def abs_norms(self, n):
-        """|h_0|, ..., |h_{n-1}| of the values norm_h returns (the real part
-        on real levels), one read-only array rebuilt only when it grows."""
-        if self._abs_norms.size < n:
-            hs = np.array(self.grown_norms(n))
-            absh = np.abs(hs.real if self.level.is_real else hs)
-            absh.flags.writeable = False
-            object.__setattr__(self, "_abs_norms", absh)
-        return self._abs_norms[:n]
-
-    def on_nodes(self, nodes):
-        """(w(cos theta) sin(theta), rows P_0..P_{size//2}) on the theta
-        nodes, read-only and keyed by the node values.  The grid is real
-        for real levels."""
-        key = nodes.tobytes()
-        if key not in self._nodes:
-            if len(self._nodes) >= _PLAN_NODE_SETS:
-                del self._nodes[next(iter(self._nodes))]
-            xs = np.cos(nodes)
-            w = weight_theta(AWParams.from_level(self.level, self.ctx.q).as_tuple(),
-                             xs, self.ctx)
-            w = w.real if self.level.is_real else w
-            polys = np.array(cqjacobi_seq(len(xs) // 2, self.level, xs, self.ctx))
-            w.flags.writeable = polys.flags.writeable = False
-            self._nodes[key] = (w, polys)
-        return self._nodes[key]
-
-
-@functools.lru_cache(maxsize=_PLAN_LEVELS)
-def level_plan(level, ctx):
-    """The LevelPlan of (level, ctx); the last _PLAN_LEVELS are kept."""
-    return LevelPlan(level, ctx)
 
 
 def kappa_aw(params, q, tol):

@@ -38,7 +38,7 @@ __all__ = [
     "recurrence_a_coeffs", "classical_a_coeffs", "bn_B", "bn_C",
     "bn_recurrence", "bn_sequence", "bn_explicit",
     "bn_minimal_scaled", "bn0_scaled_sequence", "zero_asymptotics_constants",
-    "an_from_bn", "an_prefactor", "x_nu", "f_eval", "bn_growth_limit",
+    "x_nu", "f_eval", "bn_growth_limit",
     "root_asymptotics_constant", "eigenvalue_equation", "matrix_oracle", "EigenResult",
     "eigenvalues", "eigenfunction", "eigen_tail_ratios", "s_poly",
     "s_recurrence_coeffs", "markov_ratio", "markov_stieltjes", "q_coulomb",
@@ -346,32 +346,27 @@ def zero_asymptotics_constants(level, ctx):
 # a_n coefficients
 # ---------------------------------------------------------------------------
 
-def an_prefactor(k, level, ctx):
-    """f_k of a_{k+1} = f_k (-1)^k b_k(mu) q^{-(k^2/4 + (a + b/2 + 1) k)}."""
-    q = ctx.q
-    al, be = _ab(level)
-    return (qpoch(q ** (al + be + 2), q, k) * qpoch(q ** ((al + be + 4) / 2), q, k)
-            * qpoch(q ** ((al + be + 5) / 2), q, k)
-            / (qpoch(q ** (al + 2), q, k) * qpoch(q ** (be + 2), q, k)))
-
-
 def _an_prefactor_ratio(k, al, be, q):
-    """f_{k+1} / f_k of an_prefactor."""
+    """f_{k+1} / f_k of the prefactor f_k of ``_an_from_bn``."""
     return ((1 - q ** (al + be + 2 + k)) * (1 - q ** ((al + be + 4) / 2 + k))
             * (1 - q ** ((al + be + 5) / 2 + k))
             / ((1 - q ** (al + 2 + k)) * (1 - q ** (be + 2 + k))))
 
 
-def an_from_bn(k, lam, level, ctx, bn_value=None):
-    """a_{k+1}(lambda|q) from the monic polynomial; a_0 = 0, a_1 = 1."""
+def _an_from_bn(k, lam, level, ctx):
+    """a_{k+1}(lambda|q) = f_k (-1)^k b_k(mu) q^{-(k^2/4 + (a + b/2 + 1) k)}
+    from the forward-summed monic polynomial, f_k in qpoch form; a_0 = 0,
+    a_1 = 1.  The reference oracle of ``eigenfunction``: at an eigenvalue
+    the forward sum runs in the wrong direction."""
     if k < 0:
         return 0.0 + 0.0j
     q = ctx.q
     al, be = _ab(level)
-    mu = mu_from_lambda(lam, q)
-    b = bn_recurrence(k, mu, level, ctx) if bn_value is None else bn_value
-    return (an_prefactor(k, level, ctx) * (-1.0) ** k * b
-            * q ** -(k * k / 4 + (al + be / 2 + 1) * k))
+    f = (qpoch(q ** (al + be + 2), q, k) * qpoch(q ** ((al + be + 4) / 2), q, k)
+         * qpoch(q ** ((al + be + 5) / 2), q, k)
+         / (qpoch(q ** (al + 2), q, k) * qpoch(q ** (be + 2), q, k)))
+    b = bn_recurrence(k, mu_from_lambda(lam, q), level, ctx)
+    return f * (-1.0) ** k * b * q ** -(k * k / 4 + (al + be / 2 + 1) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +536,8 @@ def eigenvalues(level, ctx, count=5, nmat=80, operator_residual=None):
     coefficients a_0..a_48.  Results sorted by (|lambda| desc, arg lambda);
     conjugate-pair symmetry is enforced for real parameter levels.  Seeds
     that fail to refine are reported with ``converged=False``, never
-    dropped."""
+    dropped.  A root within 1e-10 |lambda| of one already kept is dropped,
+    and further seeds are refined while fewer than ``count`` are kept."""
     q = ctx.q
     seeds = [ev for ev in matrix_oracle(nmat, level, ctx) if abs(ev) > 1e-13]
     if level.is_real:
@@ -549,10 +545,15 @@ def eigenvalues(level, ctx, count=5, nmat=80, operator_residual=None):
         reps = [ev for ev in seeds if ev.imag >= -1e-15]
     else:
         reps = list(seeds)
+    first = count + 1 if level.is_real else count
     results = []
-    for lam0 in reps[:count if not level.is_real else (count + 1)]:
+    for i, lam0 in enumerate(reps):
+        if i >= first and len(results) >= count:
+            break
         mu, ok = _newton_f(mu_from_lambda(lam0, q), level, ctx)
         lam = lambda_from_mu(mu, q)
+        if any(abs(lam - r.lam) <= 1e-10 * abs(lam) for r in results):
+            continue
         res_f = abs(f_eval(mu, level, ctx))
         coeffs = eigenfunction(lam, level, 48, ctx)
         res_op = math.nan
@@ -582,7 +583,7 @@ def eigenfunction(lam, level, nmax, ctx):
     coeffs = [0.0 + 0.0j, 1.0 + 0.0j]
     lnq = math.log(q)
     lnxi = math.log(abs(xi))
-    f = 1.0  # an_prefactor(k), by its running product
+    f = 1.0  # f_k of _an_from_bn, by its running product
     for k in range(1, nmax):
         f *= _an_prefactor_ratio(k - 1, al, be, q)
         # log-magnitude guard against underflow of q^{k^2/4 + ...}

@@ -261,7 +261,7 @@ def _orthogonality(config):
         level = JacobiLevel(al, be)
         for nn in (config.nodes, 2 * config.nodes):
             rule = awop.make_rule(nn)
-            w, polys = qpolys.level_plan(level, ctx).on_nodes(rule.nodes)
+            w, polys = qpolys.on_nodes(level, rule.nodes, ctx)
             for n in range(9):
                 hn = qpolys.norm_h(n, level, ctx)
                 for m in range(n, 9):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -8,9 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from awspec import qexp, verify
+from awspec import awop, qexp, qpolys, verify
 from awspec.cli import build_parser, main
-from awspec.qpolys import level_plan
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -232,6 +232,20 @@ class TestOutputs:
         assert [r[0] for r in rows] == [str(i) for i in range(21)]
         assert all(math.isfinite(float(v)) for r in rows for v in r[1:7])
 
+    def test_eigen_lists_each_root_once(self, tmp_path):
+        # Newton from two tiny seeds can land on one root; it is listed once
+        out = tmp_path / "e.csv"
+        assert main(["eigen", "--count", "30", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        lams = [complex(float(r[1]), float(r[2]))
+                for r in (line.split(",") for line in lines[1:])]
+        assert len(lams) == 30
+        assert all(abs(a - b) > 1e-10 * abs(a) for i, a in enumerate(lams)
+                   for b in lams[:i])
+        # the header and rows 0-25, which the de-duplication must not move
+        digest = hashlib.md5("".join(lines[:27]).encode()).hexdigest()
+        assert digest == "986dd9f68c157612b854d14767881814"
+
     def test_beta_conj_spelling(self, tmp_path):
         out = tmp_path / "p.csv"
         rc = main(["poly", "--alpha", "0.3+0.5j", "--beta", "conj",
@@ -278,10 +292,12 @@ class TestRequestWork:
     ])
     def test_requests_without_t_build_no_level_plan(self, tmp_path, argv):
         # the recurrence tables live in their own memos: a request that
-        # does not apply T must not evict the plans that T requests reuse
-        misses = level_plan.cache_info().misses
+        # does not apply T must not evict the per-level data T requests reuse
+        memos = [qpolys._norm_table, qpolys._node_table, awop._kernel_table,
+                 awop.kernel_truncation]
+        misses = [memo.cache_info().misses for memo in memos]
         assert main(argv + ["--q", "0.37", "--out", str(tmp_path / "o.csv")]) == 0
-        assert level_plan.cache_info().misses == misses
+        assert [memo.cache_info().misses for memo in memos] == misses
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()

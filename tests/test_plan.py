@@ -1,21 +1,26 @@
-"""The per-level plan: norms, kernel data and node tables built once."""
+"""The per-level data of T: norms, kernel data and node tables, each
+memoised per level."""
 import math
 
 import numpy as np
 import pytest
 
+from awspec import awop, qpolys
 from awspec.awop import (QuadratureRule, kernel_truncation, make_rule,
                          weight_theta_grid)
 from awspec.cli import main
 from awspec.exceptions import DomainError
 from awspec.qcore import QContext, qpoch, qpoch_inf
-from awspec.qpolys import (AWParams, JacobiLevel, _ab, cqjacobi_seq,
-                           level_plan, norm_h, weight_theta)
+from awspec.qpolys import (AWParams, JacobiLevel, _ab, cqjacobi_seq, norm_h,
+                           on_nodes, weight_theta)
 
 # the levels and q values of the benchmark's spectrum workload
 SPECTRUM_LEVELS = [((0.4, 0.4), 0.36), ((0.3, -0.2), 0.5),
                    ((0.3 + 0.5j, 0.3 - 0.5j), 0.6),
                    ((0.3 + 0.5j, 0.3 - 0.5j), 0.8)]
+# the memos of the per-level data that T reads
+T_MEMOS = [qpolys._norm_table, qpolys._node_table, awop._kernel_table,
+           awop.kernel_truncation]
 
 
 def _direct_norm(n, level, ctx):
@@ -64,15 +69,22 @@ class TestNodeTables:
             xs = np.cos(rule.nodes)
             params = AWParams.from_level(level, ctx.q).as_tuple()
             assert np.array_equal(w, weight_theta(params, xs, ctx).real)
-            polys = level_plan(level, ctx).on_nodes(rule.nodes)[1]
+            polys = on_nodes(level, rule.nodes, ctx)[1]
             assert np.array_equal(polys, np.array(cqjacobi_seq(8, level, xs, ctx)))
 
     def test_tables_are_read_only(self, ctx, level):
-        w, polys = level_plan(level, ctx).on_nodes(make_rule(32).nodes)
+        w, polys = on_nodes(level, make_rule(32).nodes, ctx)
         with pytest.raises(ValueError):
             w[0] = 1.0
         with pytest.raises(ValueError):
             polys[0, 0] = 1.0
+
+    def test_nodes_are_keyed_by_their_float_values(self, ctx, level):
+        # the key's bytes are read back as float64 nodes
+        nodes = make_rule(16).nodes.astype(np.float32)
+        w, polys = on_nodes(level, nodes, ctx)
+        want_w, want_polys = on_nodes(level, nodes.astype(float), ctx)
+        assert np.array_equal(w, want_w) and np.array_equal(polys, want_polys)
 
     def test_grid_matches_scalar_weight(self, ctx):
         # the grid's h-products against the literal product form at base
@@ -89,15 +101,20 @@ class TestNodeTables:
 class TestMemo:
     def test_memo_stays_bounded(self):
         ctx = QContext(0.5)
-        bound = level_plan.cache_info().maxsize
-        assert bound is not None
-        for k in range(bound + 5):
-            kernel_truncation(JacobiLevel(0.1 + 0.01 * k, 0.2), ctx)
-            assert level_plan.cache_info().currsize <= bound
+        nodes = make_rule(8).nodes
+        bounds = [memo.cache_info().maxsize for memo in T_MEMOS]
+        assert None not in bounds
+        for k in range(max(bounds) + 5):
+            level = JacobiLevel(0.1 + 0.01 * k, 0.2)
+            kernel_truncation(level, ctx)
+            on_nodes(level, nodes, ctx)
+            for memo, bound in zip(T_MEMOS, bounds):
+                assert memo.cache_info().currsize <= bound
 
     @pytest.mark.parametrize("argv", [["kernel"], ["eigen", "--count", "1"]])
     def test_cold_and_warm_plans_give_identical_bytes(self, tmp_path, argv):
-        level_plan.cache_clear()
+        for memo in T_MEMOS:
+            memo.cache_clear()
         outs = []
         for k in range(2):
             path = tmp_path / f"out{k}.csv"

@@ -9,12 +9,12 @@ from awspec.awop import eval_coeffvector, make_rule, t_quadrature
 from awspec.exceptions import DomainError
 from awspec.qcore import QContext, qpoch_inf
 from awspec.qpolys import JacobiLevel, norm_h
-from awspec.spectral import (EigenResult, an_from_bn, bn_B, bn_C, bn_explicit,
+from awspec.spectral import (EigenResult, _an_from_bn, bn_B, bn_C, bn_explicit,
                              _bn_explicit_nested, bn_minimal_scaled, bn_recurrence,
                              bn_sequence, classical_a_coeffs, eigenvalue_equation,
                              eigen_tail_ratios, eigenfunction, eigenvalues, f_eval,
                              markov_ratio, markov_stieltjes, matrix_oracle,
-                             mu_from_lambda, q_coulomb, recurrence_a_coeffs,
+                             q_coulomb, recurrence_a_coeffs,
                              s_recurrence_coeffs, s_poly, x_nu, _x_nu_series)
 
 CONJ = JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)
@@ -42,7 +42,7 @@ class TestRecurrenceCoeffs:
             lhs = -lam * a[k] * q ** (0.3 / 2 + 0.25)
             a.append((lhs - Q * a[k] - R * a[k - 1]) / P)
         for k in range(12):
-            pred = an_from_bn(k, lam, level, ctx)
+            pred = _an_from_bn(k, lam, level, ctx)
             assert abs(pred - a[k + 1]) <= 1e-12 * max(1.0, abs(a[k + 1]))
 
     def test_symmetric_level_self_coupling_vanishes(self, ctx):
@@ -120,14 +120,14 @@ class TestBn:
 
     def test_an_normalization(self, ctx, level):
         lam = 0.8 + 0.3j
-        assert an_from_bn(0, lam, level, ctx) == 1.0  # a_1 = 1
-        assert an_from_bn(-1, lam, level, ctx) == 0.0  # a_0 = 0
+        assert _an_from_bn(0, lam, level, ctx) == 1.0  # a_1 = 1
+        assert _an_from_bn(-1, lam, level, ctx) == 0.0  # a_0 = 0
 
     def test_an_polynomial_degree(self, ctx, level):
         # a_4(lambda)/a_1 is a polynomial of degree 3: fourth differences
         # vanish, third do not
         h = 0.35
-        vals = [an_from_bn(3, 0.4 + k * h, level, ctx) for k in range(6)]
+        vals = [_an_from_bn(3, 0.4 + k * h, level, ctx) for k in range(6)]
         d3 = [vals[k + 3] - 3 * vals[k + 2] + 3 * vals[k + 1] - vals[k]
               for k in range(2)]
         d4 = vals[4] - 4 * vals[3] + 6 * vals[2] - 4 * vals[1] + vals[0]
@@ -268,9 +268,8 @@ class TestEigenfunction:
         res = eigenvalues(level, ctx, count=1, nmat=50)
         lam = res[0].lam * 1.18
         tail = []
-        bseq = bn_sequence(38, mu_from_lambda(lam, ctx.q), level, ctx)
         for k in range(24, 37):
-            a = an_from_bn(k, lam, level, ctx, bn_value=bseq[k])
+            a = _an_from_bn(k, lam, level, ctx)
             tail.append(abs(norm_h(k + 1, level, ctx)) * abs(a) ** 2)
         assert tail[-1] > 1e6 * tail[0]
 

@@ -1,21 +1,25 @@
 """The memoised recurrence-coefficient tables: bit-identical to the per-step
 loops they replace, kept apart per key, and bounded; and AST checks on the
-source: every memo bounded, and few, route-free, tolerance-free defaults."""
+source: every memo bounded, no frozen dataclass written after its
+construction, and few, route-free, tolerance-free defaults."""
 import ast
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from awspec import qpolys, spectral
+from awspec import awop, qpolys, spectral
 from awspec.qcore import QContext
-from awspec.qpolys import AWParams, JacobiLevel, _ab, aw_phi_seq, cqjacobi_seq
+from awspec.awop import kernel_truncation, make_rule
+from awspec.qpolys import (AWParams, JacobiLevel, _ab, aw_phi_seq, cqjacobi_seq,
+                           on_nodes)
 from awspec.spectral import bn_B, bn_C, bn_minimal_scaled, f_eval, matrix_oracle
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "awspec"
 LEVELS = [JacobiLevel(0.3, -0.2), JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)]
 MEMOS = [qpolys._aw_table, qpolys._cq_table, spectral._miller_table,
-         spectral._oracle_table, spectral._f_products]
+         spectral._oracle_table, spectral._f_products, qpolys._norm_table,
+         qpolys._node_table, awop._kernel_table, awop.kernel_truncation]
 
 
 def _clear_tables():
@@ -175,12 +179,15 @@ class TestMemo:
     def test_memo_stays_bounded(self, memo):
         bound = memo.cache_info().maxsize
         assert bound is not None
+        nodes = make_rule(8).nodes
         for k in range(bound + 5):
             level, ctx = JacobiLevel(0.1 + 0.01 * k, 0.2), QContext(0.5)
             cqjacobi_seq(4, level, 0.3, ctx)
             bn_minimal_scaled(2, 1.5, level, ctx)
             matrix_oracle(3, level, ctx)
             f_eval(1.5, level, ctx)
+            kernel_truncation(level, ctx)
+            on_nodes(level, nodes, ctx)
             assert memo.cache_info().currsize <= bound
 
 
@@ -240,10 +247,24 @@ def test_every_memo_is_bounded():
                         assert isinstance(size, ast.Constant), where
                         size = size.value
                     assert isinstance(size, int) and size > 0, where
-    assert seen >= len(MEMOS) + 2  # the memos above, level_plan, build_parser
+    assert seen >= len(MEMOS) + 1  # the memos above and build_parser
 
 
-MAX_DEFAULTS = 23  # defaulted function parameters in src/awspec, lambdas not counted
+def test_frozen_dataclasses_are_set_only_in_post_init():
+    # a frozen dataclass written after construction carries state that its
+    # hash and equality do not see; a memo keeps that state instead
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                   for node in ast.walk(fn)}
+        written = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and id(node) not in allowed
+                   and _dotted(node.func) == "object.__setattr__"]
+        assert not written, f"{path.name}: object.__setattr__ on lines {written}"
+
+
+MAX_DEFAULTS = 22  # defaulted function parameters in src/awspec, lambdas not counted
 # cqjacobi keeps method="phi": the benchmark checks its rows against the 4phi3
 ROUTED = {("qpolys.py", "cqjacobi")}
 
