@@ -248,14 +248,33 @@ def _cq_factors(nmax, al, q):
     return cs
 
 
-def cqjacobi_seq(nmax, level, x, ctx):
-    """[P_0, ..., P_nmax] at ``x`` (scalar or ndarray), Askey-Wilson form,
-    base q: c_n phi_n with c_n and the coefficients of phi_n's recurrence
-    read from memoised tables."""
+def _cqjacobi_rows(nmax, level, x, ctx):
     q = ctx.q
     al, _ = _ab(level)
     seq = aw_phi_seq(nmax, AWParams.from_level(level, q), x, q)
     return [c * p for c, p in zip(_cq_factors(nmax, al, q), seq)]
+
+
+@functools.lru_cache(maxsize=_COEFF_TABLES)
+def _point_table(level, ctx, dtype, shape, key):
+    return []
+
+
+def cqjacobi_seq(nmax, level, x, ctx):
+    """[P_0, ..., P_nmax] at ``x`` (scalar or ndarray), Askey-Wilson form,
+    base q: c_n phi_n with c_n and the coefficients of phi_n's recurrence
+    read from memoised tables.  For an ndarray the rows are read-only and
+    read from a table memoised per (level, ctx) and point set, grown on
+    demand."""
+    if not (isinstance(x, np.ndarray) and x.ndim):
+        return _cqjacobi_rows(nmax, level, x, ctx)
+    rows = _point_table(level, ctx, x.dtype.str, x.shape, x.tobytes())
+    n = max(nmax, 0) + 1
+    if len(rows) < n:
+        rows[:] = _cqjacobi_rows(nmax, level, x, ctx)
+        for row in rows:
+            row.flags.writeable = False
+    return rows[:n]
 
 
 def cqjacobi(n, level, x, ctx, method="auto"):

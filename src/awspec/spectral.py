@@ -23,6 +23,7 @@ Numerical conventions that matter here:
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -284,11 +285,20 @@ def bn_minimal_scaled(nmax, xi, level, ctx):
     exponentially contaminated; backward recursion with tail seed (0, 1)
     and normalization w_0 = 1 recovers it.  w_n tends to the constant of
     the root asymptotics.  The recurrence coefficients are read from a
-    table memoised per (level, q)."""
+    table memoised per (level, q).
+
+    The recurrence starts 40 steps past the last w_n kept, or lower where
+    C_k ~ q^k is no longer a normal float (small q); it raises
+    ``DomainError`` when that leaves no step past w_nmax."""
     if xi == 0:
         raise DomainError("bn_minimal_scaled: xi must be nonzero")
-    M = nmax + 40  # the recurrence starts 40 steps past the last w_n kept
+    M = nmax + 40
     coeffs = _miller_coeffs(M, level, ctx.q)
+    while M > nmax and abs(coeffs[M][1]) < sys.float_info.min:
+        M -= 1
+    if M == nmax:
+        raise DomainError(f"bn_minimal_scaled: C_k underflows below k = "
+                          f"{nmax + 1} at q = {ctx.q}")
     xi2 = xi * xi
     w = [0.0 + 0.0j] * (M + 2)
     w[M + 1] = 0.0

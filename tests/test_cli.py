@@ -246,6 +246,29 @@ class TestOutputs:
         digest = hashlib.md5("".join(lines[:27]).encode()).hexdigest()
         assert digest == "986dd9f68c157612b854d14767881814"
 
+    @pytest.mark.parametrize("alpha", ["0.3", "0.3+0.5j"])
+    def test_eigen_and_eigfun_at_tiny_q(self, tmp_path, alpha):
+        # at q = 1e-4 the Miller coefficient C_k underflows to 0 for k >= 80,
+        # inside the recurrence that started at k = 88: exit 1, traceback
+        level = ["--q", "1e-4", "--alpha", alpha] + (["--beta", "conj"]
+                                                     if "j" in alpha else [])
+        out = tmp_path / "e.csv"
+        assert main(["eigen", "--count", "1", "--out", str(out)] + level) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[-1] == "true" and float(row[6]) <= 1e-12
+        assert main(["eigfun", "--out", str(out)] + level) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        samples = [r for r in rows if r[0] == "sample"]
+        assert len(samples) == 21
+        assert all(math.isfinite(float(v)) for r in rows for v in r[2:])
+
+    def test_q_too_small_for_the_eigenfunction_is_a_usage_error(self):
+        # at q = 1e-8, C_k underflows below the 48 coefficients kept
+        r = _run(["eigfun", "--q", "1e-8"])
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: bn_minimal_scaled: C_k underflows")
+        assert "Traceback" not in r.stderr
+
     def test_beta_conj_spelling(self, tmp_path):
         out = tmp_path / "p.csv"
         rc = main(["poly", "--alpha", "0.3+0.5j", "--beta", "conj",

@@ -1,7 +1,8 @@
-"""The memoised recurrence-coefficient tables: bit-identical to the per-step
-loops they replace, kept apart per key, and bounded; and AST checks on the
-source: every memo bounded, no frozen dataclass written after its
-construction, and few, route-free, tolerance-free defaults."""
+"""The memoised recurrence-coefficient and point-set tables: bit-identical
+to the per-step loops they replace, kept apart per key, and bounded; and
+AST checks on the source: every memo bounded and listed, no frozen
+dataclass written after its construction, and few, route-free,
+tolerance-free defaults."""
 import ast
 from pathlib import Path
 
@@ -19,7 +20,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "awspec"
 LEVELS = [JacobiLevel(0.3, -0.2), JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)]
 MEMOS = [qpolys._aw_table, qpolys._cq_table, spectral._miller_table,
          spectral._oracle_table, spectral._f_products, qpolys._norm_table,
-         qpolys._node_table, awop._kernel_table, awop.kernel_truncation]
+         qpolys._node_table, awop._kernel_table, awop.kernel_truncation,
+         qpolys._point_table]
 
 
 def _clear_tables():
@@ -163,6 +165,81 @@ def test_abcd_equal_to_q_cancels_only_the_first_entry(q):
     assert table[1:] == [_aw_step(n, *params, q) for n in range(1, 9)]
 
 
+def _point_sets():
+    xs = np.linspace(-0.9, 0.9, 7)
+    # the node cosines of T, the two grids of kernel_eval, a complex array
+    return {"nodes": np.cos(make_rule(48).nodes), "rows": xs[:, None],
+            "cols": xs[None, :], "complex": xs + 0.25j * xs[::-1]}
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=["real", "conj"])
+@pytest.mark.parametrize("name", ["nodes", "rows", "cols", "complex"])
+def test_point_table_matches_loop(level, name):
+    x = _point_sets()[name]
+    ctx = QContext(0.6)
+    # short reads after a long one, then a long read after a short one
+    for reads in ((48, 5, 0), (5, 48)):
+        _clear_tables()
+        for nmax in reads:
+            got = cqjacobi_seq(nmax, level, x, ctx)
+            assert got[0].shape == x.shape
+            _same(got, _cqjacobi_seq_loop(nmax, level, x, ctx))
+        info = qpolys._point_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_point_tables_are_kept_per_shape_and_dtype():
+    _clear_tables()
+    level, ctx = LEVELS[1], QContext(0.6)
+    xs = np.linspace(-0.8, 0.8, 4)
+    z = np.array([0.25 + 0.5j, -0.5 + 0.25j, 0.125 - 0.75j, 0.5 + 0.125j],
+                 dtype=np.complex64)
+    sets = [xs, xs.reshape(2, 2), xs[:, None], xs[None, :], z, z.view(np.float64)]
+    assert len({x.tobytes() for x in sets[:4]}) == 1
+    assert z.tobytes() == sets[5].tobytes()
+    for x in sets:
+        got = cqjacobi_seq(6, level, x, ctx)
+        assert got[0].shape == x.shape
+        _same(got, _cqjacobi_seq_loop(6, level, x, ctx))
+    assert qpolys._point_table.cache_info().currsize == len(sets)
+
+
+def test_point_table_rows_are_read_only():
+    rows = cqjacobi_seq(4, LEVELS[0], np.linspace(-0.5, 0.5, 3), QContext(0.6))
+    for row in rows:
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=["real", "conj"])
+def test_eval_coeffvector_on_nodes_matches_the_fold(level):
+    _clear_tables()
+    ctx = QContext(0.5)
+    ys = np.cos(make_rule(48).nodes)
+    a = spectral.eigenvalues(level, ctx, count=1)[0].coeffs
+    # the left fold over the loop's rows; the bytes count signed zeros
+    want = sum(c * p for c, p in zip(a.coeffs, _cqjacobi_seq_loop(
+        a.length - 1, level, ys, ctx)))
+    for _ in range(2):  # the table cold, then warm
+        assert awop.eval_coeffvector(a, ys, ctx).tobytes() == want.tobytes()
+
+
+def test_t_builds_the_eigenfunction_table_once():
+    _clear_tables()
+    level, ctx = LEVELS[0], QContext(0.5)
+    rule = make_rule(48)
+    a = spectral.eigenvalues(level, ctx, count=1)[0].coeffs
+    awop.t_quadrature(lambda t: t, 0.0, level, rule, ctx)  # T's per-level data
+    before = qpolys._point_table.cache_info()
+    xs = (-0.6, -0.1, 0.3, 0.7)
+    for x in xs:
+        awop.t_quadrature(lambda t: awop.eval_coeffvector(a, t, ctx), x, level,
+                          rule, ctx)
+    after = qpolys._point_table.cache_info()
+    assert after.misses == before.misses + 1
+    assert after.hits == before.hits + len(xs) - 1
+
+
 class TestMemo:
     def test_f_eval_tables_are_kept_per_tol(self):
         level = JacobiLevel(0.3, -0.2)
@@ -182,7 +259,7 @@ class TestMemo:
         nodes = make_rule(8).nodes
         for k in range(bound + 5):
             level, ctx = JacobiLevel(0.1 + 0.01 * k, 0.2), QContext(0.5)
-            cqjacobi_seq(4, level, 0.3, ctx)
+            cqjacobi_seq(4, level, np.cos(nodes), ctx)
             bn_minimal_scaled(2, 1.5, level, ctx)
             matrix_oracle(3, level, ctx)
             f_eval(1.5, level, ctx)
@@ -212,7 +289,7 @@ def test_every_memo_is_bounded():
     # an unbounded memo grows for the life of the process; a bound must be
     # a positive integer constant, and functools.cache only memoises a
     # function of no arguments
-    seen = 0
+    seen = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         consts = _int_constants(tree)
@@ -229,12 +306,12 @@ def test_every_memo_is_bounded():
                 name = _dotted(dec.func if isinstance(dec, ast.Call) else dec)
                 where = f"{path.name}:{fn.name}"
                 if name in ("functools.cache", "cache"):
-                    seen += 1
+                    seen.append(f"{path.stem}.{fn.name}")
                     args = fn.args
                     assert not (args.posonlyargs or args.args or args.vararg
                                 or args.kwonlyargs or args.kwarg), where
                 elif name in ("functools.lru_cache", "lru_cache"):
-                    seen += 1
+                    seen.append(f"{path.stem}.{fn.name}")
                     assert isinstance(dec, ast.Call), f"{where}: no explicit maxsize"
                     sizes = [k.value for k in dec.keywords if k.arg == "maxsize"]
                     sizes += dec.args[:1]
@@ -247,7 +324,9 @@ def test_every_memo_is_bounded():
                         assert isinstance(size, ast.Constant), where
                         size = size.value
                     assert isinstance(size, int) and size > 0, where
-    assert seen >= len(MEMOS) + 1  # the memos above and build_parser
+    # every memo is listed in MEMOS, and so goes through the bound test
+    listed = [f"{m.__module__.rsplit('.', 1)[-1]}.{m.__name__}" for m in MEMOS]
+    assert sorted(seen) == sorted(listed + ["cli.build_parser"])
 
 
 def test_frozen_dataclasses_are_set_only_in_post_init():
