@@ -4,8 +4,8 @@ integral operator T (coefficient-space and quadrature forms).
 
 Quadrature convention: every integral over [-1, 1] is pulled back with
 x = cos(theta), which cancels the (1-x^2)^{-1/2} weight singularity into a
-smooth integrand on [0, pi]; a Gauss-Legendre rule in theta with automatic
-node doubling then converges spectrally.
+smooth integrand on [0, pi]; a Gauss-Legendre rule in theta then converges
+spectrally.
 """
 import functools
 import math
@@ -22,7 +22,7 @@ __all__ = [
     "CoeffVector", "QuadratureRule", "make_rule", "weight_theta_grid",
     "dq_pointwise", "xi_factor", "t_factor", "dq_coeffs", "t_coeffs",
     "kernel_truncation", "kernel_eval", "t_quadrature", "eval_coeffvector",
-    "quad_weighted", "operator_residual",
+    "operator_residual",
 ]
 
 
@@ -76,12 +76,6 @@ def weight_theta_grid(level, rule, ctx):
     complex weight (the parameter multiset is not conjugation-stable), and
     the orthogonality relation holds bilinearly against it."""
     return on_nodes(level, rule.nodes, ctx)[0]
-
-
-def quad_weighted(level, rule, ctx, values):
-    """Integral over [-1,1] of f(x) w(x) dx given f at the rule's cos-nodes."""
-    w = weight_theta_grid(level, rule, ctx)
-    return np.sum(rule.weights * w * values)
 
 
 def eval_coeffvector(f, x, ctx):
@@ -209,35 +203,24 @@ def kernel_truncation(level, ctx):
     return n
 
 
-def kernel_eval(x, y, level, ctx, nterms=None):
+def kernel_eval(x, y, level, ctx):
     """Kernel K_{a,b;q}(x, y): partial sum of the bilinear series to
-    ``nterms`` terms (chosen from the tail bound when omitted).  ``x`` and
-    ``y`` may be arrays that broadcast against each other."""
-    if nterms is None:
-        nterms = kernel_truncation(level, ctx)
+    ``kernel_truncation(level, ctx)`` terms.  ``x`` and ``y`` may be arrays
+    that broadcast against each other."""
+    nterms = kernel_truncation(level, ctx)
     py = np.array(cqjacobi_seq(nterms - 1, level.shifted(1), y, ctx))
     return _kernel_sum(x, py, level, ctx)
 
 
-def t_quadrature(g, x, level, rule, ctx, return_error=False):
+def t_quadrature(g, x, level, rule, ctx):
     """(T g)(x) by quadrature of the truncated-kernel integral
     int K(x,y) g(y) w_{a+1,b+1}(y) dy.
 
     ``g`` is called once per rule, on the ndarray of the rule's node
-    cosines; a constant result broadcasts.  ``x`` may be an array.  With
-    ``return_error`` the difference against the doubled rule is reported
-    alongside the value.
+    cosines; a constant result broadcasts.  ``x`` may be an array.
     """
     if rule.size < 2:
         raise DomainError("t_quadrature: the rule needs at least 2 nodes")
-    val = _t_quad_once(g, x, level, rule, ctx)
-    if not return_error:
-        return val
-    val2 = _t_quad_once(g, x, level, make_rule(2 * rule.size), ctx)
-    return val2, abs(val2 - val)
-
-
-def _t_quad_once(g, x, level, rule, ctx):
     # the rule resolves moments only up to ~half its node count (beyond
     # that the oscillatory P_n alias); within that, moments below the
     # quadrature noise floor carry no information, and at complex x (the

@@ -219,7 +219,7 @@ def _cmd_kernel(args):
     nterms = awop.kernel_truncation(level, ctx)
     header = ["x", "y", "value_re", "value_im"]
     grid = np.linspace(-0.8, 0.8, args.grid)
-    values = awop.kernel_eval(grid[:, None], grid[None, :], level, ctx, nterms)
+    values = awop.kernel_eval(grid[:, None], grid[None, :], level, ctx)
     rows = [[fmt(x), fmt(y), *fmt_c(values[i, j])]
             for i, x in enumerate(grid) for j, y in enumerate(grid)]
     _emit(args, header, rows, {"nterms": str(nterms)})
@@ -231,7 +231,7 @@ def _cmd_expand(args):
     header = ["kind", "index_or_x", "value_re", "value_im"]
     coeffs = [qexp.am_coeff(m, args.r, level, ctx) for m in range(args.mmax + 1)]
     xs = np.linspace(-0.8, 0.8, args.grid)
-    resids = qexp._truncation_residual(coeffs, xs, args.r, level, ctx)
+    resids = qexp.expansion_residual(coeffs, xs, args.r, level, ctx)
     rows = [["coeff", str(m), *fmt_c(a)] for m, a in enumerate(coeffs)]
     rows += [["residual", fmt(x), fmt(e), fmt(0.0)] for x, e in zip(xs, resids)]
     _emit(args, header, rows, {"r": str(args.r), "mmax": str(args.mmax)})

@@ -140,17 +140,15 @@ def cf_minimal_ratio(system, lam, ctx, depth=200, max_depth=12800):
     raise NonConvergenceError("cf_minimal_ratio: depth doubling did not settle")
 
 
-def telescope_residual(f, a_fn, b_fn, c_fn, n, x, sign=+1):
+def telescope_residual(f, a_fn, b_fn, c_fn, n, x):
     """Residual of the telescoping identity, anchored at order nu0 = 0,
 
         C_{nu0} ... C_{nu0+n-1} f(nu0+n)
-            = f_{n,nu0}(x) f(nu0) +- f_{n-1,nu0+1}(x) f(nu0-1)
+            = f_{n,nu0}(x) f(nu0) + f_{n-1,nu0+1}(x) f(nu0-1)
 
-    for a family satisfying C_nu f(nu+1) = (A_nu x + B_nu) f(nu) +- f(nu-1),
+    for a family satisfying C_nu f(nu+1) = (A_nu x + B_nu) f(nu) + f(nu-1),
     with the companion polynomials built from the same coefficient data.
     The residual is normalized by the largest participating term."""
-    if sign not in (+1, -1):
-        raise DomainError("sign must be +1 or -1")
     nu0 = 0.0  # a real order: f and the coefficients take real nu
 
     def poly_seq(nu, count):
@@ -159,7 +157,7 @@ def telescope_residual(f, a_fn, b_fn, c_fn, n, x, sign=+1):
             vals.append(a_fn(nu) * x + b_fn(nu))
         for k in range(1, count):
             vals.append((a_fn(nu + k) * x + b_fn(nu + k)) * vals[k]
-                        + sign * c_fn(nu + k - 1) * vals[k - 1])
+                        + c_fn(nu + k - 1) * vals[k - 1])
         return vals
 
     cprod = 1.0 + 0.0j
@@ -168,7 +166,7 @@ def telescope_residual(f, a_fn, b_fn, c_fn, n, x, sign=+1):
     lhs = cprod * f(nu0 + n)
     pn = poly_seq(nu0, n)[n]
     pn1 = poly_seq(nu0 + 1, n - 1)[n - 1] if n >= 1 else 0.0
-    rhs = pn * f(nu0) + sign * pn1 * f(nu0 - 1)
+    rhs = pn * f(nu0) + pn1 * f(nu0 - 1)
     scale = max(abs(lhs), abs(pn * f(nu0)), abs(pn1 * f(nu0 - 1)), 1e-300)
     return abs(lhs - rhs) / scale
 

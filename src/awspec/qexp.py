@@ -43,9 +43,9 @@ _HERMITE_TERMS = 90  # term budget of hermite_series
 _E_SERIES_TERMS = 60  # term budget and family size of e_series_invariant
 
 
-def eq_exp(x, a, b, ctx, nmax=None):
+def eq_exp(x, a, b, ctx):
     """E_q(x; a, b): series with the q^{n^2/4} term scale, summed by
-    ``backend.sum_series`` within the term budget ``nmax``.
+    ``backend.sum_series`` within a term budget set by |ab|.
 
     Each term's finite shifted factorial is computed as the direct
     2n-factor product.  The q^{n^2/4} decay exactly offsets the growth of
@@ -59,11 +59,10 @@ def eq_exp(x, a, b, ctx, nmax=None):
             "eq_exp: series converges only for |a*b| < 1")
     if b == 0:
         return 1.0 + 0.0j
-    if nmax is None:
-        # terms decay like |ab|^n; budget for the slow near-boundary cases
-        r = abs(a * b)
-        est = 240 if r < 0.6 else int(math.log(ctx.tol * 1e-2) / math.log(r)) + 60
-        nmax = min(MAX_TERMS, max(240, est))
+    # terms decay like |ab|^n; budget for the slow near-boundary cases
+    r = abs(a * b)
+    est = 240 if r < 0.6 else int(math.log(ctx.tol * 1e-2) / math.log(r)) + 60
+    nmax = min(MAX_TERMS, max(240, est))
     return sum_series(_eq_exp_terms(exp_itheta(x), a, b, q), ctx.tol, nmax,
                       "eq_exp")
 
@@ -176,9 +175,8 @@ def _aw_projections(mmax, values, level, rule, ctx):
             for m in range(mmax + 1)]
 
 
-def jm_quadrature(m, a, r, level, ctx, rule=None):
-    """J_m(a; r) by quadrature of the defining weighted integral."""
-    rule = rule if rule is not None else make_rule(_QUAD_NODES)
+def jm_quadrature(m, a, r, level, ctx, rule):
+    """J_m(a; r) by quadrature of the defining weighted integral on ``rule``."""
     ev = np.array([eq_exp(x, a, r, ctx) for x in np.cos(rule.nodes)])
     return complex(_aw_projections(m, ev, level, rule, ctx)[m])
 
@@ -197,16 +195,10 @@ def imn_quadrature(m, n, a, level, ctx):
     return complex(_aw_projections(m, hr, level, rule, ctx)[m])
 
 
-def expansion_residual(x, r, level, ctx, m_trunc=25):
+def expansion_residual(coeffs, x, r, level, ctx):
     """|E_q(x; -i, r) - sum_{m<=M} a_m p_m(x; b, b sqrt q, -c, -c sqrt q)| at
-    a point or at every point of an ndarray ``x``.  The coefficients a_m
-    are summed once per call, whatever the number of points."""
-    coeffs = [am_coeff(m, r, level, ctx) for m in range(m_trunc + 1)]
-    return _truncation_residual(coeffs, x, r, level, ctx)
-
-
-def _truncation_residual(coeffs, x, r, level, ctx):
-    """expansion_residual from the coefficient list a_0..a_M."""
+    a point or at every point of an ndarray ``x``, given the coefficient
+    list ``coeffs`` = [a_0, ..., a_M] (``am_coeff``)."""
     q = ctx.q
     params = _expansion_params(level, q)
     if isinstance(x, np.ndarray):

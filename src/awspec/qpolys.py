@@ -376,7 +376,7 @@ def _node_table(level, ctx, key):
     xs = np.cos(nodes)
     w = weight_theta(AWParams.from_level(level, ctx.q).as_tuple(), xs, ctx)
     w = w.real if level.is_real else w
-    polys = np.array(cqjacobi_seq(len(xs) // 2, level, xs, ctx))
+    polys = np.array(_cqjacobi_rows(len(xs) // 2, level, xs, ctx))
     w.flags.writeable = polys.flags.writeable = False
     return w, polys
 

@@ -314,14 +314,13 @@ def bn_minimal_scaled(nmax, xi, level, ctx):
     return [w[n] * c for n in range(nmax + 1)]
 
 
-def bn0_scaled_sequence(nmax, level, ctx, u=None):
+def bn0_scaled_sequence(nmax, level, ctx):
     """r_n = b_n(0) / (p^{n^2/2} u^n) by the rescaled forward recurrence
-    (no under/overflow for any q).  ``u`` defaults to the corrected
-    zero-asymptotics base from zero_asymptotics_constants."""
+    (no under/overflow for any q), with u the corrected zero-asymptotics
+    base from zero_asymptotics_constants."""
     q = ctx.q
     p = math.sqrt(q)
-    if u is None:
-        u = zero_asymptotics_constants(level, ctx)[0]
+    u = zero_asymptotics_constants(level, ctx)[0]
     vals = [1.0 + 0.0j]
     rm1, r0 = 0.0 + 0.0j, 1.0 + 0.0j
     for n in range(nmax):
@@ -540,14 +539,15 @@ def _newton_f(mu0, level, ctx):
     return mu, abs(f_eval(mu, level, ctx)) < 1e-9
 
 
-def eigenvalues(level, ctx, count=5, nmat=80, operator_residual=None):
-    """Locate eigenvalues: truncated-matrix seeds, Newton refinement on F
-    in the mu variable, residual certification, and the eigenfunction
-    coefficients a_0..a_48.  Results sorted by (|lambda| desc, arg lambda);
-    conjugate-pair symmetry is enforced for real parameter levels.  Seeds
-    that fail to refine are reported with ``converged=False``, never
-    dropped.  A root within 1e-10 |lambda| of one already kept is dropped,
-    and further seeds are refined while fewer than ``count`` are kept."""
+def eigenvalues(level, ctx, count, nmat, operator_residual=None):
+    """Locate ``count`` eigenvalues: seeds from the ``nmat``-square
+    truncated matrix, Newton refinement on F in the mu variable, residual
+    certification, and the eigenfunction coefficients a_0..a_48.  Results
+    sorted by (|lambda| desc, arg lambda); conjugate-pair symmetry is
+    enforced for real parameter levels.  Seeds that fail to refine are
+    reported with ``converged=False``, never dropped.  A root within 1e-10
+    |lambda| of one already kept is dropped, and further seeds are refined
+    while fewer than ``count`` are kept."""
     q = ctx.q
     seeds = [ev for ev in matrix_oracle(nmat, level, ctx) if abs(ev) > 1e-13]
     if level.is_real:

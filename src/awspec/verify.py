@@ -444,8 +444,8 @@ def _asymp_zero(config):
     for (al, be) in [(0.5, -0.25), (-0.25, 0.5)]:
         level = JacobiLevel(al, be)
         ctx = config.ctx
-        u, C = spectral.zero_asymptotics_constants(level, ctx)
-        r = spectral.bn0_scaled_sequence(61, level, ctx, u)
+        C = spectral.zero_asymptotics_constants(level, ctx)[1]
+        r = spectral.bn0_scaled_sequence(61, level, ctx)
         drifts = [abs(r[n + 1] / r[n] - 1.0) for n in range(58, 61)]
         errs.append((abs(r[60] - C) / abs(C), 1e-3))
         errs += [(d, 1e-4) for d in drifts]
@@ -584,8 +584,9 @@ def _expansion_residual(config):
     for (al, be) in [(0.3, -0.2), (0.5, -0.25), (0.1, 0.4)]:
         level = JacobiLevel(al, be)
         for r in (0.1, 0.3, 0.5j):
-            resids = qexp.expansion_residual(np.array([0.2, -0.5]), r, level,
-                                             config.ctx, m_trunc=25)
+            coeffs = [qexp.am_coeff(m, r, level, config.ctx) for m in range(26)]
+            resids = qexp.expansion_residual(coeffs, np.array([0.2, -0.5]), r,
+                                             level, config.ctx)
             errs += resids.tolist()
     return errs, "3 param sets x r in {0.1, 0.3, 0.5i}"
 
@@ -725,7 +726,7 @@ def _fw_telescope(config):
         for n in range(1, 9):
             errs.append(framework.telescope_residual(
                 f, lambda nu: 1.0, lambda nu: spectral.bn_B(nu, level, q),
-                lambda nu: spectral.bn_C(nu + 1, level, q), n, x, sign=+1))
+                lambda nu: spectral.bn_C(nu + 1, level, q), n, x))
     xs = 0.9 + 0.3j
 
     def fs(nu):
@@ -734,7 +735,7 @@ def _fw_telescope(config):
     broken = framework.telescope_residual(
         fs, lambda nu: 1.0, lambda nu: spectral.bn_B(nu, level, q),
         lambda nu: spectral.bn_C(nu + 1, level, q) * (1.5 if nu == 2 else 1.0),
-        6, xs, sign=+1)
+        6, xs)
     errs.append(float(not broken >= 1e-4))  # a NaN control fails too
     return errs, f"n <= 8, 4 x-draws; control residual {broken:.1e}"
 

@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from awspec import awop, qexp, qpolys, verify
+from awspec import awop, cli, qexp, qpolys, verify
 from awspec.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -171,6 +172,28 @@ class TestOutputs:
         assert set(doc) == {"config", "results", "diagnostics"}
         assert all(isinstance(v, str) for row in doc["results"]
                    for v in row.values())
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--grid", "4"],
+        ["kernel", "--grid", "3", "--q", "0.7", "--alpha", "0.3+0.5j",
+         "--beta", "conj"],
+    ])
+    def test_kernel_reports_the_truncation_it_sums(self, tmp_path, argv):
+        # the printed nterms and the printed values are computed apart;
+        # both must be the kernel_truncation of the request's level
+        out = tmp_path / "k.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        args = build_parser().parse_args(argv)
+        ctx, level = cli._config(args)
+        nterms = awop.kernel_truncation(level, ctx)
+        assert doc["diagnostics"]["nterms"] == str(nterms)
+        grid = np.linspace(-0.8, 0.8, args.grid)
+        py = np.array(qpolys.cqjacobi_seq(nterms - 1, level.shifted(1),
+                                          grid[None, :], ctx))
+        want = awop._kernel_sum(grid[:, None], py, level, ctx)
+        got = [(row["value_re"], row["value_im"]) for row in doc["results"]]
+        assert got == [cli.fmt_c(v) for v in want.ravel()]
 
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.csv"

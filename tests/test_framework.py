@@ -93,7 +93,7 @@ class TestTelescope:
         for n in range(1, 9):
             resid = telescope_residual(
                 f, lambda nu: 1.0, lambda nu: bn_B(nu, level, q),
-                lambda nu: bn_C(nu + 1, level, q), n, x, sign=+1)
+                lambda nu: bn_C(nu + 1, level, q), n, x)
             assert resid <= 1e-10
 
     def test_single_step_reduces_to_defining_relation(self, ctx, level):
@@ -102,7 +102,7 @@ class TestTelescope:
         f = lambda nu: x_nu(nu, x, level, ctx)
         resid = telescope_residual(
             f, lambda nu: 1.0, lambda nu: bn_B(nu, level, q),
-            lambda nu: bn_C(nu + 1, level, q), 1, x, sign=+1)
+            lambda nu: bn_C(nu + 1, level, q), 1, x)
         assert resid <= 1e-13
 
     def test_perturbation_control(self, ctx, level):
@@ -112,7 +112,7 @@ class TestTelescope:
         resid = telescope_residual(
             f, lambda nu: 1.0, lambda nu: bn_B(nu, level, q),
             lambda nu: bn_C(nu + 1, level, q) * (1.5 if nu == 2 else 1.0),
-            6, x, sign=+1)
+            6, x)
         assert resid > 1e-4
 
 

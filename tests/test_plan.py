@@ -86,6 +86,15 @@ class TestNodeTables:
         want_w, want_polys = on_nodes(level, nodes.astype(float), ctx)
         assert np.array_equal(w, want_w) and np.array_equal(polys, want_polys)
 
+    def test_t_keeps_no_point_table_of_its_nodes(self, ctx, level):
+        # the node rows live in the node table alone; a constant g at a
+        # scalar x evaluates no polynomial at any other point set
+        for memo in T_MEMOS + [qpolys._point_table]:
+            memo.cache_clear()
+        awop.t_quadrature(lambda t: 1.0, 0.3, level, make_rule(48), ctx)
+        assert qpolys._node_table.cache_info().currsize == 1
+        assert qpolys._point_table.cache_info().currsize == 0
+
     def test_grid_matches_scalar_weight(self, ctx):
         # the grid's h-products against the literal product form at base
         # sqrt(q), evaluated one node at a time

@@ -1,9 +1,10 @@
 """The memoised recurrence-coefficient and point-set tables: bit-identical
 to the per-step loops they replace, kept apart per key, and bounded; and
 AST checks on the source: every memo bounded and listed, no frozen
-dataclass written after its construction, and few, route-free,
-tolerance-free defaults."""
+dataclass written after its construction, few, route-free,
+tolerance-free defaults, and every exported name defined."""
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -216,7 +217,7 @@ def test_eval_coeffvector_on_nodes_matches_the_fold(level):
     _clear_tables()
     ctx = QContext(0.5)
     ys = np.cos(make_rule(48).nodes)
-    a = spectral.eigenvalues(level, ctx, count=1)[0].coeffs
+    a = spectral.eigenvalues(level, ctx, count=1, nmat=80)[0].coeffs
     # the left fold over the loop's rows; the bytes count signed zeros
     want = sum(c * p for c, p in zip(a.coeffs, _cqjacobi_seq_loop(
         a.length - 1, level, ys, ctx)))
@@ -228,7 +229,7 @@ def test_t_builds_the_eigenfunction_table_once():
     _clear_tables()
     level, ctx = LEVELS[0], QContext(0.5)
     rule = make_rule(48)
-    a = spectral.eigenvalues(level, ctx, count=1)[0].coeffs
+    a = spectral.eigenvalues(level, ctx, count=1, nmat=80)[0].coeffs
     awop.t_quadrature(lambda t: t, 0.0, level, rule, ctx)  # T's per-level data
     before = qpolys._point_table.cache_info()
     xs = (-0.6, -0.1, 0.3, 0.7)
@@ -343,7 +344,7 @@ def test_frozen_dataclasses_are_set_only_in_post_init():
         assert not written, f"{path.name}: object.__setattr__ on lines {written}"
 
 
-MAX_DEFAULTS = 22  # defaulted function parameters in src/awspec, lambdas not counted
+MAX_DEFAULTS = 13  # defaulted function parameters in src/awspec, lambdas not counted
 # cqjacobi keeps method="phi": the benchmark checks its rows against the 4phi3
 ROUTED = {("qpolys.py", "cqjacobi")}
 
@@ -359,7 +360,7 @@ def _defaulted(fn):
 def test_defaults_are_few_and_set_no_route_or_tolerance():
     # a default nothing overrides is a constant, a route is a private
     # oracle, and a tolerance comes from a QContext or the caller
-    count = 0
+    counted = []
     for path in sorted(SRC.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -371,5 +372,18 @@ def test_defaults_are_few_and_set_no_route_or_tolerance():
                 assert not names & {"method", "route"}, f"{where}: a route selector"
             defaulted = _defaulted(fn)
             assert "tol" not in {a.arg for a in defaulted}, f"{where}: tol has a default"
-            count += len(defaulted)
-    assert count <= MAX_DEFAULTS
+            counted += [f"{where}({a.arg})" for a in defaulted]
+    assert len(counted) <= MAX_DEFAULTS, (
+        f"{len(counted)} defaulted parameters: {', '.join(counted)}")
+
+
+def test_every_exported_name_resolves():
+    # Python reads __all__ only on `import *`, so a deleted function could
+    # otherwise stay exported
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "awspec" if path.stem == "__init__" else f"awspec.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ())
+                    if not hasattr(module, n)]
+    assert not missing, f"exported but not defined: {', '.join(missing)}"
