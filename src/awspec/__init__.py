@@ -8,18 +8,17 @@ everything layered on top is pure Python + numpy.
 from .backend import BACKEND
 from .exceptions import (DomainError, NonConvergenceError, PoleError,
                          QSeriesError)
-from .qcore import (HypergeometricSpec, QContext, exp_itheta, h_product,
-                    phi, qpoch, qpoch_inf, qpoch_multi, rphis, w8w7)
+from .qcore import (QContext, exp_itheta, h_product, phi, qpoch, qpoch_inf,
+                    qpoch_multi)
 from .qpolys import (AWParams, ConnectionTriple, JacobiLevel, aw_norm,
-                     aw_poly, connection_down, cqjacobi, cqjacobi_classical,
-                     cqjacobi_seq, dual_expansion, dual_expansion_aw,
-                     hermite_h, kappa_aw, norm_h, weight_w)
+                     connection_down, cqjacobi, cqjacobi_seq,
+                     dual_expansion_aw, hermite_h, kappa_aw, norm_h)
 from .awop import (CoeffVector, QuadratureRule, dq_coeffs, dq_pointwise,
                    eval_coeffvector, kernel_eval, make_rule, t_coeffs,
                    t_factor, t_quadrature, xi_factor)
-from .spectral import (EigenResult, bn_explicit, bn_recurrence, eigenvalue_equation,
-                       eigenfunction, eigenvalues, f_eval, markov_ratio,
-                       markov_stieltjes, matrix_oracle, q_coulomb,
+from .spectral import (EigenResult, bn_explicit, bn_recurrence,
+                       eigenvalue_equation, eigenfunction, eigenvalues, f_eval,
+                       markov_ratio, markov_stieltjes, matrix_oracle, q_coulomb,
                        recurrence_a_coeffs, s_poly, x_nu)
 from .qexp import (am_coeff, eq_exp, expansion_residual, hermite_identity_residual,
                    hermite_series, jm_quadrature)

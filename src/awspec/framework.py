@@ -15,7 +15,7 @@ from .spectral import bn_B, bn_C
 __all__ = [
     "LadderFamily", "MonicSystem", "qjacobi_family", "ultraspherical_family",
     "monicize", "shift_invariance_check", "cf_minimal_ratio",
-    "telescope_residual", "four_param_a", "four_param_b", "large_param_a",
+    "telescope_residual", "four_param_b", "large_param_a",
     "large_param_b", "large_param_limit_check",
 ]
 
@@ -175,20 +175,9 @@ def telescope_residual(f, a_fn, b_fn, c_fn, n, x):
 # large-parameter limit reduction
 # ---------------------------------------------------------------------------
 
-def four_param_a(n, A, B, C, D, q):
-    """Diagonal coefficient of the finite-parameter recurrence
-    Z_{n+1} = (x - a_n) Z_n - b_n Z_{n-1}."""
-    return (-D / (A * B * C)
-            - q ** (n - 1) * (1 - D * q ** n / A) * (1 - D * q ** n / B)
-            * (1 - D * q ** n / C)
-            / ((1 - D * q ** (2 * n - 1)) * (1 - D * q ** (2 * n - 2)))
-            + D / (A * B * C) * (1 - A * q ** (n - 1)) * (1 - B * q ** (n - 1))
-            * (1 - C * q ** (n - 1))
-            / ((1 - D * q ** (2 * n - 1)) * (1 - D * q ** (2 * n))))
-
-
 def four_param_b(n, A, B, C, D, q):
-    """Sub-diagonal coefficient of the finite-parameter recurrence."""
+    """Sub-diagonal coefficient b_n of the finite-parameter recurrence
+    Z_{n+1} = (x - a_n) Z_n - b_n Z_{n-1}."""
     return (-D / (A * B * C) * q ** (n - 2)
             * (1 - A * q ** (n - 1)) * (1 - B * q ** (n - 1))
             * (1 - C * q ** (n - 1)) * (1 - D * q ** (n - 1) / A)

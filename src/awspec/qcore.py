@@ -11,11 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .exceptions import DomainError, PoleError
+from .exceptions import DomainError
 
 __all__ = [
-    "QContext", "HypergeometricSpec", "qpoch", "qpoch_inf", "qpoch_multi",
-    "phi", "rphis", "w8w7", "h_product", "exp_itheta", "terminating_order",
+    "QContext", "qpoch", "qpoch_inf", "qpoch_multi", "phi", "h_product",
+    "exp_itheta",
 ]
 
 
@@ -79,90 +79,16 @@ def qpoch_multi(params, base, n, tol):
     return out
 
 
-def terminating_order(num_params, base):
-    """Smallest n in [0, 400] with some numerator parameter equal to
-    base^(-n) to 1e-12 relative, else None."""
-    best = None
-    for a in num_params:
-        a = complex(a)
-        if a == 0.0 or a.imag != 0.0 or a.real <= 0.0:
-            continue
-        m = round(-math.log(a.real) / math.log(base))
-        if 0 <= m <= 400 and abs(a - base ** (-m)) <= 1e-12 * base ** (-m):
-            best = m if best is None else min(best, m)
-    return best
-
-
-@dataclass(frozen=True)
-class HypergeometricSpec:
-    """Parameters of an r-phi-s evaluation: numerator/denominator lists, base, argument."""
-    num_params: tuple
-    den_params: tuple
-    base: float
-    argument: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "num_params", tuple(complex(v) for v in self.num_params))
-        object.__setattr__(self, "den_params", tuple(complex(v) for v in self.den_params))
-        _check_base(self.base)
-
-    @property
-    def terminating_order(self):
-        return terminating_order(self.num_params, self.base)
-
-
-def rphis(spec, ctx):
-    """Evaluate the basic hypergeometric series of ``spec``.
-
-    Includes the [(-1)^n base^{n(n-1)/2}]^{1+s-r} factor.  Terminating
-    series (a numerator parameter equal to base^{-n}) are summed exactly;
-    otherwise partial sums run until the tolerance of the context is met.
-    """
-    nt = spec.terminating_order
-    # guard denominator poles over the summation range actually visited
-    if nt is not None:
-        limit = nt
-        for b in spec.den_params:
-            m = terminating_order([b], spec.base)
-            if m is not None and m < limit:
-                raise PoleError(f"rphis: denominator parameter {b} = base^-{m}")
-    return phi(spec.num_params, spec.den_params, spec.base, spec.argument,
-               nterms=-1 if nt is None else nt, tol=ctx.tol)
-
-
-def phi(num, den, base, z, nterms=None, *, tol):
+def phi(num, den, base, z, nterms, *, tol):
     """r-phi-s series with explicit parameter lists.
 
-    ``nterms``: if None, detect termination from the numerator parameters;
-    if an integer n, sum exactly n+1 terms; pass -1 to force the adaptive
-    non-terminating path, which stops at the tolerance ``tol`` (the
-    caller's, usually its ``QContext``'s).
+    ``nterms``: an integer n >= 0 sums exactly n+1 terms (a terminating
+    series); -1 takes the adaptive non-terminating path, which stops at
+    the tolerance ``tol`` (the caller's, usually its ``QContext``'s).
     """
     _check_base(base)
-    if nterms is None:
-        nt = terminating_order(num, base)
-        nterms = -1 if nt is None else nt
     sign_power = 1 + len(den) - len(num)
     return backend.phi_sum(num, den, base, complex(z), sign_power, nterms, tol)
-
-
-def w8w7(a, b, c, d, e, f, base, z, ctx):
-    """Very-well-poised 8W7(a; b, c, d, e, f; base, z) in standard W-notation.
-
-    Summed as the 8-phi-7 with numerator a, q s, -q s, b, c, d, e, f and
-    denominator s, -s, aq/b, aq/c, aq/d, aq/e, aq/f, where s = sqrt(a).
-    The products of the +-s pairs depend only on a, so the branch of s does
-    not matter.  Termination is read from b, c, d, e, f alone.
-    """
-    _check_base(base)
-    if z == 0:
-        return 1.0 + 0.0j
-    s = cmath.sqrt(a)
-    aq = a * base
-    nt = terminating_order([b, c, d, e, f], base)
-    return phi([a, base * s, -base * s, b, c, d, e, f],
-               [s, -s, aq / b, aq / c, aq / d, aq / e, aq / f], base, z,
-               nterms=-1 if nt is None else nt, tol=ctx.tol)
 
 
 def h_product(x, params, base, tol):

@@ -15,7 +15,8 @@ With it the coefficient formula collapses to
 
 whose leading ratio mirrors the classical (alpha+beta+1)_n/(alpha+beta+1)_{2n}
 structure; every form here is validated against quadrature of the defining
-integrals by the test-suite.
+integrals by the verify suites ``qexp.expansion-coeffs`` and
+``qexp.jm-integrals``.
 """
 import cmath
 import itertools
@@ -27,15 +28,15 @@ from .awop import make_rule
 from .backend import MAX_TERMS, sum_series
 from .exceptions import NonConvergenceError
 from .qcore import exp_itheta, phi, qpoch, qpoch_inf
-from .qpolys import (_ab, _aw_prefactor, aw_norm, aw_phi_seq, cqjacobi_seq,
-                     hermite_h, kappa_aw, weight_theta)
+from .qpolys import (_ab, _aw_prefactor, aw_phi_seq, cqjacobi_seq, hermite_h,
+                     kappa_aw, weight_theta)
 from .spectral import mu_from_lambda, x_nu
 
 __all__ = [
-    "eq_exp", "eq_eigenvalue_dq", "bc_params", "am_coeff", "jm_closed",
-    "jm_double_series", "jm_quadrature", "imn_quadrature",
-    "expansion_residual", "hermite_series", "hermite_identity_residual",
-    "e_series_invariant", "e_series_invariant_closed",
+    "eq_exp", "eq_eigenvalue_dq", "bc_params", "am_coeff", "jm_double_series",
+    "jm_quadrature", "imn_quadrature", "expansion_residual", "hermite_series",
+    "hermite_identity_residual", "e_series_invariant",
+    "e_series_invariant_closed",
 ]
 
 _QUAD_NODES = 200  # nodes of the quadrature rule of the defining integrals
@@ -59,12 +60,15 @@ def eq_exp(x, a, b, ctx):
             "eq_exp: series converges only for |a*b| < 1")
     if b == 0:
         return 1.0 + 0.0j
-    # terms decay like |ab|^n; budget for the slow near-boundary cases
-    r = abs(a * b)
-    est = 240 if r < 0.6 else int(math.log(ctx.tol * 1e-2) / math.log(r)) + 60
-    nmax = min(MAX_TERMS, max(240, est))
-    return sum_series(_eq_exp_terms(exp_itheta(x), a, b, q), ctx.tol, nmax,
-                      "eq_exp")
+    return sum_series(_eq_exp_terms(exp_itheta(x), a, b, q), ctx.tol,
+                      _term_budget(abs(a * b), ctx.tol), "eq_exp")
+
+
+def _term_budget(ratio, tol):
+    """Term budget of a series whose terms decay like ratio^n, ratio < 1:
+    240 terms, or more for the slow cases near the boundary of the disc."""
+    est = 240 if ratio < 0.6 else int(math.log(tol * 1e-2) / math.log(ratio)) + 60
+    return min(MAX_TERMS, max(240, est))
 
 
 def _eq_exp_terms(w, a, b, q):
@@ -121,18 +125,15 @@ def am_coeff(m, r, level, ctx):
                      nterms=-1, tol=ctx.tol)
 
 
-def jm_closed(m, r, level, ctx):
-    """J_m(-i; r) in closed single-sum form: a_m times the Askey-Wilson norm."""
-    q = ctx.q
-    params = _expansion_params(level, q)
-    return am_coeff(m, r, level, ctx) * aw_norm(m, params, q, ctx.tol)
-
-
-def jm_double_series(m, a, r, level, ctx, nmax=60):
+def jm_double_series(m, a, r, level, ctx):
     """J_m(a; r) for general a as the double series (n-sum of terminating
     4phi3 in base q^{1/2}), with the corrected m-prefactor, summed by
-    ``backend.sum_series`` within the term budget ``nmax``.  The n-sum
-    converges for |a r| < 1."""
+    ``backend.sum_series`` within a term budget set by |a r|.  The n-sum
+    converges for |a r| < 1 only, and arguments outside that disc are
+    rejected."""
+    if abs(a * r) >= 1.0:
+        raise NonConvergenceError(
+            "jm_double_series: series converges only for |a*r| < 1")
     q = ctx.q
     b, c = bc_params(level, q)
     rt = math.sqrt(q)
@@ -154,7 +155,9 @@ def jm_double_series(m, a, r, level, ctx, nmax=60):
                              [b * c * q ** (m + 0.5), -a * q ** ((-n + 0.5) / 2.0),
                               -q ** ((-n + 0.5) / 2.0) / a],
                              rt, rt, nterms=n, tol=ctx.tol)
-    return fcorr * pre * sum_series(terms(), ctx.tol, nmax, "jm_double_series")
+    return fcorr * pre * sum_series(terms(), ctx.tol,
+                                    _term_budget(abs(a * r), ctx.tol),
+                                    "jm_double_series")
 
 
 def _expansion_params(level, q):
@@ -165,11 +168,14 @@ def _expansion_params(level, q):
 def _aw_projections(mmax, values, level, rule, ctx):
     """sum_i w_i w(x_i) sin(theta_i) prefactor_m p_m(x_i) f(x_i) over the
     rule's nodes x_i = cos(theta_i), for m = 0..mmax, given the values
-    f(x_i): the unnormalized projections of f on the expansion family."""
+    f(x_i): the unnormalized projections of f on the expansion family.
+    The weight is real on real levels and complex on conjugate-pair ones,
+    where the orthogonality holds bilinearly against it."""
     q = ctx.q
     params = _expansion_params(level, q)
     xs = np.cos(rule.nodes)
-    w = weight_theta(params, xs, ctx).real
+    w = weight_theta(params, xs, ctx)
+    w = w.real if level.is_real else w
     seq = aw_phi_seq(mmax, params, xs, q)
     return [np.sum(rule.weights * w * _aw_prefactor(m, params, q) * seq[m] * values)
             for m in range(mmax + 1)]

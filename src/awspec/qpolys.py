@@ -4,18 +4,16 @@ connection coefficients.
 The polynomials, weights and norms are those of the Askey-Wilson form
 P_n(x | q), the normalization of the integral operator, its kernel and its
 eigenfunctions.  The classically normalized form P_n(x; q), whose q -> 1
-limit is the classical Jacobi polynomial, is given by
-``cqjacobi_classical`` as its defining 4phi3; the two forms are related by
+limit is the classical Jacobi polynomial, is related to it by
 
-    P_n(x; q) = (-q^{a+b+1}; q)_n / (-q; q)_n * q^{-a n} * P_n(x | q^2),
-
-whose factor is ``classical_to_aw_factor``.
+    P_n(x; q) = (-q^{a+b+1}; q)_n / (-q; q)_n * q^{-a n} * P_n(x | q^2).
 
 Large-degree evaluation goes through the standard Askey-Wilson three-term
 recurrence: the defining terminating 4phi3 alternates with terms of size
 base^{-n(n-1)/2} and loses that many digits to cancellation, while the
-recurrence is stable on [-1, 1].  The literal forms stay as private
-oracles (``_aw_poly_4phi3`` and others) that the tests compare against.
+recurrence is stable on [-1, 1].  The literal forms, and the classical
+normalization with its factor, are reference oracles in ``tests/oracles.py``
+that the tests compare against.
 """
 import cmath
 import functools
@@ -29,12 +27,9 @@ from .qcore import (exp_itheta, h_product, phi, qpoch, qpoch_inf,
                     qpoch_multi)
 
 __all__ = [
-    "JacobiLevel", "AWParams", "ConnectionTriple", "aw_poly", "aw_phi_seq",
-    "cqjacobi", "cqjacobi_classical", "cqjacobi_seq", "hermite_h",
-    "weight_w", "weight_theta", "on_nodes", "norm_h", "norm_ratio",
-    "aw_norm", "kappa_aw", "connection_down",
-    "dual_expansion", "dual_expansion_aw", "classical_to_aw_factor",
-    "awpoly_to_cqj_factor",
+    "JacobiLevel", "AWParams", "ConnectionTriple", "aw_phi_seq", "cqjacobi",
+    "cqjacobi_seq", "hermite_h", "weight_theta", "on_nodes", "norm_h",
+    "norm_ratio", "aw_norm", "kappa_aw", "connection_down", "dual_expansion_aw",
 ]
 
 
@@ -165,47 +160,6 @@ def _aw_prefactor(n, params, q):
             * a ** (-n))
 
 
-def _nonzero_first(params):
-    """The four parameters as complex numbers, a nonzero one first (p_n is
-    symmetric in them); all four stay zero if all are."""
-    if isinstance(params, AWParams):
-        params = params.as_tuple()
-    params = tuple(complex(v) for v in params)
-    if params[0] == 0.0:
-        nz = max(range(4), key=lambda i: abs(params[i]))
-        params = (params[nz],) + params[:nz] + params[nz + 1:]
-    return params
-
-
-def aw_poly(n, params, x, ctx):
-    """Askey-Wilson polynomial p_n(x; a, b, c, d | q), through its
-    three-term recurrence.  Zero parameters are handled by permuting a
-    nonzero one to the front; the all-zero case is the continuous q-Hermite
-    polynomial H_n(x|q).
-    """
-    q = ctx.q
-    if n < 0:
-        return 0.0 + 0.0j
-    params = _nonzero_first(params)
-    if params[0] == 0.0:
-        return hermite_h(n, x, q)
-    seq = aw_phi_seq(n, params, x, q)
-    return _aw_prefactor(n, params, q) * seq[n]
-
-
-def _aw_poly_4phi3(n, params, x, ctx):
-    """p_n by its defining terminating 4phi3 (n+1 terms), the reference
-    oracle of ``aw_poly``: the series sheds q^{-n(n-1)/2} digits to
-    cancellation.  Needs a nonzero parameter."""
-    q = ctx.q
-    params = _nonzero_first(params)
-    a, b, c, d = params
-    w = exp_itheta(x)
-    val = phi([q ** (-n), a * b * c * d * q ** (n - 1), a * w, a / w],
-              [a * b, a * c, a * d], q, q, nterms=n, tol=ctx.tol)
-    return _aw_prefactor(n, params, q) * val
-
-
 def hermite_h(n, x, q):
     """Continuous q-Hermite H_n(x|q) by its recurrence
     H_{n+1} = 2x H_n - (1-q^n) H_{n-1}, H_0 = 1, H_1 = 2x."""
@@ -215,23 +169,6 @@ def hermite_h(n, x, q):
     for k in range(1, n):
         h0, h1 = h1, 2 * x * h1 - (1 - q ** k) * h0
     return h1
-
-
-def _hermite_h_theta(n, x, q):
-    """H_n(x|q) as the q-binomial sum over e^{i(n-2k)theta}, the reference
-    oracle of ``hermite_h``."""
-    w = exp_itheta(x)
-    qn = qpoch(q, q, n)
-    return sum(qn / (qpoch(q, q, k) * qpoch(q, q, n - k)) * w ** (n - 2 * k)
-               for k in range(n + 1))
-
-
-def awpoly_to_cqj_factor(n, level, q):
-    """p_n(x; AW params) = factor * P_n^{(a,b)}(x|q)."""
-    al, be = _ab(level)
-    return (qpoch(-q ** ((al + be + 1) / 2), q, n)
-            * qpoch(-q ** ((al + be + 2) / 2), q, n)
-            * qpoch(q, q, n) * q ** (-n * (2 * al + 1) / 4))
 
 
 @functools.lru_cache(maxsize=_COEFF_TABLES)
@@ -296,71 +233,9 @@ def cqjacobi(n, level, x, ctx, method="auto"):
     return cqjacobi_seq(n, level, x, ctx)[n]
 
 
-def cqjacobi_classical(n, level, x, ctx):
-    """Classically normalized continuous q-Jacobi polynomial P_n(x; q): the
-    literal terminating 4phi3 with base q."""
-    q = ctx.q
-    if n < 0:
-        return 0.0 + 0.0j
-    al, be = _ab(level)
-    w = exp_itheta(x)
-    pre = (qpoch(q ** (al + 1), q, n) * qpoch(-q ** (be + 1), q, n)
-           / (qpoch(q, q, n) * qpoch(-q, q, n)))
-    return pre * phi(
-        [q ** (-n), q ** (n + al + be + 1), math.sqrt(q) * w, math.sqrt(q) / w],
-        [q ** (al + 1), -q ** (be + 1), -q], q, q, nterms=n, tol=ctx.tol)
-
-
-def classical_to_aw_factor(n, level, q):
-    """P_n(x; q) = factor * P_n(x | q^2)."""
-    al, be = _ab(level)
-    return qpoch(-q ** (al + be + 1), q, n) / qpoch(-q, q, n) * q ** (-al * n)
-
-
 # ---------------------------------------------------------------------------
 # weight and norms
 # ---------------------------------------------------------------------------
-
-def weight_w(level, x, ctx):
-    """Weight w_{a,b}(x|q) of the Askey-Wilson-normalized family, base q:
-    h(x; 1, -1, sqrt(q), -sqrt(q)) / [h(x; a, b, c, d) sqrt(1-x^2)] with
-    the q-Jacobi parameters.
-
-    Returns a float; for conjugate-pair levels the imaginary part is
-    checked by the tests, not silently assumed.
-    """
-    return _weight_w_complex(level, x, ctx).real
-
-
-def _interior_point(x):
-    """(x, sqrt(1-x^2)) for a real x in (-1, 1)."""
-    xr = float(np.real(x))
-    if not -1.0 < xr < 1.0:
-        raise DomainError("weight_w: x must lie in (-1, 1)")
-    return xr, math.sqrt(1.0 - xr * xr)
-
-
-def _weight_w_complex(level, x, ctx):
-    xr, s = _interior_point(x)
-    return weight_theta(AWParams.from_level(level, ctx.q).as_tuple(), xr, ctx) / s
-
-
-def _weight_w_literal(level, x, ctx):
-    """The weight (complex) by its explicit product form with base
-    p = sqrt(q), the product form written at base q^2 with q -> sqrt(q)
-    substituted: the reference oracle of ``weight_w``."""
-    xr, s = _interior_point(x)
-    q = ctx.q
-    al, be = _ab(level)
-    p = math.sqrt(q)
-    w = exp_itheta(xr)
-    num = qpoch_inf(w * w, q, ctx.tol) * qpoch_inf(1.0 / (w * w), q, ctx.tol)
-    den = (qpoch_inf(p ** (al + 0.5) * w, p, ctx.tol)
-           * qpoch_inf(p ** (al + 0.5) / w, p, ctx.tol)
-           * qpoch_inf(-p ** (be + 0.5) * w, p, ctx.tol)
-           * qpoch_inf(-p ** (be + 0.5) / w, p, ctx.tol))
-    return num / (den * s)
-
 
 def weight_theta(params, xs, ctx):
     """w(x) sin(theta) = h(x; 1, -1, sqrt(q), -sqrt(q)) / h(x; params) at a
@@ -476,27 +351,6 @@ def connection_down(n, level, ctx):
             / (pre * (1 - q ** (n + (al + be) / 2))
                * (1 - q ** (n + (al + be + 1) / 2))))
     return ConnectionTriple(cnn, cnn1, cnn2)
-
-
-def dual_expansion(n, level, ctx):
-    """Coefficients (A_{n-1}, A_n, A_{n+1}) of the expansion of the
-    quadratic-weight-multiplied level-(a+1,b+1) polynomial of degree n-1
-    in the level-(a,b) family (classical normalization, base q); all lower
-    coefficients vanish."""
-    if n < 1:
-        raise DomainError("dual_expansion requires n >= 1")
-    q = ctx.q
-    al, be = _ab(level)
-    anm1 = ((1 + q ** (al + be + n)) * (1 + q ** (al + be + n + 1))
-            * (1 - q ** (2 * al + 2 * n)) * (1 - q ** (2 * be + 2 * n))
-            / ((1 - q ** (2 * n + al + be)) * (1 - q ** (2 * n + al + be + 1))))
-    an = ((1 + q ** (al + be + n + 1)) * (1 + q ** (al + be + 2 * n + 1))
-          * (1 + q ** n) ** 2 * (1 - q ** n) * (1 - q ** (al - be)) * q ** be
-          / ((1 - q ** (2 * n + al + be)) * (1 - q ** (2 * n + al + be + 2))))
-    anp1 = (-(1 + q ** n) ** 2 * (1 + q ** (n + 1)) ** 2
-            * (1 - q ** n) * (1 - q ** (n + 1)) * q ** (al + be)
-            / ((1 - q ** (2 * n + al + be + 1)) * (1 - q ** (2 * n + al + be + 2))))
-    return (anm1, an, anp1)
 
 
 def dual_expansion_aw(n, level, ctx):

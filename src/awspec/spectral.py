@@ -31,19 +31,17 @@ import numpy as np
 
 from .awop import CoeffVector
 from .exceptions import DomainError
-from .qcore import phi, qpoch, qpoch_inf
-from .qpolys import _COEFF_TABLES, _ab, norm_ratio
+from .qcore import phi, qpoch_inf
+from .qpolys import _COEFF_TABLES, _ab
 
 
 __all__ = [
-    "recurrence_a_coeffs", "classical_a_coeffs", "bn_B", "bn_C",
-    "bn_recurrence", "bn_sequence", "bn_explicit",
-    "bn_minimal_scaled", "bn0_scaled_sequence", "zero_asymptotics_constants",
-    "x_nu", "f_eval", "bn_growth_limit",
-    "root_asymptotics_constant", "eigenvalue_equation", "matrix_oracle", "EigenResult",
-    "eigenvalues", "eigenfunction", "eigen_tail_ratios", "s_poly",
-    "s_recurrence_coeffs", "markov_ratio", "markov_stieltjes", "q_coulomb",
-    "mu_from_lambda", "lambda_from_mu",
+    "recurrence_a_coeffs", "bn_B", "bn_C", "bn_recurrence", "bn_sequence",
+    "bn_explicit", "bn_minimal_scaled", "bn0_scaled_sequence",
+    "zero_asymptotics_constants", "x_nu", "f_eval", "bn_growth_limit",
+    "root_asymptotics_constant", "eigenvalue_equation", "matrix_oracle",
+    "EigenResult", "eigenvalues", "eigenfunction", "s_poly", "markov_ratio",
+    "markov_stieltjes", "q_coulomb", "mu_from_lambda", "lambda_from_mu",
 ]
 
 
@@ -75,17 +73,6 @@ def recurrence_a_coeffs(k, level, ctx):
           / (2 * (1 - q ** ((al + be) / 2 + k)) * (1 - q ** ((al + be + 2) / 2 + k))))
     R = -((1 - q) * (1 - q ** (al + be + k)) * q ** ((k - 1) / 2)
           / (2 * (1 - q ** ((al + be) / 2 + k)) * (1 - q ** ((al + be - 1) / 2 + k))))
-    return P, Q, R
-
-
-def classical_a_coeffs(k, alpha, beta):
-    """q -> 1 limit of the a_k recurrence: coefficients of a_{k+1}, a_k, a_{k-1}
-    in -lambda a_k = ..."""
-    P = (2 * (alpha + 1 + k) * (beta + 1 + k)
-         / ((alpha + beta + 1 + k) * (alpha + beta + 2 + 2 * k)
-            * (alpha + beta + 3 + 2 * k)))
-    Q = 2 * (beta - alpha) / ((alpha + beta + 2 * k) * (alpha + beta + 2 + 2 * k))
-    R = -2 * (alpha + beta + k) / ((alpha + beta + 2 * k - 1) * (alpha + beta + 2 * k))
     return P, Q, R
 
 
@@ -240,26 +227,6 @@ def bn_explicit(n, mu, level, ctx):
     return _closed_form_sum(n, mu, A, B, ar)
 
 
-def _bn_explicit_nested(n, mu, level, ctx):
-    """Literal outer-sum/inner-4phi3 form of the closed formula: the
-    reference oracle of ``bn_explicit`` at small degree, where its inner
-    series does not yet cancel catastrophically."""
-    q = ctx.q
-    p = math.sqrt(q)
-    al, be = _ab(level)
-    total = 0.0 + 0.0j
-    coeff = 1.0 + 0.0j
-    for j in range(n + 1):
-        inner = phi([p ** (-j), p ** (2 * n + al + be + 3 - j), p ** (be + 1),
-                     -p ** (al + 1)],
-                    [p ** (al + be + 2), p ** (n + be + 2 - j), -p ** (al + n + 2 - j)],
-                    p, p, nterms=j, tol=ctx.tol)
-        total += coeff * (-1.0) ** j * p ** (j / 2) * mu ** (n - j) * inner
-        coeff *= ((1 - p ** (-be - n - 1 + j)) * (1 + p ** (-al - n - 1 + j))
-                  / ((1 - p ** (j + 1)) * (1 - p ** (-2 * n - al - be - 2 + j))))
-    return total
-
-
 @functools.lru_cache(maxsize=_COEFF_TABLES)
 def _miller_table(level, q):
     return []
@@ -356,26 +323,12 @@ def zero_asymptotics_constants(level, ctx):
 # ---------------------------------------------------------------------------
 
 def _an_prefactor_ratio(k, al, be, q):
-    """f_{k+1} / f_k of the prefactor f_k of ``_an_from_bn``."""
+    """f_{k+1} / f_k of the prefactor
+    f_k = (q^{a+b+2}, q^{(a+b+4)/2}, q^{(a+b+5)/2}; q)_k / (q^{a+2}, q^{b+2}; q)_k
+    of a_{k+1}(lambda|q) = f_k (-1)^k b_k(mu) q^{-(k^2/4 + (a + b/2 + 1) k)}."""
     return ((1 - q ** (al + be + 2 + k)) * (1 - q ** ((al + be + 4) / 2 + k))
             * (1 - q ** ((al + be + 5) / 2 + k))
             / ((1 - q ** (al + 2 + k)) * (1 - q ** (be + 2 + k))))
-
-
-def _an_from_bn(k, lam, level, ctx):
-    """a_{k+1}(lambda|q) = f_k (-1)^k b_k(mu) q^{-(k^2/4 + (a + b/2 + 1) k)}
-    from the forward-summed monic polynomial, f_k in qpoch form; a_0 = 0,
-    a_1 = 1.  The reference oracle of ``eigenfunction``: at an eigenvalue
-    the forward sum runs in the wrong direction."""
-    if k < 0:
-        return 0.0 + 0.0j
-    q = ctx.q
-    al, be = _ab(level)
-    f = (qpoch(q ** (al + be + 2), q, k) * qpoch(q ** ((al + be + 4) / 2), q, k)
-         * qpoch(q ** ((al + be + 5) / 2), q, k)
-         / (qpoch(q ** (al + 2), q, k) * qpoch(q ** (be + 2), q, k)))
-    b = bn_recurrence(k, mu_from_lambda(lam, q), level, ctx)
-    return f * (-1.0) ** k * b * q ** -(k * k / 4 + (al + be / 2 + 1) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -395,19 +348,6 @@ def x_nu(nu, x, level, ctx):
     return pref * phi([p ** (al + nu + 2), p ** 0.5 / x],
                       [-p ** (al + nu + 2.5) / x], p, p ** (be + nu + 2),
                       nterms=-1, tol=ctx.tol)
-
-
-def _x_nu_series(nu, x, level, ctx):
-    """X_nu(x) by the alternate form with argument p^{1/2}/x, convergent
-    only for |x| > p^{1/2}: the reference oracle of ``x_nu``."""
-    p = math.sqrt(ctx.q)
-    if x == 0 or abs(p ** 0.5 / x) >= 1.0:
-        raise DomainError("x_nu series form needs |x| > p^{1/2}")
-    al, be = _ab(level)
-    return ((-x) ** (-nu) * qpoch_inf(p ** 0.5 / x, p, ctx.tol)
-            * phi([-p ** (al + 2 + nu), p ** (be + 2 + nu)],
-                  [p ** (al + be + 2 * nu + 4)], p, p ** 0.5 / x,
-                  nterms=-1, tol=ctx.tol))
 
 
 @functools.lru_cache(maxsize=_COEFF_TABLES)
@@ -593,7 +533,7 @@ def eigenfunction(lam, level, nmax, ctx):
     coeffs = [0.0 + 0.0j, 1.0 + 0.0j]
     lnq = math.log(q)
     lnxi = math.log(abs(xi))
-    f = 1.0  # f_k of _an_from_bn, by its running product
+    f = 1.0  # f_k of _an_prefactor_ratio, by its running product
     for k in range(1, nmax):
         f *= _an_prefactor_ratio(k - 1, al, be, q)
         # log-magnitude guard against underflow of q^{k^2/4 + ...}
@@ -608,22 +548,6 @@ def eigenfunction(lam, level, nmax, ctx):
         else:
             coeffs.append(f * xi ** (-k) * q ** expo * w[k])
     return CoeffVector(level, tuple(coeffs[:nmax + 1]))
-
-
-def eigen_tail_ratios(lam, level, nmax, ctx):
-    """Ratios t_{k+1}/t_k of the weighted tail t_k = h_k |a_k|^2 at an
-    eigenvalue, computed factor-wise so no under/overflow occurs."""
-    q = ctx.q
-    al, be = _ab(level)
-    xi = mu_from_lambda(lam, q)
-    w = bn_minimal_scaled(nmax + 1, xi, level, ctx)
-    out = []
-    for k in range(1, nmax):
-        hr = norm_ratio(k, level, q)
-        ar = (_an_prefactor_ratio(k, al, be, q) / xi
-              * q ** ((2 * k + 1) / 4 + (1 - al) / 2) * (w[k + 1] / w[k]))
-        out.append(abs(hr) * abs(ar) ** 2)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -642,14 +566,6 @@ def s_poly(n, x, level, ctx):
     """s_n(x) = i^{-n} b_n(i x); real for real x in the conjugate-pair regime."""
     _require_conj_regime(level)
     return (1j) ** (-n) * bn_recurrence(n, 1j * x, level, ctx)
-
-
-def s_recurrence_coeffs(n, level, ctx):
-    """(diagonal, subdiagonal) of s_{n+1} = (x + diag) s_n + sub s_{n-1};
-    in the conjugate-pair regime diag is real and sub is negative."""
-    _require_conj_regime(level)
-    q = ctx.q
-    return -1j * bn_B(n, level, q), -bn_C(n, level, q)
 
 
 def markov_ratio(n, x, level, ctx):

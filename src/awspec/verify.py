@@ -56,6 +56,8 @@ class VerifyConfig:
 
 
 DEFAULT_CONFIG = VerifyConfig()
+# the conjugate-pair level that suites check beside the config level
+_CONJ_LEVEL = JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)
 
 
 @dataclass
@@ -517,6 +519,21 @@ def _eigen_certify(config):
                   f"imag={np.max(imag):.1e}")
 
 
+@_suite("spectral.eigenvalue-equation", 1e-12)
+def _eigenvalue_equation(config):
+    """The literal eigenvalue equation vanishes at x = 2/((1-q) mu) for the
+    first five certified eigenvalues mu, relative to its value at x = 0; at
+    the config level and at (0.3 +- 0.5i)."""
+    ctx = config.ctx
+    errs = []
+    for level in (config.level, _CONJ_LEVEL):
+        scale = abs(spectral.eigenvalue_equation(0.0, level, ctx))
+        for r in spectral.eigenvalues(level, ctx, count=5, nmat=80):
+            x = 2.0 / ((1.0 - config.q) * r.mu)
+            errs.append(abs(spectral.eigenvalue_equation(x, level, ctx)) / scale)
+    return errs, "5 eigenvalues x 2 levels; relative to x = 0"
+
+
 @_suite("spectral.markov", 1e-5)
 def _markov(config):
     """Markov ratio against the Stieltjes-transform closed form at n = 60."""
@@ -589,6 +606,30 @@ def _expansion_residual(config):
                                              level, config.ctx)
             errs += resids.tolist()
     return errs, "3 param sets x r in {0.1, 0.3, 0.5i}"
+
+
+@_suite("qexp.jm-integrals", 1e-12)
+def _jm_integrals(config):
+    """J_m(a; r) as the double series, against quadrature of its defining
+    integral at a = 0.5i and against a_m times the norm at a = -i; and
+    I_{m,n} vanishes for n < m.  At the config level and at (0.3 +- 0.5i)."""
+    ctx = config.ctx
+    q = config.q
+    r = 0.3
+    rule = awop.make_rule(220)
+    errs = []
+    for level in (config.level, _CONJ_LEVEL):
+        for m in range(3):
+            errs.append(_mixed(qexp.jm_double_series(m, 0.5j, r, level, ctx),
+                               qexp.jm_quadrature(m, 0.5j, r, level, ctx, rule)))
+        params = qexp._expansion_params(level, q)
+        for m in range(4):
+            closed = (qexp.am_coeff(m, r, level, ctx)
+                      * qpolys.aw_norm(m, params, q, ctx.tol))
+            errs.append(_mixed(qexp.jm_double_series(m, -1j, r, level, ctx), closed))
+        errs += [abs(qexp.imn_quadrature(m, n, -1j, level, ctx))
+                 for m in range(1, 5) for n in range(m)]
+    return errs, "r=0.3: a=0.5i m<=2 and a=-i m<=3; I_mn n<m<=4"
 
 
 @_suite("qexp.level-shift", 1e-8)

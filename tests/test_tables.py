@@ -2,7 +2,8 @@
 to the per-step loops they replace, kept apart per key, and bounded; and
 AST checks on the source: every memo bounded and listed, no frozen
 dataclass written after its construction, few, route-free,
-tolerance-free defaults, and every exported name defined."""
+tolerance-free defaults, and every exported name defined and reached by
+a CLI command, a verify suite or the benchmark."""
 import ast
 import importlib
 from pathlib import Path
@@ -16,8 +17,10 @@ from awspec.awop import kernel_truncation, make_rule
 from awspec.qpolys import (AWParams, JacobiLevel, _ab, aw_phi_seq, cqjacobi_seq,
                            on_nodes)
 from awspec.spectral import bn_B, bn_C, bn_minimal_scaled, f_eval, matrix_oracle
+from oracles import _aw_poly_4phi3
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "awspec"
+PERFBENCH = SRC.parents[1] / "perfbench"
 LEVELS = [JacobiLevel(0.3, -0.2), JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)]
 MEMOS = [qpolys._aw_table, qpolys._cq_table, spectral._miller_table,
          spectral._oracle_table, spectral._f_products, qpolys._norm_table,
@@ -158,8 +161,8 @@ def test_abcd_equal_to_q_cancels_only_the_first_entry(q):
     ctx = QContext(q)
     # against the 4phi3, while its cancellation (q^{-n(n-1)/2}) stays small
     for n in range(1, 5):
-        got = qpolys.aw_poly(n, params, 0.3, ctx)
-        want = qpolys._aw_poly_4phi3(n, params, 0.3, ctx)
+        got = qpolys._aw_prefactor(n, params, q) * aw_phi_seq(n, params, 0.3, q)[n]
+        want = _aw_poly_4phi3(n, params, 0.3, ctx)
         assert abs(got - want) <= 1e-11 * abs(want)
     table = qpolys._aw_coeffs(9, *params, q)
     assert table[0][1] == 0.0
@@ -344,7 +347,7 @@ def test_frozen_dataclasses_are_set_only_in_post_init():
         assert not written, f"{path.name}: object.__setattr__ on lines {written}"
 
 
-MAX_DEFAULTS = 13  # defaulted function parameters in src/awspec, lambdas not counted
+MAX_DEFAULTS = 11  # defaulted function parameters in src/awspec, lambdas not counted
 # cqjacobi keeps method="phi": the benchmark checks its rows against the 4phi3
 ROUTED = {("qpolys.py", "cqjacobi")}
 
@@ -387,3 +390,45 @@ def test_every_exported_name_resolves():
         missing += [f"{name}.{n}" for n in getattr(module, "__all__", ())
                     if not hasattr(module, n)]
     assert not missing, f"exported but not defined: {', '.join(missing)}"
+
+
+def _perfbench_names():
+    """"module.name" of every awspec function or class that
+    perfbench/workloads.py calls, and of every name in the TRACED table
+    of perfbench/layertrace.py."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    modules, names = {}, {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "awspec":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("awspec."):
+            short = node.module.split(".")[1]
+            names.update((a.asname or a.name, f"{short}.{a.name}") for a in node.names)
+    found = set()
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        fn = call.func
+        if (isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
+                and fn.value.id in modules):
+            found.add(f"{modules[fn.value.id]}.{fn.attr}")
+        elif isinstance(fn, ast.Name) and fn.id in names:
+            found.add(names[fn.id])
+    trace = ast.parse((PERFBENCH / "layertrace.py").read_text(encoding="utf-8"))
+    table = next(n.value for n in trace.body if isinstance(n, ast.Assign)
+                 and any(getattr(t, "id", None) == "TRACED" for t in n.targets))
+    found.update(f"{m}.{fn}" for m, fns in ast.literal_eval(table).items()
+                 for fn in fns)
+    return found
+
+
+def test_every_exported_name_is_reached(verify_all, golden_outputs, reached):
+    # the library is what its commands, suites and benchmark reach; a
+    # function or class that only the tests call belongs in the tests
+    exported = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"awspec.{path.stem}")
+        exported.update(f"{path.stem}.{n}" for n in getattr(module, "__all__", ())
+                        if callable(getattr(module, n)))
+    unreached = sorted(exported - reached - _perfbench_names())
+    assert not unreached, f"exported but never reached: {', '.join(unreached)}"
