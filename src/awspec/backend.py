@@ -72,8 +72,9 @@ def phi_terms(num, den, base, z, sign_power):
         for v in num:
             ratio *= 1.0 - v * bk
         for v in den:
-            dfac = 1.0 - v * bk
-            if abs(dfac) < 1e-15 * (1.0 + abs(v * bk)):
+            vb = v * bk
+            dfac = 1.0 - vb
+            if abs(dfac) < 1e-15 * (1.0 + abs(vb)):
                 raise PoleError(f"phi_terms: denominator factor vanished at k={k}")
             ratio /= dfac
         if sign_power:
@@ -98,7 +99,9 @@ def sum_series(terms, tol, max_terms, name):
         for k, term in enumerate(terms):
             total += term
             mag = abs(term)
-            scale = max(abs(total), _TINY)
+            scale = abs(total)
+            if scale < _TINY:  # false for NaN, which the check below needs
+                scale = _TINY
             if not math.isfinite(scale):  # also catches any non-finite term
                 raise NonConvergenceError(f"{name}: the terms overflow")
             if mag < tol * scale:

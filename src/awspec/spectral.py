@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .awop import CoeffVector
+from .backend import MAX_TERMS, phi_terms, sum_series
 from .exceptions import DomainError
 from .qcore import phi, qpoch_inf
 from .qpolys import _COEFF_TABLES, _ab
@@ -360,18 +361,61 @@ def _f_products(level, ctx):
             qpoch_inf(p ** (al + be + 2), p, ctx.tol))
 
 
+def _f_params(x, level, ctx):
+    """p = sqrt(q) and the parameters of
+    F(x) = (p^{b+1}; p)_inf / (p^{a+b+2}; p)_inf * (w; p)_inf
+           * 2phi1(p^{a+1}, v; w; p, p^{b+1}),
+    w = -p^{a+3/2}/x and v = p^{1/2}/x, as (p, w, v, p^{a+1}, p^{b+1})."""
+    if x == 0:
+        raise DomainError("f_eval: x must be nonzero")
+    p = math.sqrt(ctx.q)
+    al, be = _ab(level)
+    return p, -p ** (al + 1.5) / x, p ** 0.5 / x, p ** (al + 1), p ** (be + 1)
+
+
 def f_eval(x, level, ctx):
     """F(x); F(x) = 0 iff X_{-1}(x) = 0 (eigencondition in the mu variable).
     The two products that do not depend on x are memoised per (level, ctx)."""
-    if x == 0:
-        raise DomainError("f_eval: x must be nonzero")
-    q = ctx.q
-    p = math.sqrt(q)
-    al, be = _ab(level)
+    p, w, v, a1, z = _f_params(x, level, ctx)
     num, den = _f_products(level, ctx)
-    return (num * qpoch_inf(-p ** (al + 1.5) / x, p, ctx.tol) / den
-            * phi([p ** (al + 1), p ** 0.5 / x], [-p ** (al + 1.5) / x],
-                  p, p ** (be + 1), nterms=-1, tol=ctx.tol))
+    return (num * qpoch_inf(w, p, ctx.tol) / den
+            * phi([a1, v], [w], p, z, nterms=-1, tol=ctx.tol))
+
+
+def _f_and_slope(x, level, ctx):
+    """(F(x), dF/dx), the value the same float as ``f_eval``'s, from one
+    pass over F's 2phi1 and one over the log-derivative of its product.
+
+    F's parameters w and v are constants times 1/x, so with
+    g(u) = u/(1 - u) the product has x (w; p)_inf' = (w; p)_inf
+    sum_j g(w p^j), and the 2phi1 term t_k has x t_k' = t_k L_k,
+    L_k = sum_{j<k} g(v p^j) - g(w p^j).  sum_k t_k L_k accumulates beside
+    the terms t_k that ``sum_series`` sums, under their stopping rule."""
+    p, w, v, a1, z = _f_params(x, level, ctx)
+    num, den = _f_products(level, ctx)
+    slope = 0.0  # sum_k t_k L_k over the terms summed so far
+
+    def terms():
+        nonlocal slope
+        lk, pk = 0.0, 1.0
+        for k, t in enumerate(phi_terms([a1, v], [w], p, z, 0)):
+            if k:  # phi_terms has passed its pole test on w p^{k-1}
+                vk, wk = v * pk, w * pk
+                lk += vk / (1.0 - vk) - wk / (1.0 - wk)
+                pk *= p
+            slope += t * lk
+            yield t
+
+    def log_terms():  # g(w p^j), j = 0, 1, ...
+        wj = w
+        while True:
+            yield wj / (1.0 - wj)
+            wj *= p
+
+    series = sum_series(terms(), ctx.tol, MAX_TERMS, "phi_sum")
+    dlog_prod = sum_series(log_terms(), ctx.tol, MAX_TERMS, "f_slope")
+    pref = num * qpoch_inf(w, p, ctx.tol) / den
+    return pref * series, pref * (dlog_prod * series + slope) / x
 
 
 def bn_growth_limit(x, level, ctx):
@@ -433,18 +477,21 @@ def _oracle_rows(n, level, ctx):
 
 def matrix_oracle(n, level, ctx):
     """Eigenvalues of the N x N tridiagonal section of the recurrence,
-    general complex eigensolver, sorted by |lambda| descending.  The
-    section's rows are read from a table memoised per (level, ctx)."""
+    sorted by (|lambda| desc, arg lambda).  The section's rows are read
+    from a table memoised per (level, ctx).  On a real level the rows are
+    real, so the section is built and solved in real arithmetic (float64),
+    whose complex eigenvalues come in exact conjugate pairs; elsewhere it
+    is solved by the general complex eigensolver."""
     if n < 1:
         raise DomainError("matrix_oracle: N >= 1 required")
-    m = np.zeros((n, n), dtype=complex)
+    m = np.zeros((n, n), dtype=float if level.is_real else complex)
     for i, (sP, sQ, sR) in enumerate(_oracle_rows(n, level, ctx)[:n]):
         m[i, i] = sQ
         if i + 1 < n:
             m[i, i + 1] = sP
         if i - 1 >= 0:
             m[i, i - 1] = sR
-    ev = np.linalg.eigvals(m)
+    ev = np.linalg.eigvals(m).astype(complex)
     order = np.lexsort((np.angle(ev), -np.abs(ev)))
     return ev[order]
 
@@ -467,9 +514,7 @@ class EigenResult:
 def _newton_f(mu0, level, ctx):
     mu = complex(mu0)
     for _ in range(80):
-        h = 1e-7 * max(1.0, abs(mu))
-        f0 = f_eval(mu, level, ctx)
-        d = (f_eval(mu + h, level, ctx) - f_eval(mu - h, level, ctx)) / (2 * h)
+        f0, d = _f_and_slope(mu, level, ctx)
         if d == 0:
             return mu, False
         step = f0 / d
@@ -481,13 +526,17 @@ def _newton_f(mu0, level, ctx):
 
 def eigenvalues(level, ctx, count, nmat, operator_residual=None):
     """Locate ``count`` eigenvalues: seeds from the ``nmat``-square
-    truncated matrix, Newton refinement on F in the mu variable, residual
-    certification, and the eigenfunction coefficients a_0..a_48.  Results
-    sorted by (|lambda| desc, arg lambda); conjugate-pair symmetry is
-    enforced for real parameter levels.  Seeds that fail to refine are
-    reported with ``converged=False``, never dropped.  A root within 1e-10
-    |lambda| of one already kept is dropped, and further seeds are refined
-    while fewer than ``count`` are kept."""
+    truncated matrix, Newton refinement on F in the mu variable (F and
+    dF/dmu from one pass), residual certification, and the eigenfunction
+    coefficients a_0..a_48.  Results sorted by (|lambda| desc, arg
+    lambda); conjugate-pair symmetry is enforced for real parameter
+    levels.  Seeds that fail to refine are reported with
+    ``converged=False``, never dropped.  A root within 1e-10 |lambda| of
+    one already kept is dropped.  Seeds are refined in the oracle's order
+    (|lambda| descending) until ``count`` roots are kept and the next
+    seed's |lambda| lies below the ``count``-th kept |lambda| by more than
+    1e-8 relative: a seed that ties with a kept root is still refined, so
+    a smaller ``count`` lists the first roots of a larger one."""
     q = ctx.q
     seeds = [ev for ev in matrix_oracle(nmat, level, ctx) if abs(ev) > 1e-13]
     if level.is_real:
@@ -495,11 +544,12 @@ def eigenvalues(level, ctx, count, nmat, operator_residual=None):
         reps = [ev for ev in seeds if ev.imag >= -1e-15]
     else:
         reps = list(seeds)
-    first = count + 1 if level.is_real else count
     results = []
-    for i, lam0 in enumerate(reps):
-        if i >= first and len(results) >= count:
-            break
+    for lam0 in reps:
+        if len(results) >= count:
+            kth = sorted((abs(r.lam) for r in results), reverse=True)[count - 1]
+            if abs(lam0) < kth * (1.0 - 1e-8):
+                break
         mu, ok = _newton_f(mu_from_lambda(lam0, q), level, ctx)
         lam = lambda_from_mu(mu, q)
         if any(abs(lam - r.lam) <= 1e-10 * abs(lam) for r in results):

@@ -496,7 +496,9 @@ def _x_telescope(config):
 @_suite("spectral.eigen-certify", 1e-6)
 def _eigen_certify(config):
     """Full pipeline: truncation stability, |F| residual, operator residual,
-    conjugate symmetry, pure-imaginary regimes."""
+    the symmetry of the level's eigenvalues (closed under conjugation on a
+    real level, purely imaginary on a conjugate-pair level), pure-imaginary
+    regimes."""
     ctx = config.ctx
     level = config.level
     resid = functools.partial(awop.operator_residual, xs=np.linspace(-0.85, 0.85, 10),
@@ -508,14 +510,19 @@ def _eigen_certify(config):
     fres = [r.residual_f for r in res80]
     opres = [r.residual_operator for r in res80]
     lams = [r.lam for r in spectral.eigenvalues(level, ctx, count=6, nmat=80)]
-    conj = [min(abs(lam.conjugate() - l2) for l2 in lams) for lam in lams]
+    if level.is_real:
+        sym_name = "conj"
+        sym = [min(abs(lam.conjugate() - l2) for l2 in lams) for lam in lams]
+    else:  # a conjugate-pair level, the only complex one the CLI takes
+        sym_name = "re/|lam|"
+        sym = [abs(lam.real) / abs(lam) for lam in lams]
     imag = [abs(e.real) / abs(e)
             for (al, be) in [(0.4, 0.4), (0.3 + 0.5j, 0.3 - 0.5j)]
             for e in spectral.matrix_oracle(30, JacobiLevel(al, be), ctx)[:6]]
     errs = [(e, t) for es, t in [(drift, 1e-8), (fres, 1e-9), (opres, 1e-6),
-                                 (conj, 1e-10), (imag, 1e-9)] for e in es]
+                                 (sym, 1e-10), (imag, 1e-9)] for e in es]
     return errs, (f"drift={np.max(drift):.1e} F={np.max(fres):.1e} "
-                  f"op={np.max(opres):.1e} conj={np.max(conj):.1e} "
+                  f"op={np.max(opres):.1e} {sym_name}={np.max(sym):.1e} "
                   f"imag={np.max(imag):.1e}")
 
 

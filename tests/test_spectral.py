@@ -250,6 +250,58 @@ class TestEigenvalues:
         for r in res:
             assert min(abs(r.lam - e) for e in ev) <= 1e-6
 
+    @pytest.mark.parametrize("lv,q", [((0.3, -0.2), 0.5), ((0.4, 0.4), 0.36),
+                                      ((2.0, 1.5), 0.1), ((1.0, -0.5), 0.9)])
+    def test_real_level_oracle_is_solved_in_real_arithmetic(self, lv, q):
+        level, ctx = JacobiLevel(*lv), QContext(q)
+        for n in (12, 40, 80):
+            ev = matrix_oracle(n, level, ctx)
+            assert set(ev.conjugate().tolist()) == set(ev.tolist())
+            sP, sQ, sR = np.array(spectral._oracle_rows(n, level, ctx)[:n]).T
+            m = np.diag(sQ) + np.diag(sP[:-1], 1) + np.diag(sR[1:], -1)
+            ec = np.linalg.eigvals(m.astype(complex))
+            # the small tail of the section is ill-conditioned in either
+            # arithmetic (4.7e-9 apart at |lambda| ~ 1e-7, n = 80), so
+            # the tail is held to the scale of the leading eigenvalue
+            dist = [float(np.min(np.abs(ec - e))) for e in ev]
+            assert max(dist) <= 1e-12 * abs(ev[0])
+            assert all(d <= 1e-12 * abs(e) for d, e in zip(dist[:10], ev))
+
+    @pytest.mark.parametrize("lv,q", [((0.3, -0.2), 0.5), ((0.4, 0.4), 0.36),
+                                      ((0.3 + 0.5j, 0.3 - 0.5j), 0.6),
+                                      ((2.0, 1.5), 0.1)])
+    def test_fewer_roots_are_a_prefix_of_more(self, lv, q):
+        level, ctx = JacobiLevel(*lv), QContext(q)
+
+        def bits(r):
+            vals = [r.lam, r.mu, r.residual_f, r.residual_operator, *r.coeffs.coeffs]
+            return np.array(vals, dtype=complex).tobytes(), r.converged, r.coeffs.level
+
+        for nmat in (12, 40):
+            for c in (1, 2, 3):
+                few = eigenvalues(level, ctx, count=c, nmat=nmat)
+                more = eigenvalues(level, ctx, count=c + 4, nmat=nmat)[:c]
+                assert [bits(r) for r in few] == [bits(r) for r in more]
+
+
+class TestFSlope:
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.8])
+    @pytest.mark.parametrize("lv", [(0.3, -0.2), (0.3 + 0.5j, 0.3 - 0.5j)],
+                             ids=["real", "conj"])
+    def test_value_and_slope(self, lv, q):
+        level, ctx = JacobiLevel(*lv), QContext(q)
+        root = eigenvalues(level, ctx, count=1, nmat=40)[0].mu
+        for x in (root, 1.7 - 0.2j, -0.9 + 2.1j):
+            f, d = spectral._f_and_slope(x, level, ctx)
+            assert f == f_eval(x, level, ctx)
+
+            def central(h):
+                return (f_eval(x + h, level, ctx) - f_eval(x - h, level, ctx)) / (2 * h)
+
+            h = 1e-3 * abs(x)
+            richardson = (4 * central(h / 2) - central(h)) / 3
+            assert abs(d - richardson) <= 1e-8 * abs(d)
+
 
 class TestEigenfunction:
     def test_normalization(self, ctx, level):

@@ -91,3 +91,11 @@ def test_one_nan_late_in_a_real_suite_fails(monkeypatch):
     r = verify.run_suite("qcore.poch-split")
     assert not r.passed
     assert math.isnan(r.max_err)
+
+
+def test_eigen_certify_passes_on_a_conjugate_pair_level():
+    # there the eigenvalues are purely imaginary, not closed under conjugation
+    config = verify.VerifyConfig(alpha=0.3 + 0.5j, beta=0.3 - 0.5j)
+    r = verify.run_suite("spectral.eigen-certify", config)
+    assert r.passed, r.detail
+    assert "re/|lam|=" in r.detail and "conj=" not in r.detail
