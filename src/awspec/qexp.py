@@ -19,6 +19,7 @@ integrals by the verify suites ``qexp.expansion-coeffs`` and
 ``qexp.jm-integrals``.
 """
 import cmath
+import functools
 import itertools
 import math
 
@@ -28,8 +29,8 @@ from .awop import make_rule
 from .backend import MAX_TERMS, sum_series
 from .exceptions import NonConvergenceError
 from .qcore import exp_itheta, phi, qpoch, qpoch_inf
-from .qpolys import (_ab, _aw_prefactor, aw_phi_seq, cqjacobi_seq, hermite_h,
-                     kappa_aw, weight_theta)
+from .qpolys import (_COEFF_TABLES, _ab, _aw_prefactor, aw_phi_seq,
+                     cqjacobi_seq, hermite_h, kappa_aw, weight_theta)
 from .spectral import mu_from_lambda, x_nu
 
 __all__ = [
@@ -48,11 +49,12 @@ def eq_exp(x, a, b, ctx):
     """E_q(x; a, b): series with the q^{n^2/4} term scale, summed by
     ``backend.sum_series`` within a term budget set by |ab|.
 
-    Each term's finite shifted factorial is computed as the direct
-    2n-factor product.  The q^{n^2/4} decay exactly offsets the growth of
-    that product, leaving term magnitudes ~ |ab|^n: the series converges
-    on |ab| < 1 only, and arguments outside that disc are rejected.  A
-    term scale that overflows before the sum converges raises
+    Each term's 2n-factor product comes from the one two terms before it
+    by four more factors, one running product per parity of n, so a term
+    costs O(1).  The q^{n^2/4} decay exactly offsets the growth of that
+    product, leaving term magnitudes ~ |ab|^n: the series converges on
+    |ab| < 1 only, and arguments outside that disc are rejected.  Terms
+    or a partial sum that overflow before the sum converges raise
     ``NonConvergenceError`` too."""
     q = ctx.q
     if abs(a * b) >= 1.0:
@@ -72,30 +74,36 @@ def _term_budget(ratio, tol):
 
 
 def _eq_exp_terms(w, a, b, q):
+    # term n is b^n/(q; q)_n times the product of (1 - a q^k w)(1 - a q^k/w)
+    # over k = -(n-1)/2, ..., (n-1)/2 and the scale q^{n^2/4}.  Term n+2
+    # adds k = -e and k = e, e = (n+1)/2, and q^{2e} to the scale; the
+    # q^{2e} goes into the pair at -e as (q^e - a w)(q^e - a/w), so no
+    # factor ever holds q^{-e}.  Each parity of n is one running product;
+    # its magnitude moves like |a|^n, so a power-of-ten exponent is
+    # carried outside its mantissa.
     qfac = 1.0
     ln10 = math.log(10.0)
     argb = cmath.phase(complex(b))
     lnb = math.log(abs(b))
+    aw, a_w = a * w, a / w
+    prs = [1.0 + 0.0j, (1.0 - aw) * (1.0 - a_w) * q ** 0.25]
+    sls = [0, 0]
     for n in itertools.count():
+        p = n & 1
         if n > 0:
             qfac *= 1.0 - q ** n
-        # the 2n-factor product spans ~q^{-3n^2/16} of dynamic range even
-        # with the q^{n^2/4} scale folded in per step, so a running
-        # power-of-ten exponent is carried outside the mantissa
-        pr = 1.0 + 0.0j
-        sl = 0
-        g = a * q ** ((1.0 - n) / 2.0)
-        for j in range(n):
-            pr *= (1.0 - g * w) * (1.0 - g / w) * q ** ((2 * j + 1) / 4.0)
-            g *= q
+        if n > 1:
+            qe = q ** ((n - 1) / 2.0)
+            pr = prs[p] * ((qe - aw) * (qe - a_w) * (1.0 - aw * qe)
+                           * (1.0 - a_w * qe))
             m = abs(pr)
-            if m == 0.0:  # a vanishing factor: the whole term is 0
-                break
-            if m > 1e120 or m < 1e-120:
+            if m > 1e120 or 0.0 < m < 1e-120:  # an exact 0 stays 0
                 ex = int(math.floor(math.log10(m)))
                 pr *= 10.0 ** -ex
-                sl += ex
-        yield pr / qfac * cmath.exp(complex(sl * ln10 + n * lnb, n * argb))
+                sls[p] += ex
+            prs[p] = pr
+        yield prs[p] / qfac * cmath.exp(complex(sls[p] * ln10 + n * lnb,
+                                                n * argb))
 
 
 def eq_eigenvalue_dq(a, b, q):
@@ -109,17 +117,27 @@ def bc_params(level, q):
     return q ** ((2 * al + 1) / 4), q ** ((2 * be + 1) / 4)
 
 
+@functools.lru_cache(maxsize=_COEFF_TABLES)
+def _am_products(r, ctx):
+    """(i r q^{1/2}; q)_inf / (-i r; q)_inf, the factor of every a_m that
+    does not depend on m: memoised per (r, ctx)."""
+    q = ctx.q
+    return qpoch_inf(1j * r * math.sqrt(q), q, ctx.tol) \
+        / qpoch_inf(-1j * r, q, ctx.tol)
+
+
 def am_coeff(m, r, level, ctx):
     """Expansion coefficient a_m of E_q(x; -i, r) in the Askey-Wilson
-    polynomials p_m(x; b, b sqrt(q), -c, -c sqrt(q)) (corrected closed form)."""
+    polynomials p_m(x; b, b sqrt(q), -c, -c sqrt(q)) (corrected closed form).
+    Its m-free ratio of infinite products is read from a memo per
+    (r, ctx)."""
     q = ctx.q
     b, c = bc_params(level, q)
     # (b^2c^2; q)_m / (b^2c^2; q)_{2m} = 1/(b^2c^2 q^m; q)_m, which stays
     # finite at b^2c^2 = q^{alpha+beta+1} = 1
     pre = (q ** (m * m / 4.0) * (1j * r) ** m
            / (qpoch(q, q, m) * qpoch(b * b * c * c * q ** m, q, m)))
-    pre *= qpoch_inf(1j * r * math.sqrt(q), q, ctx.tol) \
-        / qpoch_inf(-1j * r, q, ctx.tol)
+    pre *= _am_products(r, ctx)
     return pre * phi([c * q ** (m / 2.0 + 0.25), -b * q ** (m / 2.0 + 0.25)],
                      [b * c * q ** (m + 0.5)], math.sqrt(q), 1j * r,
                      nterms=-1, tol=ctx.tol)

@@ -121,15 +121,19 @@ def _aw_coeffs(nmax, a, b, c, d, q):
         if n == 0 and 1 - abcd / q == 0:
             # abcd = q: the factor 1 - abcd/q stands above and below in A_0
             # and C_0; cancelled, A_0 is finite and C_0 is its limit, 0
-            table.append(((1 - a * b) * (1 - a * c) * (1 - a * d)
-                          / (a * (1 - abcd)), 0.0))
-            continue
-        An = ((1 - a * b * qn) * (1 - a * c * qn) * (1 - a * d * qn)
-              * (1 - abcd * qn / q)
-              / (a * (1 - abcd * qn * qn / q) * (1 - abcd * qn * qn)))
-        Cn = (a * (1 - qn) * (1 - b * c * qn / q) * (1 - b * d * qn / q)
-              * (1 - c * d * qn / q)
-              / ((1 - abcd * qn * qn / (q * q)) * (1 - abcd * qn * qn / q)))
+            An = (1 - a * b) * (1 - a * c) * (1 - a * d) / (a * (1 - abcd))
+            Cn = 0.0
+        else:
+            An = ((1 - a * b * qn) * (1 - a * c * qn) * (1 - a * d * qn)
+                  * (1 - abcd * qn / q)
+                  / (a * (1 - abcd * qn * qn / q) * (1 - abcd * qn * qn)))
+            Cn = (a * (1 - qn) * (1 - b * c * qn / q) * (1 - b * d * qn / q)
+                  * (1 - c * d * qn / q)
+                  / ((1 - abcd * qn * qn / (q * q)) * (1 - abcd * qn * qn / q)))
+        if An == 0:
+            # the recurrence divides by A_n: p_{n+1} has no finite value
+            raise DomainError(f"the Askey-Wilson recurrence has A_{n} = 0 "
+                              "at these parameters")
         table.append((An, Cn))
     return table
 
@@ -181,15 +185,20 @@ def _cq_factors(nmax, al, q):
     memoised per (alpha, q) and grown on demand."""
     cs = _cq_table(al, q)
     for n in range(len(cs) - 1, nmax):
-        cs.append(cs[n] * ((1 - q ** (al + 1 + n)) / (1 - q ** (n + 1))))
+        f = 1 - q ** (al + 1 + n)
+        if f == 0:
+            # alpha = -1 - n: P_{n+1} is the limit 0 * infinity
+            raise DomainError(f"P_{n + 1} has no finite value at alpha = {al}")
+        cs.append(cs[n] * (f / (1 - q ** (n + 1))))
     return cs
 
 
 def _cqjacobi_rows(nmax, level, x, ctx):
     q = ctx.q
     al, _ = _ab(level)
+    cs = _cq_factors(nmax, al, q)
     seq = aw_phi_seq(nmax, AWParams.from_level(level, q), x, q)
-    return [c * p for c, p in zip(_cq_factors(nmax, al, q), seq)]
+    return [c * p for c, p in zip(cs, seq)]
 
 
 @functools.lru_cache(maxsize=_COEFF_TABLES)

@@ -642,14 +642,16 @@ def markov_stieltjes(x, level, ctx):
 def q_coulomb(L, eta, rho, ctx):
     """q-analog of the regular Coulomb wave function; real for real rho.
 
-    The defining series converges only for q^{1/2}|rho| < 1; beyond that
-    the Heine-transformed representation (argument q^{L-i eta+1}) provides
-    the analytic continuation, and the two agree on the overlap."""
+    The defining series in z = i q^{1/2} rho converges only for |z| < 1;
+    the Heine-transformed representation, a 2phi1 in B = q^{L-i eta+1},
+    is its analytic continuation, and the two agree on the overlap.  The
+    direct series is summed for |z| < min(0.9, |B|) only: where
+    |B| <= |z|, the continued series has the faster decaying terms."""
     q = ctx.q
     z = 1j * math.sqrt(q) * rho
     A = q ** (L + 1j * eta + 1)
     B = q ** (L - 1j * eta + 1)
-    if abs(z) < 0.9:
+    if abs(z) < min(0.9, abs(B)):
         return (qpoch_inf(z, q, ctx.tol)
                 * phi([-A, B], [q ** (2 * L + 2)], q, z, nterms=-1,
                       tol=ctx.tol))

@@ -6,7 +6,11 @@ normalization and its q -> 1 limit, which the library itself never uses.
 They are too slow, too ill-conditioned or too narrow in domain to serve
 as the library's own route.
 """
+import cmath
+import itertools
 import math
+
+import mpmath
 
 from awspec.exceptions import DomainError
 from awspec.qcore import exp_itheta, phi, qpoch, qpoch_inf
@@ -97,6 +101,86 @@ def _weight_w_literal(level, x, ctx):
            * qpoch_inf(-p ** (be + 0.5) * w, p, ctx.tol)
            * qpoch_inf(-p ** (be + 0.5) / w, p, ctx.tol))
     return num / (den * s)
+
+
+# ---------------------------------------------------------------------------
+# q-exponential
+# ---------------------------------------------------------------------------
+
+
+def _eq_exp_terms_direct(w, a, b, q):
+    """The terms of E_q(x; a, b), w = e^{i theta}, each with its 2n-factor
+    product formed anew: the reference of ``qexp._eq_exp_terms``, which
+    steps one running product per parity of n.  O(n) work per term, and
+    the factor a q^{(1-n)/2} overflows once n passes ~2 log(1e308)/log(1/q)."""
+    qfac = 1.0
+    ln10 = math.log(10.0)
+    argb = cmath.phase(complex(b))
+    lnb = math.log(abs(b))
+    for n in itertools.count():
+        if n > 0:
+            qfac *= 1.0 - q ** n
+        # the 2n-factor product spans ~q^{-3n^2/16} of dynamic range even
+        # with the q^{n^2/4} scale folded in per step, so a running
+        # power-of-ten exponent is carried outside the mantissa
+        pr = 1.0 + 0.0j
+        sl = 0
+        g = a * q ** ((1.0 - n) / 2.0)
+        for j in range(n):
+            pr *= (1.0 - g * w) * (1.0 - g / w) * q ** ((2 * j + 1) / 4.0)
+            g *= q
+            m = abs(pr)
+            if m == 0.0:  # a vanishing factor: the whole term is 0
+                break
+            if m > 1e120 or m < 1e-120:
+                ex = int(math.floor(math.log10(m)))
+                pr *= 10.0 ** -ex
+                sl += ex
+        yield pr / qfac * cmath.exp(complex(sl * ln10 + n * lnb, n * argb))
+
+
+def eq_exp_mp(x, a, b, q, dps):
+    """E_q(x; a, b) in ``dps``-digit arithmetic, each term by its direct
+    2n-factor product, summed until four terms in a row fall below
+    10^{-dps/2} of the sum: O(n^2) work, for series of a few hundred
+    terms."""
+    with mpmath.workdps(dps):
+        q, a, b = mpmath.mpf(q), mpmath.mpc(a), mpmath.mpc(b)
+        w = mpmath.mpc(exp_itheta(x))
+        total, qfac, small = mpmath.mpc(0), mpmath.mpf(1), 0
+        for n in itertools.count():
+            if n > 0:
+                qfac *= 1 - q ** n
+            pr = mpmath.mpf(1)
+            g = a * q ** (mpmath.mpf(1 - n) / 2)
+            for _ in range(n):
+                pr *= (1 - g * w) * (1 - g / w)
+                g *= q
+            term = pr * q ** (mpmath.mpf(n * n) / 4) * b ** n / qfac
+            total += term
+            small = small + 1 if abs(term) < 10 ** (-dps / 2) * abs(total) else 0
+            if small > 3:
+                return complex(total)
+
+
+def eq_exp_hermite_mp(x, b, q, dps):
+    """E_q(x; -i, b) in ``dps``-digit arithmetic through the q-Hermite
+    identity: sum_n q^{n^2/4} (-lam)^{-n} / (q; q)_n H_n(x|q) divided by
+    (lam^{-2}; q^2)_inf, lam = i/b.  Its terms fall like q^{n^2/4}, so it
+    reaches the slow series near |b| = 1 in a few dozen terms."""
+    with mpmath.workdps(dps):
+        q, x = mpmath.mpf(q), mpmath.mpf(x)
+        lam = 1j / mpmath.mpc(b)
+        h0, h1 = mpmath.mpf(0), mpmath.mpf(1)  # H_{-1}, H_0
+        total, qfac = mpmath.mpc(0), mpmath.mpf(1)
+        for n in itertools.count():
+            if n > 0:
+                qfac *= 1 - q ** n
+                h0, h1 = h1, 2 * x * h1 - (1 - q ** (n - 1)) * h0
+            term = q ** (mpmath.mpf(n * n) / 4) * (-lam) ** -n / qfac * h1
+            total += term
+            if n > 10 and abs(term) < 10 ** -dps * abs(total):
+                return complex(total / mpmath.qp(lam ** -2, q * q))
 
 
 # ---------------------------------------------------------------------------

@@ -102,12 +102,22 @@ class TestUsage:
         assert "Traceback" not in r.stderr
 
     def test_expand_past_the_reach_of_the_series(self):
-        # at |ab| = 0.99 the term scale of eq_exp overflows before the sum
-        # converges
-        r = _run(["expand", "--q", "0.3", "--r", "0.99", "--grid", "1",
-                  "--mmax", "0"])
+        # at |ab| = 0.99 E_q needs ~6,800 terms, and the expansion still
+        # closes to rounding level
+        r = _run(["expand", "--q", "0.3", "--r", "0.99", "--grid", "2",
+                  "--mmax", "30"])
+        assert r.returncode == 0, r.stderr
+        rows = [line.split(",") for line in r.stdout.splitlines()[1:]]
+        residuals = [float(row[2]) for row in rows if row[0] == "residual"]
+        assert len(residuals) == 2 and max(residuals) <= 1e-13
+
+    @pytest.mark.parametrize("command", ["poly", "expand"])
+    def test_alpha_minus_one_is_a_domain_error(self, command):
+        # at alpha = -1 the factor 1 - q^{alpha+1} of P_1 and the A_0 of the
+        # expansion's recurrence are 0: no finite value to print
+        r = _run([command, "--alpha=-1", "--beta", "0"])
         assert r.returncode == 2
-        assert r.stderr.startswith("error: eq_exp:")
+        assert r.stderr.startswith("error:")
         assert len(r.stderr.strip().splitlines()) == 1
 
     def test_coulomb_empty_grid(self):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from awspec import qexp, verify
+from awspec.backend import sum_series
 from awspec.awop import dq_pointwise, make_rule
 from awspec.exceptions import NonConvergenceError
-from awspec.qcore import QContext, qpoch_inf, phi
+from awspec.qcore import QContext, exp_itheta, qpoch, qpoch_inf, phi
 from awspec.qpolys import JacobiLevel
 from awspec.spectral import mu_from_lambda
 from awspec.qexp import (_expansion_params, am_coeff, bc_params,
@@ -21,6 +23,12 @@ def _jm_closed(m, r, level, ctx):
     """J_m(-i; r) in closed single-sum form: a_m times the Askey-Wilson norm."""
     return am_coeff(m, r, level, ctx) * aw_norm(
         m, _expansion_params(level, ctx.q), ctx.q, ctx.tol)
+
+
+def _eq_exp_direct(x, a, b, ctx):
+    """eq_exp with each term's 2n-factor product formed anew."""
+    return sum_series(oracles._eq_exp_terms_direct(exp_itheta(x), a, b, ctx.q),
+                      ctx.tol, qexp._term_budget(abs(a * b), ctx.tol), "direct")
 
 
 def _residual(x, r, level, ctx, m_trunc=25):
@@ -45,6 +53,27 @@ class TestEqExp:
     def test_hermite_identity_at_x_zero(self, ctx):
         assert hermite_identity_residual(1.7, 0.0, ctx) <= 1e-12
 
+    @pytest.mark.parametrize("q", [0.2, 0.35, 0.5])
+    def test_running_products_match_the_direct_product(self, q):
+        ctx = QContext(q)
+        for x in (0.0, 0.45, -0.8):
+            for a, b in [(-1j, 0.3), (-1j, 0.25j), (3.0, 0.2), (3.0, -0.1 + 0.2j),
+                         (0.8 + 0.6j, -0.3)]:
+                want = _eq_exp_direct(x, a, b, ctx)
+                got = eq_exp(x, a, b, ctx)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("q", [0.8, 0.88])
+    def test_running_products_as_accurate_as_the_direct_product(self, q):
+        # at high q both routes lose digits to the hump of the terms; the
+        # running products stay within 2x of the direct product's error
+        ctx = QContext(q)
+        for x in (0.0, 0.3):
+            for b in (0.2, 0.1 + 0.15j):
+                ref = oracles.eq_exp_mp(x, 3.0, b, q, 40)
+                direct = _eq_exp_direct(x, 3.0, b, ctx)
+                assert abs(eq_exp(x, 3.0, b, ctx) - ref) <= 2 * abs(direct - ref)
+
     def test_dq_eigenrelation(self):
         x, a, b, q = 0.3, -1j, 0.4, 0.5
         ctx = QContext(q)
@@ -66,6 +95,24 @@ class TestExpansionCoefficients:
                       math.sqrt(q), 1j * r, nterms=-1, tol=1e-14))
         got = am_coeff(0, r, level, ctx)
         assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("level", [JacobiLevel(0.3, -0.2),
+                                       JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)])
+    @pytest.mark.parametrize("r", [0.3, 0.5j])
+    def test_memoised_products_keep_every_bit(self, ctx, level, r):
+        # the inline formula that a_m had before its m-free products were
+        # memoised
+        q = ctx.q
+        b, c = bc_params(level, q)
+        for m in range(26):
+            pre = (q ** (m * m / 4.0) * (1j * r) ** m
+                   / (qpoch(q, q, m) * qpoch(b * b * c * c * q ** m, q, m)))
+            pre *= qpoch_inf(1j * r * math.sqrt(q), q, ctx.tol) \
+                / qpoch_inf(-1j * r, q, ctx.tol)
+            want = pre * phi([c * q ** (m / 2.0 + 0.25), -b * q ** (m / 2.0 + 0.25)],
+                             [b * c * q ** (m + 0.5)], math.sqrt(q), 1j * r,
+                             nterms=-1, tol=ctx.tol)
+            assert am_coeff(m, r, level, ctx) == want
 
     def test_r_zero_collapses_to_constant(self, ctx, level):
         assert am_coeff(0, 0.0, level, ctx) == 1.0
@@ -213,9 +260,12 @@ class TestTermBudget:
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_eq_exp_overflow_is_a_nonconvergence(self):
-        # |ab| = 0.99: the q^{n^2/4} scaling overflows near n = 1200
-        with pytest.raises(NonConvergenceError, match="^eq_exp"):
-            eq_exp(0.1, -1j, 0.99, QContext(0.3))
+        # |ab| = 0.99: ~6,800 terms, far past n ~ 1200 where a factor
+        # a q^{-n/2} of a term's direct product would overflow; the running
+        # products never form one
+        got = eq_exp(0.1, -1j, 0.99, QContext(0.3))
+        want = oracles.eq_exp_hermite_mp(0.1, 0.99, 0.3, 40)
+        assert abs(got - want) <= 1e-13
 
     @pytest.mark.parametrize("x", [0.0, 0.1])
     def test_eq_exp_near_the_disc_boundary(self, x):

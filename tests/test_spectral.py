@@ -427,19 +427,24 @@ class TestQCoulomb:
         assert abs(v.imag) <= 1e-12
 
     def test_continuation_consistency(self, ctx):
-        # direct series and Heine-continued form agree inside the disc
+        # direct series and Heine-continued form agree inside the disc, and
+        # q_coulomb with them: below |B| = q^{3/2} = 0.35 (rho = 0.3), and
+        # in |B| <= |z| < 0.9 (rho = 0.7, 1.1), where it sums the continued
+        # form
         q = ctx.q
-        L, eta, rho = 0.5, 0.3, 0.7
-        z = 1j * math.sqrt(q) * rho
+        L, eta = 0.5, 0.3
         A = q ** (L + 1j * eta + 1)
         B = q ** (L - 1j * eta + 1)
         from awspec.qcore import phi
-        direct = qpoch_inf(z, q, tol=1e-14) * phi([-A, B], [q ** (2 * L + 2)], q, z,
-                                                  nterms=-1, tol=1e-14)
-        cont = (qpoch_inf(B, q, tol=1e-14) * qpoch_inf(-A * z, q, tol=1e-14)
-                / qpoch_inf(q ** (2 * L + 2), q, tol=1e-14)
-                * phi([A, z], [-A * z], q, B, nterms=-1, tol=1e-14))
-        assert abs(direct - cont) <= 1e-13 * abs(direct)
+        for rho in (0.3, 0.7, 1.1):
+            z = 1j * math.sqrt(q) * rho
+            direct = qpoch_inf(z, q, tol=1e-14) * phi([-A, B], [q ** (2 * L + 2)], q, z,
+                                                      nterms=-1, tol=1e-14)
+            cont = (qpoch_inf(B, q, tol=1e-14) * qpoch_inf(-A * z, q, tol=1e-14)
+                    / qpoch_inf(q ** (2 * L + 2), q, tol=1e-14)
+                    * phi([A, z], [-A * z], q, B, nterms=-1, tol=1e-14))
+            assert abs(direct - cont) <= 1e-13 * abs(direct)
+            assert abs(q_coulomb(L, eta, rho, ctx) - direct) <= 1e-13 * abs(direct)
 
     def test_zero_interlacing_with_s_polynomials(self, ctx):
         # with L = Re(alpha), eta = Im(alpha) and base p, the scaled

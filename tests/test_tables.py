@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from awspec import awop, qpolys, spectral
+from awspec import awop, qexp, qpolys, spectral
 from awspec.qcore import QContext
 from awspec.awop import kernel_truncation, make_rule
 from awspec.qpolys import (AWParams, JacobiLevel, _ab, aw_phi_seq, cqjacobi_seq,
@@ -25,7 +25,7 @@ LEVELS = [JacobiLevel(0.3, -0.2), JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)]
 MEMOS = [qpolys._aw_table, qpolys._cq_table, spectral._miller_table,
          spectral._oracle_table, spectral._f_products, qpolys._norm_table,
          qpolys._node_table, awop._kernel_table, awop.kernel_truncation,
-         qpolys._point_table]
+         qpolys._point_table, qexp._am_products]
 
 
 def _clear_tables():
@@ -270,6 +270,7 @@ class TestMemo:
             f_eval(1.5, level, ctx)
             kernel_truncation(level, ctx)
             on_nodes(level, nodes, ctx)
+            qexp.am_coeff(1, 0.01 * k, level, ctx)
             assert memo.cache_info().currsize <= bound
 
 
