@@ -10,15 +10,15 @@ from .exceptions import (DomainError, NonConvergenceError, PoleError,
                          QSeriesError)
 from .qcore import (QContext, exp_itheta, h_product, phi, qpoch, qpoch_inf,
                     qpoch_multi)
-from .qpolys import (AWParams, ConnectionTriple, JacobiLevel, aw_norm,
-                     connection_down, cqjacobi, cqjacobi_seq,
-                     dual_expansion_aw, hermite_h, kappa_aw, norm_h)
+from .qpolys import (ConnectionTriple, JacobiLevel, aw_norm, connection_down,
+                     cqjacobi, cqjacobi_seq, dual_expansion_aw, hermite_h,
+                     kappa_aw, norm_h)
 from .awop import (CoeffVector, QuadratureRule, dq_coeffs, dq_pointwise,
                    eval_coeffvector, kernel_eval, make_rule, t_coeffs,
                    t_factor, t_quadrature, xi_factor)
-from .spectral import (EigenResult, bn_explicit, bn_recurrence,
-                       eigenvalue_equation, eigenfunction, eigenvalues, f_eval,
-                       markov_ratio, markov_stieltjes, matrix_oracle, q_coulomb,
+from .spectral import (EigenResult, bn_explicit, eigenvalue_equation,
+                       eigenfunction, eigenvalues, f_eval, markov_ratio,
+                       markov_stieltjes, matrix_oracle, q_coulomb,
                        recurrence_a_coeffs, s_poly, x_nu)
 from .qexp import (am_coeff, eq_exp, expansion_residual, hermite_identity_residual,
                    hermite_series, jm_quadrature)

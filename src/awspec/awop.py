@@ -15,8 +15,8 @@ import numpy as np
 
 from .exceptions import DomainError
 from .qcore import exp_itheta
-from .qpolys import (_COEFF_TABLES, JacobiLevel, _ab, _norms, cqjacobi_seq,
-                     norm_h, on_nodes)
+from .qpolys import (_COEFF_TABLES, JacobiLevel, _norms, cqjacobi_seq, norm_h,
+                     on_nodes)
 
 __all__ = [
     "CoeffVector", "QuadratureRule", "make_rule", "weight_theta_grid",
@@ -30,8 +30,8 @@ __all__ = [
 class CoeffVector:
     """Finite expansion coefficients in the q-Jacobi family at one level.
 
-    Index n is the polynomial degree.  Vectors at different levels never
-    combine; trailing zeros are allowed and never read past ``length``.
+    Index n is the polynomial degree; trailing zeros are allowed and never
+    read past ``length``.
     """
     level: JacobiLevel
     coeffs: tuple
@@ -42,14 +42,6 @@ class CoeffVector:
     @property
     def length(self):
         return len(self.coeffs)
-
-    def __add__(self, other):
-        if other.level != self.level:
-            raise DomainError("CoeffVector levels differ")
-        n = max(self.length, other.length)
-        a = self.coeffs + (0.0,) * (n - self.length)
-        b = other.coeffs + (0.0,) * (n - other.length)
-        return CoeffVector(self.level, tuple(x + y for x, y in zip(a, b)))
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ def dq_pointwise(f, x, ctx):
 
 def xi_factor(n, level, q):
     """Ladder factor: D_q P_n^{(a,b)}(.|q) = xi_n P_{n-1}^{(a+1,b+1)}(.|q)."""
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     return (2 * q ** (-n + (2 * al + 5) / 4) * (1 - q ** (al + be + n + 1))
             / ((1 + q ** ((al + be + 1) / 2)) * (1 + q ** ((al + be + 2) / 2))
                * (1 - q)))
@@ -162,10 +154,6 @@ def _kernel_factors(n, level, ctx):
     return kf[:n]
 
 
-def _kernel_factor(n, level, ctx):
-    return _kernel_factors(n + 1, level, ctx)[n]
-
-
 def _kernel_sum(x, c, level, ctx):
     """sum_n kf_n P_{n+1}(x) c_n over the leading axis of ``c``; ``x`` and
     the trailing axes of ``c`` broadcast against each other."""
@@ -187,7 +175,7 @@ def kernel_truncation(level, ctx):
     lvl1 = level.shifted(1)
 
     def scale(n):
-        return (abs(_kernel_factor(n, level, ctx))
+        return (abs(_kernel_factors(n + 1, level, ctx)[n])
                 * math.sqrt(abs(norm_h(n + 1, level, ctx))
                             * abs(norm_h(n, lvl1, ctx))))
 

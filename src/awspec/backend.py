@@ -2,22 +2,31 @@
 the terms of a basic hypergeometric series and the one adaptive summer.
 
 Everything here is scalar complex arithmetic: the hot loops of every
-series in the package bottom out in these functions, and
-``awspec.qcore`` calls them through this module.  ``sum_series`` holds
-the only adaptive stopping rule of the package.
+series in the package bottom out in these functions, and ``awspec.qcore``
+re-exports the two q-shifted factorials as they are.  ``sum_series``
+holds the only adaptive stopping rule of the package.
 """
 import itertools
 import math
 
-from .exceptions import NonConvergenceError, PoleError
+from .exceptions import DomainError, NonConvergenceError, PoleError
 
 BACKEND = "python"
 MAX_TERMS = 10000  # term budget of every adaptive product and series
 _TINY = 1e-300
 
 
+def check_base(base):
+    """Raise ``DomainError`` unless the base of a q-series is in (0, 1)."""
+    if not 0.0 < base < 1.0:
+        raise DomainError(f"base must be in (0,1), got {base}")
+
+
 def qpoch(a, base, n):
-    """Finite q-shifted factorial prod_{j=0}^{n-1} (1 - a*base^j)."""
+    """(a; base)_n = prod_{j=0}^{n-1} (1 - a base^j); n = 0 gives 1."""
+    if n < 0:
+        raise DomainError("qpoch: n must be >= 0")
+    check_base(base)
     a = complex(a)
     out = 1.0 + 0.0j
     f = a
@@ -34,6 +43,7 @@ def qpoch_inf(a, base, tol):
     |a| base^j / (1 - base), drops below ``tol``; raises
     ``NonConvergenceError`` past ``MAX_TERMS`` factors.
     """
+    check_base(base)
     a = complex(a)
     out = 1.0 + 0.0j
     f = a

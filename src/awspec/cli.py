@@ -22,7 +22,7 @@ import numpy as np
 from . import awop, qexp, qpolys, spectral, verify
 from .exceptions import DomainError, QSeriesError
 from .qcore import QContext
-from .qpolys import JacobiLevel, _ab
+from .qpolys import JacobiLevel
 
 USAGE_ERROR = 2
 
@@ -131,16 +131,13 @@ def build_parser():
     return ap
 
 
-def _alpha_beta(args):
-    """(alpha, beta) from --alpha and --beta, real where the imaginary part
-    is 0; --beta conj takes the conjugate of alpha."""
+def _config(args):
+    """The context of --q and --tol and the level of --alpha and --beta;
+    --beta conj takes the conjugate of alpha."""
+    ctx = QContext(args.q, args.tol)
     alpha = complex(args.alpha)
     beta = alpha.conjugate() if args.beta == "conj" else complex(args.beta)
-    return _ab(JacobiLevel(alpha, beta))
-
-
-def _config(args):
-    return QContext(args.q, args.tol), JacobiLevel(*_alpha_beta(args))
+    return ctx, JacobiLevel(alpha, beta)
 
 
 def _emit(args, header, rows, diagnostics):
@@ -262,8 +259,7 @@ def _cmd_verify(args):
             return USAGE_ERROR
     # out-of-domain input is a usage error before any suite runs
     ctx, level = _config(args)
-    cfg = verify.VerifyConfig(q=ctx.q, alpha=level.alpha, beta=level.beta,
-                              tol=ctx.tol, nodes=args.nodes)
+    cfg = verify.VerifyConfig(level, ctx, args.nodes)
     results = [verify.run_suite(n, cfg) for n in names]
     header = ["suite", "passed", "max_err", "tol", "detail"]
     rows = [[r.name, str(r.passed).lower(), fmt(r.max_err), fmt(r.tol),

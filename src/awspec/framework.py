@@ -5,11 +5,11 @@ instances (ultraspherical, continuous q-Jacobi) plus the large-parameter
 limit reduction used as a consistency check.
 """
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .awop import xi_factor
 from .exceptions import DomainError, NonConvergenceError
-from .qpolys import ConnectionTriple, _ab, connection_down, norm_h
+from .qpolys import ConnectionTriple, connection_down
 from .spectral import bn_B, bn_C
 
 __all__ = [
@@ -28,14 +28,11 @@ class LadderFamily:
     operator and a three-band connection to the shifted parameter point.
 
     ``xi(n)``: ladder factor; ``conn(n)``: ConnectionTriple (c_nn, c_nn1,
-    c_nn2) onto the shifted family; ``h(n)``: norms (optional); ``shift()``:
-    the family at A + 1.
+    c_nn2) onto the shifted family; ``shift()``: the family at A + 1.
     """
-    label: str
     xi: Callable[[int], complex]
     conn: Callable[[int], ConnectionTriple]
     shift: Callable[[], "LadderFamily"]
-    h: Optional[Callable[[int], complex]] = None
 
 
 @dataclass(frozen=True)
@@ -50,11 +47,9 @@ def qjacobi_family(level, ctx):
     """The continuous q-Jacobi instance of the ladder family."""
     def make(lv):
         return LadderFamily(
-            label=f"q-jacobi({lv.alpha}, {lv.beta})",
             xi=lambda n: xi_factor(n, lv, ctx.q),
             conn=lambda n: connection_down(n, lv, ctx),
             shift=lambda: make(lv.shifted(1)),
-            h=lambda n: norm_h(n, lv, ctx),
         )
     return make(level)
 
@@ -64,7 +59,6 @@ def ultraspherical_family(nu):
     nu/(nu + n), c_{n,n-1} = 0."""
     def make(v):
         return LadderFamily(
-            label=f"ultraspherical({v})",
             xi=lambda n: 2.0 * v,
             conn=lambda n: ConnectionTriple(
                 v / (v + n), 0.0, -v / (v + n) if n >= 2 else 0.0),
@@ -87,15 +81,13 @@ def monicize(family, u):
     return MonicSystem(B, C, u)
 
 
-def shift_invariance_check(family, u, n_max, perturb=None):
+def shift_invariance_check(family, u, n_max):
     """True iff B_n(A) = B_0(A+n) and C_n(A) = C_1(A+n-1) to the relative
     tolerance ``_SHIFT_TOL`` for 1 <= n <= n_max.
 
     The C comparison is anchored at index 1 rather than 0 because the
     degree-0 connection triple has no structural c_{1,-1} entry; for an
-    analytically shift-invariant family the two anchorings are equivalent.
-    ``perturb``: optional map (n, value) -> value applied to C_n(A), used
-    by the deliberate-counterexample test."""
+    analytically shift-invariant family the two anchorings are equivalent."""
     sys0 = monicize(family, u)
     fam = family
     shifts = [fam]
@@ -105,8 +97,6 @@ def shift_invariance_check(family, u, n_max, perturb=None):
     for n in range(1, n_max + 1):
         bn = sys0.B(n)
         cn = sys0.C(n)
-        if perturb is not None:
-            cn = perturb(n, cn)
         b0 = monicize(shifts[n], u).B(0)
         c1 = monicize(shifts[n - 1], u).C(1)
         if abs(bn - b0) > _SHIFT_TOL * max(1.0, abs(bn)):
@@ -189,7 +179,7 @@ def four_param_b(n, A, B, C, D, q):
 def large_param_a(n, level, q):
     """a'_n: the displayed large-A limit after the q -> sqrt(q) replacement
     and the B = q^{1+a/2} = -C, D = q^{2+(a+b)/2} identification."""
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     return (-q ** ((n - 1) / 2) * (1 + q ** (n + (al + be + 3) / 2))
             * (1 - q ** ((be - al) / 2))
             / ((1 - q ** (n + 1 + (al + be) / 2))
@@ -198,7 +188,7 @@ def large_param_a(n, level, q):
 
 def large_param_b(n, level, q):
     """b'_n of the displayed limit (see large_param_a)."""
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     return (q ** (n + (be - al - 3) / 2) * (1 - q ** (n + al + 1))
             * (1 - q ** (n + be + 1))
             / ((1 - q ** (n + (al + be + 1) / 2))
@@ -207,18 +197,17 @@ def large_param_b(n, level, q):
 
 
 def large_param_limit_check(level, n_max, ctx):
-    """Max deviation of the rescaling map onto the monic q-Jacobi
-    recurrence: with s = q^{(2a+5)/4}, the limit coefficients satisfy
-    s a'_n = -B_n and s^2 b'_n = C_n of the monic system (the minus sign
-    realizes the (x - a) vs (mu + B) bookkeeping of the two displays)."""
+    """Deviations of the rescaling map onto the monic q-Jacobi recurrence,
+    |s a'_n + B_n| and |s^2 b'_n - C_n| for 1 <= n <= n_max: with
+    s = q^{(2a+5)/4}, the limit coefficients satisfy s a'_n = -B_n and
+    s^2 b'_n = C_n of the monic system (the minus sign realizes the
+    (x - a) vs (mu + B) bookkeeping of the two displays)."""
     if not level.is_real:
         raise DomainError("large_param_limit_check requires real alpha, beta")
     q = ctx.q
-    al, _ = _ab(level)
-    s = q ** ((2 * al + 5) / 4)
-    dev = 0.0
+    s = q ** ((2 * level.alpha + 5) / 4)
+    devs = []
     for n in range(1, n_max + 1):
-        da = abs(s * large_param_a(n, level, q) + bn_B(n, level, q))
-        db = abs(s * s * large_param_b(n, level, q) - bn_C(n, level, q))
-        dev = max(dev, da, db)
-    return dev
+        devs.append(abs(s * large_param_a(n, level, q) + bn_B(n, level, q)))
+        devs.append(abs(s * s * large_param_b(n, level, q) - bn_C(n, level, q)))
+    return devs

@@ -2,7 +2,8 @@
 
 All functions are pure and take their base explicitly: no implicit base
 conversion happens anywhere (callers juggling q, q^2 and p = sqrt(q) pass
-whichever base the formula at hand uses).
+whichever base the formula at hand uses).  The q-shifted factorials
+``qpoch`` and ``qpoch_inf`` are ``backend``'s own functions.
 """
 import cmath
 import math
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
+from .backend import check_base, qpoch, qpoch_inf
 from .exceptions import DomainError
 
 __all__ = [
@@ -24,8 +26,6 @@ class QContext:
     """Evaluation context: the base q in (0,1) and the truncation
     tolerance of its series and products.  Their term budget is the
     constant ``backend.MAX_TERMS``.
-
-    ``p = sqrt(q)`` is always derived from ``q`` (single source of truth).
     """
     q: float
     tol: float = 1e-14
@@ -35,10 +35,6 @@ class QContext:
             raise DomainError(f"q must be in (0,1), got {self.q}")
         if not 0.0 < self.tol < 1.0:  # also rejects nan
             raise DomainError(f"tol must be finite and in (0,1), got {self.tol}")
-
-    @property
-    def p(self):
-        return math.sqrt(self.q)
 
 
 def exp_itheta(x):
@@ -51,21 +47,6 @@ def exp_itheta(x):
     if z.imag == 0.0 and -1.0 <= z.real <= 1.0:
         return complex(z.real, math.sqrt(max(0.0, 1.0 - z.real * z.real)))
     return z + cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0)
-
-
-def qpoch(a, base, n):
-    """(a; base)_n = prod_{j=0}^{n-1} (1 - a base^j); n = 0 gives 1."""
-    if n < 0:
-        raise DomainError("qpoch: n must be >= 0")
-    _check_base(base)
-    return backend.qpoch(a, base, n)
-
-
-def qpoch_inf(a, base, tol):
-    """(a; base)_inf, truncated once the geometric tail bound of the
-    log-product is below ``tol``."""
-    _check_base(base)
-    return backend.qpoch_inf(a, base, tol)
 
 
 def qpoch_multi(params, base, n, tol):
@@ -86,7 +67,7 @@ def phi(num, den, base, z, nterms, *, tol):
     series); -1 takes the adaptive non-terminating path, which stops at
     the tolerance ``tol`` (the caller's, usually its ``QContext``'s).
     """
-    _check_base(base)
+    check_base(base)
     sign_power = 1 + len(den) - len(num)
     return backend.phi_sum(num, den, base, complex(z), sign_power, nterms, tol)
 
@@ -108,8 +89,3 @@ def h_product(x, params, base, tol):
             out *= 1.0 - 2.0 * a * x + a * a
             a, bound = a * base, bound * base
     return out
-
-
-def _check_base(base):
-    if not 0.0 < base < 1.0:
-        raise DomainError(f"base must be in (0,1), got {base}")

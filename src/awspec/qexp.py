@@ -29,8 +29,8 @@ from .awop import make_rule
 from .backend import MAX_TERMS, sum_series
 from .exceptions import NonConvergenceError
 from .qcore import exp_itheta, phi, qpoch, qpoch_inf
-from .qpolys import (_COEFF_TABLES, _ab, _aw_prefactor, aw_phi_seq,
-                     cqjacobi_seq, hermite_h, kappa_aw, weight_theta)
+from .qpolys import (_COEFF_TABLES, _aw_prefactor, aw_phi_seq, cqjacobi_seq,
+                     hermite_h, kappa_aw, weight_theta)
 from .spectral import mu_from_lambda, x_nu
 
 __all__ = [
@@ -113,8 +113,7 @@ def eq_eigenvalue_dq(a, b, q):
 
 def bc_params(level, q):
     """(b, c) = (q^{(2a+1)/4}, q^{(2b+1)/4}) of the expansion formulas."""
-    al, be = _ab(level)
-    return q ** ((2 * al + 1) / 4), q ** ((2 * be + 1) / 4)
+    return q ** ((2 * level.alpha + 1) / 4), q ** ((2 * level.beta + 1) / 4)
 
 
 @functools.lru_cache(maxsize=_COEFF_TABLES)
@@ -157,7 +156,7 @@ def jm_double_series(m, a, r, level, ctx):
     rt = math.sqrt(q)
     fcorr = (qpoch(b * b * rt, q, m) * qpoch(-b * c, q, m)
              * qpoch(-b * c * rt, q, m) / b ** m)
-    pre = (kappa_aw(_expansion_params(level, q), q, ctx.tol)
+    pre = (kappa_aw(_expansion_params(level, q), ctx)
            * qpoch(c * c * rt, q, m) * (-a * b * r) ** m * q ** (m * m / 4.0)
            / (qpoch(b * c * rt, q, m) * qpoch(b * c * q, q, m)))
 

@@ -27,7 +27,7 @@ from .qcore import (exp_itheta, h_product, phi, qpoch, qpoch_inf,
                     qpoch_multi)
 
 __all__ = [
-    "JacobiLevel", "AWParams", "ConnectionTriple", "aw_phi_seq", "cqjacobi",
+    "JacobiLevel", "ConnectionTriple", "aw_phi_seq", "cqjacobi",
     "cqjacobi_seq", "hermite_h", "weight_theta", "on_nodes", "norm_h",
     "norm_ratio", "aw_norm", "kappa_aw", "connection_down", "dual_expansion_aw",
 ]
@@ -38,7 +38,9 @@ class JacobiLevel:
     """Parameter level (alpha, beta).
 
     alpha, beta may be real or a complex-conjugate pair; mixed complex
-    values and non-finite ones are rejected.
+    values and non-finite ones are rejected.  Each is stored once as a
+    float where its imaginary part is 0 and as a complex otherwise, so a
+    real level given as complex is the same level, equal and hashed alike.
     """
     alpha: complex
     beta: complex
@@ -49,42 +51,24 @@ class JacobiLevel:
             raise DomainError(f"alpha and beta must be finite, got {a}, {b}")
         if (a.imag != 0.0 or b.imag != 0.0) and abs(a - b.conjugate()) > 1e-12 * (1 + abs(a)):
             raise DomainError("complex alpha, beta must be conjugates")
+        object.__setattr__(self, "alpha", a.real if a.imag == 0.0 else a)
+        object.__setattr__(self, "beta", b.real if b.imag == 0.0 else b)
 
     @property
     def is_real(self):
-        return complex(self.alpha).imag == 0.0 and complex(self.beta).imag == 0.0
+        return not (isinstance(self.alpha, complex) or isinstance(self.beta, complex))
 
     def shifted(self, k):
         return JacobiLevel(self.alpha + k, self.beta + k)
 
 
-def _ab(level):
-    a, b = complex(level.alpha), complex(level.beta)
-    if a.imag == 0.0:
-        a = a.real
-    if b.imag == 0.0:
-        b = b.real
-    return a, b
-
-
-@dataclass(frozen=True)
-class AWParams:
-    """The four Askey-Wilson parameters (a, b, c, d)."""
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    @classmethod
-    def from_level(cls, level, q):
-        """Continuous q-Jacobi specialization a=q^{(2a+1)/4}, b=q^{(2a+3)/4},
-        c=-q^{(2b+1)/4}, d=-q^{(2b+3)/4}."""
-        al, be = _ab(level)
-        return cls(q ** ((2 * al + 1) / 4), q ** ((2 * al + 3) / 4),
-                   -q ** ((2 * be + 1) / 4), -q ** ((2 * be + 3) / 4))
-
-    def as_tuple(self):
-        return (self.a, self.b, self.c, self.d)
+def _aw_params(level, q):
+    """The Askey-Wilson parameters (a, b, c, d) of the continuous q-Jacobi
+    specialization: a = q^{(2 alpha+1)/4}, b = q^{(2 alpha+3)/4},
+    c = -q^{(2 beta+1)/4}, d = -q^{(2 beta+3)/4}."""
+    al, be = level.alpha, level.beta
+    return (q ** ((2 * al + 1) / 4), q ** ((2 * al + 3) / 4),
+            -q ** ((2 * be + 1) / 4), -q ** ((2 * be + 3) / 4))
 
 
 @dataclass(frozen=True)
@@ -140,10 +124,10 @@ def _aw_coeffs(nmax, a, b, c, d, q):
 
 def aw_phi_seq(nmax, params, x, q):
     """phi_n(x) = a^n p_n(x)/ (ab,ac,ad;q)_n for n = 0..nmax via the
-    Askey-Wilson three-term recurrence; ``x`` may be a scalar or ndarray.
-    The coefficients A_n, C_n are read from a table memoised per
-    (a, b, c, d, q)."""
-    a, b, c, d = params.as_tuple() if isinstance(params, AWParams) else params
+    Askey-Wilson three-term recurrence at ``params`` = (a, b, c, d);
+    ``x`` may be a scalar or ndarray.  The coefficients A_n, C_n are read
+    from a table memoised per (a, b, c, d, q)."""
+    a, b, c, d = params
     coeffs = _aw_coeffs(nmax, a, b, c, d, q)
     one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0 + 0.0j
     vals = [one * (1.0 + 0.0j)]
@@ -195,9 +179,8 @@ def _cq_factors(nmax, al, q):
 
 def _cqjacobi_rows(nmax, level, x, ctx):
     q = ctx.q
-    al, _ = _ab(level)
-    cs = _cq_factors(nmax, al, q)
-    seq = aw_phi_seq(nmax, AWParams.from_level(level, q), x, q)
+    cs = _cq_factors(nmax, level.alpha, q)
+    seq = aw_phi_seq(nmax, _aw_params(level, q), x, q)
     return [c * p for c, p in zip(cs, seq)]
 
 
@@ -231,7 +214,7 @@ def cqjacobi(n, level, x, ctx, method="auto"):
     if n < 0:
         return 0.0 + 0.0j
     if method == "phi":
-        al, be = _ab(level)
+        al, be = level.alpha, level.beta
         w = exp_itheta(x)
         pre = qpoch(q ** (al + 1), q, n) / qpoch(q, q, n)
         return pre * phi(
@@ -258,7 +241,7 @@ def weight_theta(params, xs, ctx):
 def _node_table(level, ctx, key):
     nodes = np.frombuffer(key)
     xs = np.cos(nodes)
-    w = weight_theta(AWParams.from_level(level, ctx.q).as_tuple(), xs, ctx)
+    w = weight_theta(_aw_params(level, ctx.q), xs, ctx)
     w = w.real if level.is_real else w
     polys = np.array(_cqjacobi_rows(len(xs) // 2, level, xs, ctx))
     w.flags.writeable = polys.flags.writeable = False
@@ -276,7 +259,7 @@ def on_nodes(level, nodes, ctx):
 def _norm_table(level, ctx):
     # h_0: the seven infinite products of the constant, evaluated once
     q, tol = ctx.q, ctx.tol
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     s = al + be
     return [2 * math.pi * qpoch_multi(
         [q ** ((s + 2) / 2), q ** ((s + 3) / 2)], q, None, tol) / qpoch_multi(
@@ -305,17 +288,23 @@ def norm_h(n, level, ctx):
 
 def norm_ratio(n, level, q):
     """h_{n+1}/h_n from the closed form of the norm."""
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
+    top, bottom = 1 - q ** (2 * n + al + be + 1), 1 - q ** (al + be + 1 + n)
+    if n == 0 and bottom == 0:
+        # alpha + beta = -1: top is the same factor, and their ratio's limit is 1
+        top = bottom = 1.0
     return ((1 - q ** (al + 1 + n)) * (1 - q ** (be + 1 + n))
             * (1 + q ** ((al + be + 3) / 2 + n)) * q ** ((2 * al + 1) / 2)
-            * (1 - q ** (2 * n + al + be + 1))
+            * top
             / ((1 - q ** (2 * n + al + be + 3)) * (1 - q ** (n + 1))
-               * (1 - q ** (al + be + 1 + n)) * (1 + q ** ((al + be + 1) / 2 + n))))
+               * bottom * (1 + q ** ((al + be + 1) / 2 + n))))
 
 
-def kappa_aw(params, q, tol):
-    """kappa(a,b,c,d|q) = 2 pi (abcd)_inf / (q, ab, ac, ad, bc, bd, cd)_inf."""
-    a, b, c, d = params.as_tuple() if isinstance(params, AWParams) else params
+def kappa_aw(params, ctx):
+    """kappa(a,b,c,d|q) = 2 pi (abcd)_inf / (q, ab, ac, ad, bc, bd, cd)_inf
+    at ``params`` = (a, b, c, d)."""
+    a, b, c, d = params
+    q, tol = ctx.q, ctx.tol
     return (2 * math.pi * qpoch_inf(a * b * c * d, q, tol)
             / (qpoch_inf(q, q, tol) * qpoch_inf(a * b, q, tol)
                * qpoch_inf(a * c, q, tol) * qpoch_inf(a * d, q, tol)
@@ -323,12 +312,13 @@ def kappa_aw(params, q, tol):
                * qpoch_inf(c * d, q, tol)))
 
 
-def aw_norm(n, params, q, tol):
-    """Askey-Wilson orthogonality norm of p_n (right side of the AW
-    orthogonality relation)."""
-    a, b, c, d = params.as_tuple() if isinstance(params, AWParams) else params
+def aw_norm(n, params, ctx):
+    """Askey-Wilson orthogonality norm of p_n at ``params`` = (a, b, c, d)
+    (right side of the AW orthogonality relation)."""
+    a, b, c, d = params
+    q = ctx.q
     abcd = a * b * c * d
-    return (kappa_aw((a, b, c, d), q, tol) * (1 - abcd / q)
+    return (kappa_aw(params, ctx) * (1 - abcd / q)
             * qpoch(q, q, n) * qpoch(a * b, q, n) * qpoch(a * c, q, n)
             * qpoch(a * d, q, n) * qpoch(b * c, q, n) * qpoch(b * d, q, n)
             * qpoch(c * d, q, n)
@@ -343,7 +333,7 @@ def connection_down(n, level, ctx):
     """Coefficients of P_n^{(a,b)}(x|q) in the three top degrees of the
     (a+1, b+1) family; coefficients for negative degrees are exact zero."""
     q = ctx.q
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     pre = qpoch(-q ** ((al + be + 1) / 2), math.sqrt(q), 2)
     cnn = (q ** (-n / 2) * (1 - q ** (al + be + n + 1)) * (1 - q ** (al + be + n + 2))
            / (pre * (1 - q ** (n + (al + be + 1) / 2))
@@ -368,7 +358,7 @@ def dual_expansion_aw(n, level, ctx):
     if n < 1:
         raise DomainError("dual_expansion_aw requires n >= 1")
     q = ctx.q
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     po2 = qpoch(-q ** (al + be + 1), q, 2)
     enm1 = ((1 - q ** (2 * al + 2 * n)) * (1 - q ** (2 * be + 2 * n)) * po2
             * q ** (n - 1)

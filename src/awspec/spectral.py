@@ -33,11 +33,11 @@ from .awop import CoeffVector
 from .backend import MAX_TERMS, phi_terms, sum_series
 from .exceptions import DomainError
 from .qcore import phi, qpoch_inf
-from .qpolys import _COEFF_TABLES, _ab
+from .qpolys import _COEFF_TABLES
 
 
 __all__ = [
-    "recurrence_a_coeffs", "bn_B", "bn_C", "bn_recurrence", "bn_sequence",
+    "recurrence_a_coeffs", "bn_B", "bn_C", "bn_sequence",
     "bn_explicit", "bn_minimal_scaled", "bn0_scaled_sequence",
     "zero_asymptotics_constants", "x_nu", "f_eval", "bn_growth_limit",
     "root_asymptotics_constant", "eigenvalue_equation", "matrix_oracle",
@@ -64,7 +64,7 @@ def recurrence_a_coeffs(k, level, ctx):
     if k < 1:
         raise DomainError("recurrence_a_coeffs requires k >= 1")
     q = ctx.q
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     P = ((1 - q) * (1 - q ** (al + k + 1)) * (1 - q ** (be + k + 1))
          * q ** ((3 * al + be + k + 1) / 2)
          / (2 * (1 - q ** (al + be + 1 + k)) * (1 - q ** ((al + be + 2) / 2 + k))
@@ -72,8 +72,12 @@ def recurrence_a_coeffs(k, level, ctx):
     Q = -((1 - q) * (1 - q ** ((al - be) / 2)) * (1 + q ** ((al + be + 1) / 2 + k))
           * q ** ((al + be + k) / 2)
           / (2 * (1 - q ** ((al + be) / 2 + k)) * (1 - q ** ((al + be + 2) / 2 + k))))
-    R = -((1 - q) * (1 - q ** (al + be + k)) * q ** ((k - 1) / 2)
-          / (2 * (1 - q ** ((al + be) / 2 + k)) * (1 - q ** ((al + be - 1) / 2 + k))))
+    top, bottom = 1 - q ** (al + be + k), 1 - q ** ((al + be - 1) / 2 + k)
+    if k == 1 and bottom == 0:
+        # alpha + beta = -1: top vanishes too, and their ratio's limit is 2
+        top, bottom = 2.0, 1.0
+    R = -((1 - q) * top * q ** ((k - 1) / 2)
+          / (2 * (1 - q ** ((al + be) / 2 + k)) * bottom))
     return P, Q, R
 
 
@@ -84,22 +88,25 @@ def _monic_B(k, al, be, qpow):
 
 
 def _monic_C(k, al, be, qpow):
+    low = 1 - qpow((al + be + 1) / 2 + k)
+    if k == 0 and low == 0:
+        # alpha + beta = -1 makes C_0 0/0; it multiplies b_{-1} = 0, so 0
+        return 0.0
     return ((1 - qpow(al + 1 + k)) * (1 - qpow(be + 1 + k))
             * qpow(k + (al + be) / 2 + 1)
-            / ((1 - qpow((al + be + 1) / 2 + k))
-               * (1 - qpow((al + be + 2) / 2 + k)) ** 2
+            / (low * (1 - qpow((al + be + 2) / 2 + k)) ** 2
                * (1 - qpow((al + be + 3) / 2 + k))))
 
 
 def bn_B(k, level, q):
     """Bracket coefficient of the monic recurrence
     b_{k+1}(mu) = (mu + bn_B) b_k(mu) + bn_C b_{k-1}(mu)."""
-    return _monic_B(k, *_ab(level), lambda e: q ** e)
+    return _monic_B(k, level.alpha, level.beta, lambda e: q ** e)
 
 
 def bn_C(k, level, q):
     """Sub-diagonal coefficient of the monic recurrence (see bn_B)."""
-    return _monic_C(k, *_ab(level), lambda e: q ** e)
+    return _monic_C(k, level.alpha, level.beta, lambda e: q ** e)
 
 
 def bn_sequence(nmax, mu, level, ctx):
@@ -109,7 +116,7 @@ def bn_sequence(nmax, mu, level, ctx):
     Accumulation runs in extended precision: near q -> 1 the subdiagonal
     coefficient grows like (1-q)^{-3} and intermediate values amplify
     roundoff by several orders before the sequence settles."""
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     lnq = np.log(np.longdouble(ctx.q))
 
     def qpow(e):
@@ -129,13 +136,6 @@ def bn_sequence(nmax, mu, level, ctx):
     return vals
 
 
-def bn_recurrence(n, mu, level, ctx):
-    """b_n(mu) by forward recurrence from b_{-1} = 0, b_0 = 1."""
-    if n < 0:
-        raise DomainError("bn_recurrence: n must be >= 0")
-    return bn_sequence(n, mu, level, ctx)[n]
-
-
 class _Arith(NamedTuple):
     """The arithmetic the closed form runs in: p = sqrt(q), alpha and beta
     lifted into it, ppow(e) = p**e, and its real and complex constructors."""
@@ -148,7 +148,8 @@ class _Arith(NamedTuple):
 
 
 def _lift(level, p, ppow, real, cplx):
-    al, be = (cplx(v) if isinstance(v, complex) else real(v) for v in _ab(level))
+    al, be = (cplx(v) if isinstance(v, complex) else real(v)
+              for v in (level.alpha, level.beta))
     return _Arith(p, al, be, ppow, real, cplx)
 
 
@@ -238,7 +239,7 @@ def _miller_coeffs(kmax, level, q):
     (at least): the coefficients of the scaled backward recurrence, a
     table memoised per (level, q) and grown on demand."""
     table = _miller_table(level, q)
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     for k in range(len(table), kmax + 1):
         table.append((bn_B(k, level, q), bn_C(k, level, q),
                       q ** (2 * k + al + be + 3), q ** (k + (al + be + 2) / 2)))
@@ -308,7 +309,7 @@ def zero_asymptotics_constants(level, ctx):
     tests verify."""
     q = ctx.q
     p = math.sqrt(q)
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     if not level.is_real or al == be:
         raise DomainError("zero_asymptotics_constants requires real alpha != beta")
     tol = ctx.tol
@@ -342,7 +343,7 @@ def x_nu(nu, x, level, ctx):
     if x == 0:
         raise DomainError("x_nu: x must be nonzero")
     p = math.sqrt(ctx.q)
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     pref = ((-x) ** (-nu) * qpoch_inf(p ** (be + nu + 2), p, ctx.tol)
             * qpoch_inf(-p ** (al + nu + 2.5) / x, p, ctx.tol)
             / qpoch_inf(p ** (al + be + 2 * nu + 4), p, ctx.tol))
@@ -356,7 +357,7 @@ def _f_products(level, ctx):
     """(p^{b+1}; p)_inf and (p^{a+b+2}; p)_inf of F, memoised per (level,
     ctx): they do not depend on x, and the context's tol truncates them."""
     p = math.sqrt(ctx.q)
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     return (qpoch_inf(p ** (be + 1), p, ctx.tol),
             qpoch_inf(p ** (al + be + 2), p, ctx.tol))
 
@@ -369,7 +370,7 @@ def _f_params(x, level, ctx):
     if x == 0:
         raise DomainError("f_eval: x must be nonzero")
     p = math.sqrt(ctx.q)
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     return p, -p ** (al + 1.5) / x, p ** 0.5 / x, p ** (al + 1), p ** (be + 1)
 
 
@@ -427,7 +428,7 @@ def root_asymptotics_constant(xi, level, ctx):
     """Constant of the root asymptotics: b_n(xi) (-xi)^n q^{-n(n+a+b+3)/2}
     tends to this value at a zero xi of F."""
     q = ctx.q
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     tol = ctx.tol
     return (qpoch_inf(q ** (al + 2), q, tol) * qpoch_inf(q ** (be + 2), q, tol)
             / (qpoch_inf(q ** ((al + be + 3) / 2), q, tol)
@@ -446,7 +447,7 @@ def eigenvalue_equation(x, level, ctx):
     to eigenvalues lambda = q^{-1/2}/x*."""
     q = ctx.q
     p = math.sqrt(q)
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     z = (1.0 - q) * x / 2.0
     return (qpoch_inf(-p ** (al + 1.5) * z, p, ctx.tol)
             * phi([p ** (al + 1), z * p ** 0.5], [-p ** (al + 1.5) * z],
@@ -467,8 +468,7 @@ def _oracle_rows(n, level, ctx):
     s = -q^{-(a/2+1/4)}: the rows of the tridiagonal section, a table
     memoised per (level, ctx) and grown on demand."""
     table = _oracle_table(level, ctx)
-    al, _ = _ab(level)
-    s = -ctx.q ** -(al / 2 + 0.25)
+    s = -ctx.q ** -(level.alpha / 2 + 0.25)
     for k in range(len(table) + 1, n + 1):
         P, Q, R = recurrence_a_coeffs(k, level, ctx)
         table.append((s * P, s * Q, s * R))
@@ -577,7 +577,7 @@ def eigenfunction(lam, level, nmax, ctx):
     point where a_n underflows double precision the coefficients are an
     exact flush-to-zero (they are below 1e-300 relative to a_1)."""
     q = ctx.q
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     xi = mu_from_lambda(lam, q)
     w = bn_minimal_scaled(nmax, xi, level, ctx)
     coeffs = [0.0 + 0.0j, 1.0 + 0.0j]
@@ -615,7 +615,9 @@ def _require_conj_regime(level):
 def s_poly(n, x, level, ctx):
     """s_n(x) = i^{-n} b_n(i x); real for real x in the conjugate-pair regime."""
     _require_conj_regime(level)
-    return (1j) ** (-n) * bn_recurrence(n, 1j * x, level, ctx)
+    if n < 0:
+        raise DomainError("s_poly: n must be >= 0")
+    return (1j) ** (-n) * bn_sequence(n, 1j * x, level, ctx)[n]
 
 
 def markov_ratio(n, x, level, ctx):
@@ -625,7 +627,7 @@ def markov_ratio(n, x, level, ctx):
         raise DomainError("markov_ratio requires Im x != 0")
     den = s_poly(n, x, level, ctx)
     if abs(den) < 1e-280:
-        raise ZeroDivisionError("s_n vanishes at x; retry at a perturbed x")
+        raise ZeroDivisionError("s_n vanishes at x; retry at a nearby x")
     return s_poly(n - 1, x, level.shifted(1), ctx) / den
 
 

@@ -14,8 +14,8 @@ import mpmath
 
 from awspec.exceptions import DomainError
 from awspec.qcore import exp_itheta, phi, qpoch, qpoch_inf
-from awspec.qpolys import AWParams, _ab, _aw_prefactor
-from awspec.spectral import bn_recurrence, mu_from_lambda
+from awspec.qpolys import _aw_prefactor
+from awspec.spectral import bn_sequence, mu_from_lambda
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -28,7 +28,7 @@ def _aw_poly_4phi3(n, params, x, ctx):
     ``_aw_prefactor * aw_phi_seq``: the series sheds q^{-n(n-1)/2} digits
     to cancellation.  Needs a nonzero first parameter."""
     q = ctx.q
-    a, b, c, d = params.as_tuple() if isinstance(params, AWParams) else params
+    a, b, c, d = params
     w = exp_itheta(x)
     val = phi([q ** (-n), a * b * c * d * q ** (n - 1), a * w, a / w],
               [a * b, a * c, a * d], q, q, nterms=n, tol=ctx.tol)
@@ -46,7 +46,7 @@ def _hermite_h_theta(n, x, q):
 
 def awpoly_to_cqj_factor(n, level, q):
     """p_n(x; AW params) = factor * P_n^{(a,b)}(x|q)."""
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     return (qpoch(-q ** ((al + be + 1) / 2), q, n)
             * qpoch(-q ** ((al + be + 2) / 2), q, n)
             * qpoch(q, q, n) * q ** (-n * (2 * al + 1) / 4))
@@ -58,7 +58,7 @@ def cqjacobi_classical(n, level, x, ctx):
     q = ctx.q
     if n < 0:
         return 0.0 + 0.0j
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     w = exp_itheta(x)
     pre = (qpoch(q ** (al + 1), q, n) * qpoch(-q ** (be + 1), q, n)
            / (qpoch(q, q, n) * qpoch(-q, q, n)))
@@ -69,7 +69,7 @@ def cqjacobi_classical(n, level, x, ctx):
 
 def classical_to_aw_factor(n, level, q):
     """P_n(x; q) = factor * P_n(x | q^2)."""
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     return qpoch(-q ** (al + be + 1), q, n) / qpoch(-q, q, n) * q ** (-al * n)
 
 
@@ -92,7 +92,7 @@ def _weight_w_literal(level, x, ctx):
     substituted: the reference of ``weight_theta`` = w(x) sin(theta)."""
     xr, s = _interior_point(x)
     q = ctx.q
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     p = math.sqrt(q)
     w = exp_itheta(xr)
     num = qpoch_inf(w * w, q, ctx.tol) * qpoch_inf(1.0 / (w * w), q, ctx.tol)
@@ -205,7 +205,7 @@ def _bn_explicit_nested(n, mu, level, ctx):
     does not yet cancel catastrophically."""
     q = ctx.q
     p = math.sqrt(q)
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     total = 0.0 + 0.0j
     coeff = 1.0 + 0.0j
     for j in range(n + 1):
@@ -227,11 +227,11 @@ def _an_from_bn(k, lam, level, ctx):
     if k < 0:
         return 0.0 + 0.0j
     q = ctx.q
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     f = (qpoch(q ** (al + be + 2), q, k) * qpoch(q ** ((al + be + 4) / 2), q, k)
          * qpoch(q ** ((al + be + 5) / 2), q, k)
          / (qpoch(q ** (al + 2), q, k) * qpoch(q ** (be + 2), q, k)))
-    b = bn_recurrence(k, mu_from_lambda(lam, q), level, ctx)
+    b = bn_sequence(k, mu_from_lambda(lam, q), level, ctx)[k]
     return f * (-1.0) ** k * b * q ** -(k * k / 4 + (al + be / 2 + 1) * k)
 
 
@@ -241,7 +241,7 @@ def _x_nu_series(nu, x, level, ctx):
     p = math.sqrt(ctx.q)
     if x == 0 or abs(p ** 0.5 / x) >= 1.0:
         raise DomainError("x_nu series form needs |x| > p^{1/2}")
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     return ((-x) ** (-nu) * qpoch_inf(p ** 0.5 / x, p, ctx.tol)
             * phi([-p ** (al + 2 + nu), p ** (be + 2 + nu)],
                   [p ** (al + be + 2 * nu + 4)], p, p ** 0.5 / x,

@@ -2,6 +2,7 @@
 one pass/fail line (run with ``pytest -s tests/test_acceptance.py`` to see
 them inline)."""
 import csv
+import dataclasses
 import math
 import time
 
@@ -44,7 +45,7 @@ def test_criterion_01_closed_form_vs_recurrence(verify_all):
 def test_criterion_02_ladder_identity():
     worst = 0.0
     for al, be in PARAM_SETS:
-        cfg = verify.VerifyConfig(alpha=al, beta=be)
+        cfg = dataclasses.replace(verify.DEFAULT_CONFIG, level=JacobiLevel(al, be))
         r = verify.run_suite("awop.ladder", cfg)
         worst = max(worst, r.max_err)
         assert r.passed, f"ladder at ({al},{be}): {r.max_err}"

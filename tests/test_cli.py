@@ -332,6 +332,25 @@ class TestRequestWork:
         assert [r[0] for r in rows] == ["coeff"] * 3 + ["residual"] * 2
         assert all(math.isfinite(float(v)) for r in rows for v in r[2:])
 
+    @pytest.mark.parametrize("level", [
+        ["--alpha=-0.3", "--beta=-0.7"], ["--alpha=-0.5", "--beta=-0.5"],
+        ["--alpha=-0.5+0.3j", "--beta", "conj"]], ids=["real", "chebyshev", "conj"])
+    @pytest.mark.parametrize("command", ["eigen", "eigfun", "kernel"])
+    def test_alpha_plus_beta_minus_one(self, tmp_path, command, level):
+        # h_1/h_0, R of the a_k recurrence at k = 1 and C_0 of the monic one
+        # are 0/0 there: exit 1, ZeroDivisionError
+        out = tmp_path / "o.csv"
+        assert main([command, *level, "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        col = {name: i for i, name in enumerate(header)}
+        assert rows
+        for name in ("lambda_re", "lambda_im", "value_re", "value_im"):
+            if name in col:
+                assert all(math.isfinite(float(r[col[name]])) for r in rows)
+        if command == "eigen":
+            assert all(r[col["converged"]] == "true" for r in rows)
+            assert all(float(r[col["residual_operator"]]) <= 1e-12 for r in rows)
+
     @pytest.mark.parametrize("q", ["0.25", "0.36", "0.81"])
     def test_expand_where_abcd_equals_q(self, tmp_path, q):
         # sqrt(q)^2 == q in floating point here, so the expansion parameters

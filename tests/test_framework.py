@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
-from awspec import verify
+from awspec import framework, verify
 from awspec.exceptions import NonConvergenceError
 from awspec.framework import (cf_minimal_ratio, four_param_b, large_param_a,
                               large_param_b, large_param_limit_check,
@@ -50,10 +51,13 @@ class TestShiftInvariance:
         assert shift_invariance_check(ultraspherical_family(0.7), 2.0, 8)
 
     def test_perturbed_false(self, ctx, level):
+        # c_nn of conn(3) scaled by 1.01 moves C_3 alone
         u = 2 * math.sqrt(ctx.q) / (1 - ctx.q)
-        assert not shift_invariance_check(
-            qjacobi_family(level, ctx), u, 8,
-            perturb=lambda n, c: c * 1.01 if n == 3 else c)
+        fam = qjacobi_family(level, ctx)
+        c3 = fam.conn(3)
+        c3 = dataclasses.replace(c3, c_nn=c3.c_nn * 1.01)
+        moved = dataclasses.replace(fam, conn=lambda n: c3 if n == 3 else fam.conn(n))
+        assert not shift_invariance_check(moved, u, 8)
 
 
 class TestContinuedFraction:
@@ -119,7 +123,19 @@ class TestTelescope:
 class TestGimLimit:
     def test_map_deviation(self):
         ctx = QContext(0.36)
-        assert large_param_limit_check(JacobiLevel(0.5, -0.25), 10, ctx) <= 1e-12
+        devs = large_param_limit_check(JacobiLevel(0.5, -0.25), 10, ctx)
+        assert len(devs) == 20
+        assert all(d <= 1e-12 for d in devs)
+
+    def test_nan_deviation_fails_the_suite(self, monkeypatch):
+        # one NaN a'_n after finite deviations: a fold by the builtin max
+        # kept the finite maximum and passed
+        a = framework.large_param_a
+        monkeypatch.setattr(framework, "large_param_a",
+                            lambda n, lv, q: math.nan if n == 5 else a(n, lv, q))
+        r = verify.run_suite("framework.large-param-limit", verify.DEFAULT_CONFIG)
+        assert not r.passed
+        assert math.isnan(r.max_err)
 
     def test_large_parameter_limits(self):
         # the finite-parameter sub-diagonal coefficient approaches the
@@ -150,9 +166,9 @@ class TestGimLimit:
 class TestSuites:
     @pytest.mark.parametrize("name", [
         "framework.qjacobi-coeffs", "framework.ultraspherical",
-        "framework.dual-coeffs", "framework.cf-pincherle",
-        "framework.telescope", "framework.large-param-limit",
+        "framework.cf-pincherle", "framework.telescope",
+        "framework.large-param-limit",
     ])
     def test_suite_passes(self, name):
-        r = verify.run_suite(name)
+        r = verify.run_suite(name, verify.DEFAULT_CONFIG)
         assert r.passed, f"{name}: {r.max_err} > {r.tol} ({r.detail})"

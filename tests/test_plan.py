@@ -11,7 +11,7 @@ from awspec.awop import (QuadratureRule, kernel_truncation, make_rule,
 from awspec.cli import main
 from awspec.exceptions import DomainError
 from awspec.qcore import QContext, qpoch, qpoch_inf
-from awspec.qpolys import (AWParams, JacobiLevel, _ab, cqjacobi_seq, norm_h,
+from awspec.qpolys import (JacobiLevel, _aw_params, cqjacobi_seq, norm_h,
                            on_nodes, weight_theta)
 
 # the levels and q values of the benchmark's spectrum workload
@@ -26,7 +26,7 @@ T_MEMOS = [qpolys._norm_table, qpolys._node_table, awop._kernel_table,
 def _direct_norm(n, level, ctx):
     """h_n from the closed form, each degree evaluated on its own."""
     q, tol = ctx.q, ctx.tol
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     c0 = (2 * math.pi * (1 - q ** (al + be + 1))
           * qpoch_inf(q ** ((al + be + 2) / 2), q, tol)
           * qpoch_inf(q ** ((al + be + 3) / 2), q, tol)
@@ -67,7 +67,7 @@ class TestNodeTables:
         assert not np.array_equal(w1, w2)
         for rule, w in ((r1, w1), (r2, w2)):
             xs = np.cos(rule.nodes)
-            params = AWParams.from_level(level, ctx.q).as_tuple()
+            params = _aw_params(level, ctx.q)
             assert np.array_equal(w, weight_theta(params, xs, ctx).real)
             polys = on_nodes(level, rule.nodes, ctx)[1]
             assert np.array_equal(polys, np.array(cqjacobi_seq(8, level, xs, ctx)))

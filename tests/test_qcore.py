@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awspec import verify
+from awspec import backend, qcore, verify
 from awspec.exceptions import DomainError, NonConvergenceError, PoleError
 from awspec.qcore import (QContext, exp_itheta, h_product, phi, qpoch, qpoch_inf,
                           qpoch_multi)
@@ -50,6 +50,21 @@ class TestQPoch:
         lhs = qpoch(a, q, n + m)
         rhs = qpoch(a, q, n) * qpoch(a * q ** n, q, m)
         assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
+
+
+class TestOneRoutePerFactorial:
+    def test_qcore_factorials_are_the_kernels(self):
+        assert qcore.qpoch is backend.qpoch
+        assert qcore.qpoch_inf is backend.qpoch_inf
+
+    @pytest.mark.parametrize("base", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_base_outside_zero_one(self, base):
+        with pytest.raises(DomainError, match="base must be in"):
+            qpoch(0.5, base, 2)
+        with pytest.raises(DomainError, match="base must be in"):
+            qpoch_inf(0.5, base, 1e-14)
+        with pytest.raises(DomainError, match="base must be in"):
+            phi([0.5], [0.25], base, 0.1, nterms=-1, tol=1e-14)
 
 
 class TestQPochInf:
@@ -188,14 +203,15 @@ class TestTransformSuites:
         "qcore.saalschutz", "qcore.poch-split", "qcore.phi-poly",
     ])
     def test_suite_passes(self, name):
-        r = verify.run_suite(name)
+        r = verify.run_suite(name, verify.DEFAULT_CONFIG)
         assert r.passed, f"{name}: {r.max_err} > {r.tol} ({r.detail})"
 
     @pytest.mark.parametrize("name", ["qcore.heine", "qcore.heine-iterated"])
     def test_tol_reaches_the_series(self, name):
         # the adaptive series and products of the suite stop at the
         # configured tolerance, not at a default of their own
-        tight = verify.run_suite(name)
-        loose = verify.run_suite(name, verify.VerifyConfig(tol=1e-6))
+        tight = verify.run_suite(name, verify.DEFAULT_CONFIG)
+        loose = verify.run_suite(name, dataclasses.replace(
+            verify.DEFAULT_CONFIG, ctx=QContext(0.5, 1e-6)))
         assert loose.max_err != tight.max_err
         assert loose.max_err > 1e3 * tight.max_err

@@ -22,7 +22,7 @@ from awspec.qpolys import aw_norm
 def _jm_closed(m, r, level, ctx):
     """J_m(-i; r) in closed single-sum form: a_m times the Askey-Wilson norm."""
     return am_coeff(m, r, level, ctx) * aw_norm(
-        m, _expansion_params(level, ctx.q), ctx.q, ctx.tol)
+        m, _expansion_params(level, ctx.q), ctx)
 
 
 def _eq_exp_direct(x, a, b, ctx):
@@ -126,7 +126,7 @@ class TestExpansionCoefficients:
         params = _expansion_params(level, ctx.q)
         for m in range(4):
             jq = jm_quadrature(m, -1j, r, level, ctx, rule)
-            am_q = jq / aw_norm(m, params, ctx.q, ctx.tol)
+            am_q = jq / aw_norm(m, params, ctx)
             assert abs(am_q - am_coeff(m, r, level, ctx)) \
                 <= 1e-7 * max(1.0, abs(am_q))
 
@@ -285,5 +285,5 @@ class TestSuites:
         "qexp.level-shift", "qexp.hermite-value",
     ])
     def test_suite_passes(self, name):
-        r = verify.run_suite(name)
+        r = verify.run_suite(name, verify.DEFAULT_CONFIG)
         assert r.passed, f"{name}: {r.max_err} > {r.tol} ({r.detail})"

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from awspec import awop, verify
+from awspec import awop, qpolys, verify
 from awspec.exceptions import DomainError
 from awspec.qcore import QContext
-from awspec.qpolys import (AWParams, JacobiLevel, _aw_prefactor, aw_norm,
+from awspec.qpolys import (JacobiLevel, _aw_params, _aw_prefactor, aw_norm,
                            aw_phi_seq, connection_down, cqjacobi, cqjacobi_seq,
                            dual_expansion_aw, hermite_h, kappa_aw, norm_h,
                            weight_theta)
@@ -23,7 +23,7 @@ def _aw_poly(n, params, x, q):
 
 class TestAWPoly:
     def test_degree_zero(self, ctx):
-        params = AWParams.from_level(JacobiLevel(0.3, -0.2), ctx.q).as_tuple()
+        params = _aw_params(JacobiLevel(0.3, -0.2), ctx.q)
         assert _aw_poly(0, params, 0.3, ctx.q) == 1.0
 
     def test_hermite_specialization(self):
@@ -47,7 +47,7 @@ class TestAWPoly:
             assert abs(_aw_poly(5, perm, x, ctx.q) - base) <= 1e-12 * abs(base)
 
     def test_phi_route_matches_recurrence(self, ctx, level, rng):
-        params = AWParams.from_level(level, ctx.q).as_tuple()
+        params = _aw_params(level, ctx.q)
         for n in range(7):
             x = rng.uniform(-0.9, 0.9)
             v1 = _aw_poly_4phi3(n, params, x, ctx)
@@ -73,6 +73,20 @@ class TestCqjacobi:
     def test_level_is_alpha_beta_only(self):
         assert [f.name for f in dataclasses.fields(JacobiLevel)] == ["alpha", "beta"]
 
+    def test_real_level_given_as_complex_stores_floats(self, ctx):
+        real, spelled = JacobiLevel(0.3, -0.2), JacobiLevel(0.3 + 0j, -0.2 + 0j)
+        assert (spelled.alpha, spelled.beta) == (0.3, -0.2)
+        assert type(spelled.alpha) is float and type(spelled.beta) is float
+        assert type(JacobiLevel(1, 2).alpha) is float
+        assert spelled == real and hash(spelled) == hash(real) and spelled.is_real
+        conj = JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)
+        assert type(conj.alpha) is complex and not conj.is_real
+        # one memo entry serves both spellings
+        qpolys._norm_table.cache_clear()
+        assert norm_h(4, spelled, ctx) == norm_h(4, real, ctx)
+        info = qpolys._norm_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     @pytest.mark.parametrize("alpha,beta", [
         (math.nan, 0.2), (0.3, math.inf), (-math.inf, 0.2),
         (complex(0.3, math.nan), complex(0.3, -0.5)),
@@ -85,7 +99,7 @@ class TestCqjacobi:
         # the alternate representation equals the four-parameter polynomial
         n = 3
         x = rng.uniform(-0.9, 0.9)
-        params = AWParams.from_level(level, ctx.q)
+        params = _aw_params(level, ctx.q)
         lhs = _aw_poly_4phi3(n, params, x, ctx)
         rhs = awpoly_to_cqj_factor(n, level, ctx.q) * cqjacobi(n, level, x, ctx)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
@@ -132,7 +146,7 @@ class TestWeight:
 
 
 def _weight_theta(level, x, ctx):
-    return weight_theta(AWParams.from_level(level, ctx.q).as_tuple(), x, ctx)
+    return weight_theta(_aw_params(level, ctx.q), x, ctx)
 
 
 class TestNorms:
@@ -154,17 +168,17 @@ class TestNorms:
 
     def test_askey_wilson_route(self, ctx, level):
         # AW orthogonality norm with the q-Jacobi parameters, converted
-        params = AWParams.from_level(level, ctx.q)
+        params = _aw_params(level, ctx.q)
         for n in range(5):
-            aw = aw_norm(n, params, ctx.q, ctx.tol)
+            aw = aw_norm(n, params, ctx)
             conv = awpoly_to_cqj_factor(n, level, ctx.q)
             assert abs(aw / conv ** 2 - norm_h(n, level, ctx)) \
                 <= 1e-10 * abs(aw / conv ** 2)
 
     def test_kappa_is_degree_zero_norm(self, ctx, level):
-        params = AWParams.from_level(level, ctx.q)
-        k = kappa_aw(params, ctx.q, tol=1e-14)
-        assert abs(aw_norm(0, params, ctx.q, tol=1e-14) - k) <= 1e-13 * abs(k)
+        params = _aw_params(level, ctx.q)
+        k = kappa_aw(params, ctx)
+        assert abs(aw_norm(0, params, ctx) - k) <= 1e-13 * abs(k)
 
 
 class TestConnection:
@@ -310,5 +324,5 @@ class TestSuites:
         "qpolys.orthogonality", "qpolys.duality", "qpolys.contiguous",
     ])
     def test_suite_passes(self, name):
-        r = verify.run_suite(name)
+        r = verify.run_suite(name, verify.DEFAULT_CONFIG)
         assert r.passed, f"{name}: {r.max_err} > {r.tol} ({r.detail})"

@@ -10,7 +10,7 @@ from awspec.exceptions import DomainError
 from awspec.qcore import QContext, qpoch_inf
 from awspec.qpolys import JacobiLevel, norm_h, norm_ratio
 from awspec.spectral import (EigenResult, bn_B, bn_C, bn_explicit,
-                             bn_minimal_scaled, bn_recurrence, bn_sequence,
+                             bn_minimal_scaled, bn_sequence,
                              eigenvalue_equation, eigenfunction, eigenvalues,
                              f_eval, markov_ratio, markov_stieltjes,
                              matrix_oracle, q_coulomb, recurrence_a_coeffs,
@@ -57,9 +57,9 @@ class TestRecurrenceCoeffs:
 
 class TestBn:
     def test_initial_values(self, ctx, level):
-        assert bn_recurrence(0, 1.3 + 0.4j, level, ctx) == 1.0
+        assert bn_sequence(0, 1.3 + 0.4j, level, ctx)[0] == 1.0
         mu = 0.9 - 0.2j
-        b1 = bn_recurrence(1, mu, level, ctx)
+        b1 = bn_sequence(1, mu, level, ctx)[1]
         assert abs(b1 - (mu + bn_B(0, level, ctx.q))) <= 1e-15
 
     def test_explicit_against_recurrence(self):
@@ -67,7 +67,7 @@ class TestBn:
         level = JacobiLevel(0.5, -0.25)
         mu = 0.7 + 0.1j
         a = bn_explicit(5, mu, level, ctx)
-        b = bn_recurrence(5, mu, level, ctx)
+        b = bn_sequence(5, mu, level, ctx)[5]
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
     def test_explicit_degree_zero(self, ctx, level):
@@ -476,5 +476,5 @@ class TestSuites:
         "spectral.x-telescope", "spectral.markov", "spectral.coulomb",
     ])
     def test_suite_passes(self, name):
-        r = verify.run_suite(name)
+        r = verify.run_suite(name, verify.DEFAULT_CONFIG)
         assert r.passed, f"{name}: {r.max_err} > {r.tol} ({r.detail})"

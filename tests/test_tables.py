@@ -14,7 +14,7 @@ import pytest
 from awspec import awop, qexp, qpolys, spectral
 from awspec.qcore import QContext
 from awspec.awop import kernel_truncation, make_rule
-from awspec.qpolys import (AWParams, JacobiLevel, _ab, aw_phi_seq, cqjacobi_seq,
+from awspec.qpolys import (JacobiLevel, _aw_params, aw_phi_seq, cqjacobi_seq,
                            on_nodes)
 from awspec.spectral import bn_B, bn_C, bn_minimal_scaled, f_eval, matrix_oracle
 from oracles import _aw_poly_4phi3
@@ -49,7 +49,7 @@ def _aw_step(n, a, b, c, d, q):
 
 
 def _aw_phi_seq_loop(nmax, params, x, q):
-    a, b, c, d = params.as_tuple() if isinstance(params, AWParams) else params
+    a, b, c, d = params
     one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0 + 0.0j
     vals = [one * (1.0 + 0.0j)]
     pm1 = one * 0.0j
@@ -64,8 +64,8 @@ def _aw_phi_seq_loop(nmax, params, x, q):
 
 def _cqjacobi_seq_loop(nmax, level, x, ctx):
     q = ctx.q
-    al, be = _ab(level)
-    seq = _aw_phi_seq_loop(nmax, AWParams.from_level(level, q), x, q)
+    al = level.alpha
+    seq = _aw_phi_seq_loop(nmax, _aw_params(level, q), x, q)
     out = []
     cv = 1.0 + 0.0j
     for n in range(nmax + 1):
@@ -76,7 +76,7 @@ def _cqjacobi_seq_loop(nmax, level, x, ctx):
 
 def _bn_minimal_scaled_loop(nmax, xi, level, ctx):
     q = ctx.q
-    al, be = _ab(level)
+    al, be = level.alpha, level.beta
     M = nmax + 40
     w = [0.0 + 0.0j] * (M + 2)
     w[M + 1] = 0.0
@@ -107,12 +107,12 @@ class TestBitIdentity:
     def test_aw_phi_seq(self, level, x):
         _clear_tables()
         q = 0.6
-        params = AWParams.from_level(level, q)
+        params = _aw_params(level, q)
         for nmax in (60, 5, 0, -1, 61):
             _same(aw_phi_seq(nmax, params, x, q), _aw_phi_seq_loop(nmax, params, x, q))
         # a real parameter spelled as complex reads the same table: CPython's
         # complex arithmetic rounds a zero imaginary part like float's
-        cparams = tuple(complex(v) for v in params.as_tuple())
+        cparams = tuple(complex(v) for v in params)
         _same(aw_phi_seq(30, cparams, x, q), _aw_phi_seq_loop(30, cparams, x, q))
 
     def test_cqjacobi_seq(self, level, x):
@@ -136,8 +136,7 @@ def test_bn_minimal_scaled_matches_loop(level):
 def test_matrix_oracle_matches_loop(level):
     _clear_tables()
     ctx = QContext(0.5)
-    al, _ = _ab(level)
-    s = -ctx.q ** -(al / 2 + 0.25)
+    s = -ctx.q ** -(level.alpha / 2 + 0.25)
     for n in (40, 12, 41):
         # the dtype matrix_oracle solves in: real on a real level
         m = np.zeros((n, n), dtype=float if level.is_real else complex)
@@ -349,7 +348,7 @@ def test_frozen_dataclasses_are_set_only_in_post_init():
         assert not written, f"{path.name}: object.__setattr__ on lines {written}"
 
 
-MAX_DEFAULTS = 11  # defaulted function parameters in src/awspec, lambdas not counted
+MAX_DEFAULTS = 9  # defaulted function parameters in src/awspec, lambdas not counted
 # cqjacobi keeps method="phi": the benchmark checks its rows against the 4phi3
 ROUTED = {("qpolys.py", "cqjacobi")}
 

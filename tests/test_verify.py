@@ -1,11 +1,14 @@
 """The suite protocol of ``verify``: a suite returns its sub-errors and a
 detail, and ``run_suite`` alone folds them into ``max_err`` and a pass."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from awspec import verify
+from awspec.qcore import QContext
+from awspec.qpolys import JacobiLevel
 
 TOL = 1e-10
 
@@ -18,7 +21,7 @@ def run_probe(monkeypatch):
     def run(result, tol=TOL):
         verify._suite("test.probe", tol)(lambda config: result)
         try:
-            return verify.run_suite("test.probe")
+            return verify.run_suite("test.probe", verify.DEFAULT_CONFIG)
         finally:
             del verify.REGISTRY["test.probe"]
     return run
@@ -75,6 +78,14 @@ def test_plain_sub_errors_keep_their_bits(run_probe):
     assert r.max_err == 2e-10 and not r.passed
 
 
+def test_config_is_a_level_a_context_and_a_node_count():
+    fields = tuple(f.name for f in dataclasses.fields(verify.VerifyConfig))
+    assert fields == ("level", "ctx", "nodes")
+    c = verify.DEFAULT_CONFIG
+    assert (c.level, c.ctx, c.nodes) == (JacobiLevel(0.3, -0.2),
+                                         QContext(0.5, 1e-14), 160)
+
+
 def test_second_registration_raises():
     heine = verify.REGISTRY["qcore.heine"]
     with pytest.raises(ValueError, match="qcore.heine"):
@@ -88,14 +99,15 @@ def test_one_nan_late_in_a_real_suite_fails(monkeypatch):
     qpoch = verify.qpoch
     monkeypatch.setattr(verify, "qpoch",
                         lambda a, q, n: math.nan if next(calls) == 5000 else qpoch(a, q, n))
-    r = verify.run_suite("qcore.poch-split")
+    r = verify.run_suite("qcore.poch-split", verify.DEFAULT_CONFIG)
     assert not r.passed
     assert math.isnan(r.max_err)
 
 
 def test_eigen_certify_passes_on_a_conjugate_pair_level():
     # there the eigenvalues are purely imaginary, not closed under conjugation
-    config = verify.VerifyConfig(alpha=0.3 + 0.5j, beta=0.3 - 0.5j)
+    config = dataclasses.replace(verify.DEFAULT_CONFIG,
+                                 level=JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j))
     r = verify.run_suite("spectral.eigen-certify", config)
     assert r.passed, r.detail
     assert "re/|lam|=" in r.detail and "conj=" not in r.detail
