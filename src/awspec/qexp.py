@@ -13,10 +13,12 @@ With it the coefficient formula collapses to
 
     b = q^{(2 alpha + 1)/4},  c = q^{(2 beta + 1)/4},
 
-whose leading ratio mirrors the classical (alpha+beta+1)_n/(alpha+beta+1)_{2n}
-structure; every form here is validated against quadrature of the defining
-integrals by the verify suites ``qexp.expansion-coeffs`` and
-``qexp.jm-integrals``.
+the a and -c of the level's Askey-Wilson parameters (a, b, c, d), which
+come from ``qpolys._aw_params``; the p_m are the level's own rows P_m
+times a^{-m} (q, ac, ad; q)_m.  The leading ratio mirrors the classical
+(alpha+beta+1)_n/(alpha+beta+1)_{2n} structure; every form here is
+validated against quadrature of the defining integrals by the verify
+suites ``qexp.expansion-coeffs`` and ``qexp.jm-integrals``.
 """
 import cmath
 import functools
@@ -29,12 +31,12 @@ from .awop import make_rule
 from .backend import MAX_TERMS, sum_series
 from .exceptions import NonConvergenceError
 from .qcore import exp_itheta, phi, qpoch, qpoch_inf
-from .qpolys import (_COEFF_TABLES, _aw_prefactor, aw_phi_seq, cqjacobi_seq,
-                     hermite_h, kappa_aw, weight_theta)
+from .qpolys import (_COEFF_TABLES, _aw_params, cqjacobi_seq, hermite_h,
+                     kappa_aw, on_nodes)
 from .spectral import mu_from_lambda, x_nu
 
 __all__ = [
-    "eq_exp", "eq_eigenvalue_dq", "bc_params", "am_coeff", "jm_double_series",
+    "eq_exp", "eq_eigenvalue_dq", "am_coeff", "jm_double_series",
     "jm_quadrature", "imn_quadrature", "expansion_residual", "hermite_series",
     "hermite_identity_residual", "e_series_invariant",
     "e_series_invariant_closed",
@@ -111,11 +113,6 @@ def eq_eigenvalue_dq(a, b, q):
     return -2.0 * a * b * q ** 0.25 / (1.0 - q)
 
 
-def bc_params(level, q):
-    """(b, c) = (q^{(2a+1)/4}, q^{(2b+1)/4}) of the expansion formulas."""
-    return q ** ((2 * level.alpha + 1) / 4), q ** ((2 * level.beta + 1) / 4)
-
-
 @functools.lru_cache(maxsize=_COEFF_TABLES)
 def _am_products(r, ctx):
     """(i r q^{1/2}; q)_inf / (-i r; q)_inf, the factor of every a_m that
@@ -131,7 +128,8 @@ def am_coeff(m, r, level, ctx):
     Its m-free ratio of infinite products is read from a memo per
     (r, ctx)."""
     q = ctx.q
-    b, c = bc_params(level, q)
+    params = _aw_params(level, q)
+    b, c = params[0], -params[2]
     # (b^2c^2; q)_m / (b^2c^2; q)_{2m} = 1/(b^2c^2 q^m; q)_m, which stays
     # finite at b^2c^2 = q^{alpha+beta+1} = 1
     pre = (q ** (m * m / 4.0) * (1j * r) ** m
@@ -152,11 +150,12 @@ def jm_double_series(m, a, r, level, ctx):
         raise NonConvergenceError(
             "jm_double_series: series converges only for |a*r| < 1")
     q = ctx.q
-    b, c = bc_params(level, q)
+    params = _aw_params(level, q)
+    b, c = params[0], -params[2]
     rt = math.sqrt(q)
     fcorr = (qpoch(b * b * rt, q, m) * qpoch(-b * c, q, m)
              * qpoch(-b * c * rt, q, m) / b ** m)
-    pre = (kappa_aw(_expansion_params(level, q), ctx)
+    pre = (kappa_aw(params, ctx)
            * qpoch(c * c * rt, q, m) * (-a * b * r) ** m * q ** (m * m / 4.0)
            / (qpoch(b * c * rt, q, m) * qpoch(b * c * q, q, m)))
 
@@ -177,25 +176,24 @@ def jm_double_series(m, a, r, level, ctx):
                                     "jm_double_series")
 
 
-def _expansion_params(level, q):
-    b, c = bc_params(level, q)
-    return (b, b * math.sqrt(q), -c, -c * math.sqrt(q))
+def _p_factors(mmax, level, q):
+    """p_m/P_m = a^{-m} (q, ac, ad; q)_m for m = 0..mmax: the factors from
+    the level's rows P_m to the expansion family p_m."""
+    a, _, c, d = _aw_params(level, q)
+    return [qpoch(q, q, m) * qpoch(a * c, q, m) * qpoch(a * d, q, m) * a ** (-m)
+            for m in range(mmax + 1)]
 
 
 def _aw_projections(mmax, values, level, rule, ctx):
-    """sum_i w_i w(x_i) sin(theta_i) prefactor_m p_m(x_i) f(x_i) over the
-    rule's nodes x_i = cos(theta_i), for m = 0..mmax, given the values
+    """sum_i w_i w(x_i) sin(theta_i) p_m(x_i) f(x_i) over the rule's nodes
+    x_i = cos(theta_i), for m = 0..mmax <= rule.size // 2, given the values
     f(x_i): the unnormalized projections of f on the expansion family.
-    The weight is real on real levels and complex on conjugate-pair ones,
-    where the orthogonality holds bilinearly against it."""
-    q = ctx.q
-    params = _expansion_params(level, q)
-    xs = np.cos(rule.nodes)
-    w = weight_theta(params, xs, ctx)
-    w = w.real if level.is_real else w
-    seq = aw_phi_seq(mmax, params, xs, q)
-    return [np.sum(rule.weights * w * _aw_prefactor(m, params, q) * seq[m] * values)
-            for m in range(mmax + 1)]
+    The weight and the rows P_m are the level's ``on_nodes``; the weight
+    is real on real levels and complex on conjugate-pair ones, where the
+    orthogonality holds bilinearly against it."""
+    w, rows = on_nodes(level, rule.nodes, ctx)
+    return [np.sum(rule.weights * w * f * rows[m] * values)
+            for m, f in enumerate(_p_factors(mmax, level, ctx.q))]
 
 
 def jm_quadrature(m, a, r, level, ctx, rule):
@@ -222,15 +220,14 @@ def expansion_residual(coeffs, x, r, level, ctx):
     """|E_q(x; -i, r) - sum_{m<=M} a_m p_m(x; b, b sqrt q, -c, -c sqrt q)| at
     a point or at every point of an ndarray ``x``, given the coefficient
     list ``coeffs`` = [a_0, ..., a_M] (``am_coeff``)."""
-    q = ctx.q
-    params = _expansion_params(level, q)
     if isinstance(x, np.ndarray):
         lhs = np.array([eq_exp(t, -1j, r, ctx) for t in x.tolist()])
     else:
         lhs = eq_exp(x, -1j, r, ctx)
-    seq = aw_phi_seq(len(coeffs) - 1, params, x, q)
-    rhs = sum(a * _aw_prefactor(m, params, q) * p
-              for m, (a, p) in enumerate(zip(coeffs, seq)))
+    mmax = len(coeffs) - 1
+    rows = cqjacobi_seq(mmax, level, x, ctx)
+    rhs = sum(a * f * p for a, f, p in
+              zip(coeffs, _p_factors(mmax, level, ctx.q), rows))
     return abs(lhs - rhs)
 
 

@@ -102,9 +102,8 @@ def _aw_coeffs(nmax, a, b, c, d, q):
     abcd = a * b * c * d
     for n in range(len(table), nmax):
         qn = q ** n
-        if n == 0 and 1 - abcd / q == 0:
-            # abcd = q: the factor 1 - abcd/q stands above and below in A_0
-            # and C_0; cancelled, A_0 is finite and C_0 is its limit, 0
+        if n == 0:
+            # the factor 1 - abcd/q of A_0 cancels, and C_0 carries 1 - q^0
             An = (1 - a * b) * (1 - a * c) * (1 - a * d) / (a * (1 - abcd))
             Cn = 0.0
         else:
@@ -140,12 +139,6 @@ def aw_phi_seq(nmax, params, x, q):
         vals.append(p1)
         pm1, p0 = p0, p1
     return vals
-
-
-def _aw_prefactor(n, params, q):
-    a, b, c, d = params
-    return (qpoch(a * b, q, n) * qpoch(a * c, q, n) * qpoch(a * d, q, n)
-            * a ** (-n))
 
 
 def hermite_h(n, x, q):
@@ -289,10 +282,10 @@ def norm_h(n, level, ctx):
 def norm_ratio(n, level, q):
     """h_{n+1}/h_n from the closed form of the norm."""
     al, be = level.alpha, level.beta
-    top, bottom = 1 - q ** (2 * n + al + be + 1), 1 - q ** (al + be + 1 + n)
-    if n == 0 and bottom == 0:
-        # alpha + beta = -1: top is the same factor, and their ratio's limit is 1
+    if n == 0:  # top and bottom are the same factor 1 - q^{a+b+1}: cancelled
         top = bottom = 1.0
+    else:
+        top, bottom = 1 - q ** (2 * n + al + be + 1), 1 - q ** (al + be + 1 + n)
     return ((1 - q ** (al + 1 + n)) * (1 - q ** (be + 1 + n))
             * (1 + q ** ((al + be + 3) / 2 + n)) * q ** ((2 * al + 1) / 2)
             * top
@@ -314,15 +307,17 @@ def kappa_aw(params, ctx):
 
 def aw_norm(n, params, ctx):
     """Askey-Wilson orthogonality norm of p_n at ``params`` = (a, b, c, d)
-    (right side of the AW orthogonality relation)."""
+    (right side of the AW orthogonality relation), with its factor
+    (1 - abcd/q) cancelled: kappa (q, ab, ac, ad, bc, bd, cd; q)_n
+    (abcd q^{n-1}; q)_n / (abcd; q)_{2n}."""
     a, b, c, d = params
     q = ctx.q
     abcd = a * b * c * d
-    return (kappa_aw(params, ctx) * (1 - abcd / q)
+    return (kappa_aw(params, ctx)
             * qpoch(q, q, n) * qpoch(a * b, q, n) * qpoch(a * c, q, n)
             * qpoch(a * d, q, n) * qpoch(b * c, q, n) * qpoch(b * d, q, n)
-            * qpoch(c * d, q, n)
-            / ((1 - abcd * q ** (2 * n - 1)) * qpoch(abcd / q, q, n)))
+            * qpoch(c * d, q, n) * qpoch(abcd * q ** (n - 1), q, n)
+            / qpoch(abcd, q, 2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +329,13 @@ def connection_down(n, level, ctx):
     (a+1, b+1) family; coefficients for negative degrees are exact zero."""
     q = ctx.q
     al, be = level.alpha, level.beta
+    if n < 1:
+        # c_{0,0}: its two (1 - x^2)/(1 - x) are 1 + x, and cancel against pre
+        return ConnectionTriple(1.0, 0.0, 0.0)
     pre = qpoch(-q ** ((al + be + 1) / 2), math.sqrt(q), 2)
     cnn = (q ** (-n / 2) * (1 - q ** (al + be + n + 1)) * (1 - q ** (al + be + n + 2))
            / (pre * (1 - q ** (n + (al + be + 1) / 2))
               * (1 - q ** (n + (al + be + 2) / 2))))
-    if n < 1:
-        return ConnectionTriple(cnn, 0.0, 0.0)
     cnn1 = (q ** ((al + be + 2 - n) / 2) * (1 - q ** (al + be + n + 1))
             * (1 + q ** (n + (al + be + 1) / 2)) * (1 - q ** ((al - be) / 2))
             / (pre * (1 - q ** (n + (al + be) / 2))

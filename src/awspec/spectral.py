@@ -72,10 +72,10 @@ def recurrence_a_coeffs(k, level, ctx):
     Q = -((1 - q) * (1 - q ** ((al - be) / 2)) * (1 + q ** ((al + be + 1) / 2 + k))
           * q ** ((al + be + k) / 2)
           / (2 * (1 - q ** ((al + be) / 2 + k)) * (1 - q ** ((al + be + 2) / 2 + k))))
-    top, bottom = 1 - q ** (al + be + k), 1 - q ** ((al + be - 1) / 2 + k)
-    if k == 1 and bottom == 0:
-        # alpha + beta = -1: top vanishes too, and their ratio's limit is 2
-        top, bottom = 2.0, 1.0
+    if k == 1:  # (1 - q^{a+b+1})/(1 - q^{(a+b+1)/2}), cancelled
+        top, bottom = 1 + q ** ((al + be + 1) / 2), 1.0
+    else:
+        top, bottom = 1 - q ** (al + be + k), 1 - q ** ((al + be - 1) / 2 + k)
     R = -((1 - q) * top * q ** ((k - 1) / 2)
           / (2 * (1 - q ** ((al + be) / 2 + k)) * bottom))
     return P, Q, R
@@ -88,13 +88,12 @@ def _monic_B(k, al, be, qpow):
 
 
 def _monic_C(k, al, be, qpow):
-    low = 1 - qpow((al + be + 1) / 2 + k)
-    if k == 0 and low == 0:
-        # alpha + beta = -1 makes C_0 0/0; it multiplies b_{-1} = 0, so 0
-        return 0.0
+    if k == 0:
+        return 0.0  # C_0 multiplies b_{-1} = 0
     return ((1 - qpow(al + 1 + k)) * (1 - qpow(be + 1 + k))
             * qpow(k + (al + be) / 2 + 1)
-            / (low * (1 - qpow((al + be + 2) / 2 + k)) ** 2
+            / ((1 - qpow((al + be + 1) / 2 + k))
+               * (1 - qpow((al + be + 2) / 2 + k)) ** 2
                * (1 - qpow((al + be + 3) / 2 + k))))
 
 
@@ -605,9 +604,8 @@ def eigenfunction(lam, level, nmax, ctx):
 # ---------------------------------------------------------------------------
 
 def _require_conj_regime(level):
-    al, be = complex(level.alpha), complex(level.beta)
-    if al.imag == 0.0 or abs(al - be.conjugate()) > 1e-12 * (1 + abs(al)) \
-            or al.real <= -1.0:
+    # JacobiLevel has already checked that a complex alpha is conj(beta)
+    if not isinstance(level.alpha, complex) or level.alpha.real <= -1.0:
         raise DomainError("s_n regime requires alpha = conj(beta), "
                           "Im alpha != 0, Re alpha > -1")
 

@@ -580,7 +580,7 @@ def _expansion_coeffs(config):
     rule = awop.make_rule(2 * config.nodes)
     xs = np.cos(rule.nodes)
     q = ctx.q
-    params = qexp._expansion_params(level, q)
+    params = qpolys._aw_params(level, q)
     ev = np.array([qexp.eq_exp(x, -1j, r, ctx) for x in xs])
     projs = qexp._aw_projections(10, ev, level, rule, ctx)
     errs = []
@@ -619,7 +619,7 @@ def _jm_integrals(config):
         for m in range(3):
             errs.append(_mixed(qexp.jm_double_series(m, 0.5j, r, level, ctx),
                                qexp.jm_quadrature(m, 0.5j, r, level, ctx, rule)))
-        params = qexp._expansion_params(level, q)
+        params = qpolys._aw_params(level, q)
         for m in range(4):
             closed = (qexp.am_coeff(m, r, level, ctx)
                       * qpolys.aw_norm(m, params, ctx))

@@ -14,12 +14,19 @@ import mpmath
 
 from awspec.exceptions import DomainError
 from awspec.qcore import exp_itheta, phi, qpoch, qpoch_inf
-from awspec.qpolys import _aw_prefactor
 from awspec.spectral import bn_sequence, mu_from_lambda
 
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
+
+
+def _aw_prefactor(n, params, q):
+    """a^{-n} (ab, ac, ad; q)_n, the factor from phi_n of ``aw_phi_seq``
+    to the Askey-Wilson p_n."""
+    a, b, c, d = params
+    return (qpoch(a * b, q, n) * qpoch(a * c, q, n) * qpoch(a * d, q, n)
+            * a ** (-n))
 
 
 def _aw_poly_4phi3(n, params, x, ctx):
@@ -71,6 +78,38 @@ def classical_to_aw_factor(n, level, q):
     """P_n(x; q) = factor * P_n(x | q^2)."""
     al, be = level.alpha, level.beta
     return qpoch(-q ** (al + be + 1), q, n) / qpoch(-q, q, n) * q ** (-al * n)
+
+
+def line_factors_mp(level, q, dps):
+    """The level coefficients that hold a removable 0/0 on the line
+    alpha + beta = -1, each by its uncancelled formula in ``dps``-digit
+    arithmetic at the stored float level and q: R of the a_k recurrence at
+    k = 1, c_{0,0} of ``connection_down``, A_0 of the Askey-Wilson
+    recurrence at the level's parameters, and aw_norm(n)/kappa_aw for
+    n = 0..3.  Off the line only; there each 0/0 is 0/0 in any precision."""
+    with mpmath.workdps(dps):
+        q = mpmath.mpf(q)
+        al, be = mpmath.mpf(level.alpha), mpmath.mpf(level.beta)
+        s = al + be
+        R1 = -((1 - q) * (1 - q ** (s + 1))
+               / (2 * (1 - q ** (s / 2 + 1)) * (1 - q ** ((s + 1) / 2))))
+        c00 = ((1 - q ** (s + 1)) * (1 - q ** (s + 2))
+               / ((1 + q ** ((s + 1) / 2)) * (1 + q ** ((s + 2) / 2))
+                  * (1 - q ** ((s + 1) / 2)) * (1 - q ** ((s + 2) / 2))))
+        a, b = q ** ((2 * al + 1) / 4), q ** ((2 * al + 3) / 4)
+        c, d = -q ** ((2 * be + 1) / 4), -q ** ((2 * be + 3) / 4)
+        abcd = a * b * c * d
+        A0 = ((1 - a * b) * (1 - a * c) * (1 - a * d) * (1 - abcd / q)
+              / (a * (1 - abcd / q) * (1 - abcd)))
+
+        def qp(x, n):
+            return mpmath.qp(x, q, n)
+
+        norms = [(1 - abcd / q) * qp(q, n) * qp(a * b, n) * qp(a * c, n)
+                 * qp(a * d, n) * qp(b * c, n) * qp(b * d, n) * qp(c * d, n)
+                 / ((1 - abcd * q ** (2 * n - 1)) * qp(abcd / q, n))
+                 for n in range(4)]
+        return float(R1), float(c00), float(A0), [float(h) for h in norms]
 
 
 # ---------------------------------------------------------------------------

@@ -111,11 +111,13 @@ class TestUsage:
         residuals = [float(row[2]) for row in rows if row[0] == "residual"]
         assert len(residuals) == 2 and max(residuals) <= 1e-13
 
-    @pytest.mark.parametrize("command", ["poly", "expand"])
-    def test_alpha_minus_one_is_a_domain_error(self, command):
-        # at alpha = -1 the factor 1 - q^{alpha+1} of P_1 and the A_0 of the
-        # expansion's recurrence are 0: no finite value to print
-        r = _run([command, "--alpha=-1", "--beta", "0"])
+    @pytest.mark.parametrize("command, q", [
+        ("poly", "0.5"), ("expand", "0.5"), ("poly", "0.36"), ("expand", "0.36")],
+        ids=["poly", "expand", "poly-0.36", "expand-0.36"])
+    def test_alpha_minus_one_is_a_domain_error(self, command, q):
+        # at alpha = -1 the factor 1 - q^{alpha+1} of P_1 is 0, exactly at
+        # every q: no finite value to print, and the expansion reads P_1 too
+        r = _run([command, "--alpha=-1", "--beta", "0", "--q", q])
         assert r.returncode == 2
         assert r.stderr.startswith("error:")
         assert len(r.stderr.strip().splitlines()) == 1
@@ -338,7 +340,7 @@ class TestRequestWork:
     @pytest.mark.parametrize("command", ["eigen", "eigfun", "kernel"])
     def test_alpha_plus_beta_minus_one(self, tmp_path, command, level):
         # h_1/h_0, R of the a_k recurrence at k = 1 and C_0 of the monic one
-        # are 0/0 there: exit 1, ZeroDivisionError
+        # hold removable 0/0 factors there, written cancelled
         out = tmp_path / "o.csv"
         assert main([command, *level, "--out", str(out)]) == 0
         header, *rows = [line.split(",") for line in out.read_text().splitlines()]
@@ -353,8 +355,9 @@ class TestRequestWork:
 
     @pytest.mark.parametrize("q", ["0.25", "0.36", "0.81"])
     def test_expand_where_abcd_equals_q(self, tmp_path, q):
-        # sqrt(q)^2 == q in floating point here, so the expansion parameters
-        # give abcd = q exactly and A_0, C_0 of aw_phi_seq carry 0/0
+        # sqrt(q)^2 == q in floating point here, where abcd = q exactly for
+        # the parameters (1, sqrt q, -1, -sqrt q) and the factor 1 - abcd/q
+        # of A_0 and of the norms is 0: written cancelled, they hold none
         out = tmp_path / "e.csv"
         rc = main(["expand", "--alpha", "-0.5", "--beta", "-0.5", "--q", q,
                    "--mmax", "25", "--out", str(out)])

@@ -7,13 +7,15 @@ import pytest
 from awspec import awop, qpolys, verify
 from awspec.exceptions import DomainError
 from awspec.qcore import QContext
-from awspec.qpolys import (JacobiLevel, _aw_params, _aw_prefactor, aw_norm,
+from awspec.qpolys import (JacobiLevel, _aw_coeffs, _aw_params, aw_norm,
                            aw_phi_seq, connection_down, cqjacobi, cqjacobi_seq,
                            dual_expansion_aw, hermite_h, kappa_aw, norm_h,
                            weight_theta)
-from oracles import (_aw_poly_4phi3, _hermite_h_theta, _weight_w_literal,
-                     awpoly_to_cqj_factor, classical_to_aw_factor,
-                     cqjacobi_classical)
+from awspec.spectral import recurrence_a_coeffs
+from oracles import (_aw_poly_4phi3, _aw_prefactor, _hermite_h_theta,
+                     _weight_w_literal, awpoly_to_cqj_factor,
+                     classical_to_aw_factor, cqjacobi_classical,
+                     line_factors_mp)
 
 
 def _aw_poly(n, params, x, q):
@@ -184,8 +186,7 @@ class TestNorms:
 class TestConnection:
     def test_degree_zero_triple(self, ctx, level):
         t = connection_down(0, level, ctx)
-        assert t.c_nn1 == 0.0 and t.c_nn2 == 0.0
-        assert t.c_nn != 0.0
+        assert t.as_tuple() == (1.0, 0.0, 0.0)  # P_0 = 1 in both families
 
     def test_pointwise_identity(self):
         n, al, be, q, x = 4, 0.5, -0.25, 0.36, 0.7
@@ -245,6 +246,28 @@ class TestConnection:
                        / (t.c_nn * scale[0]))
                 want = chat[i + 1] / chat[0]
                 assert abs(got - want) <= 2e-3 * abs(want)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9])
+def test_removable_factors_cancel_near_the_line(q):
+    # each of these holds a (1 - x^2)/(1 - x) or an equal pair above and
+    # below on alpha + beta = -1; cancelled, they keep full precision on
+    # both sides of the line, against 50 digits at the same float level
+    ctx = QContext(q)
+    for k in range(4, 15):
+        for sign in (1, -1):
+            for level in (JacobiLevel(-0.3, -0.7 + sign * 10.0 ** -k),
+                          JacobiLevel((-1 + sign * 10.0 ** -k) / 2,
+                                      (-1 + sign * 10.0 ** -k) / 2)):
+                R1, c00, A0, norms = line_factors_mp(level, q, 50)
+                params = _aw_params(level, q)
+                got = [recurrence_a_coeffs(1, level, ctx)[2],
+                       connection_down(0, level, ctx).c_nn,
+                       _aw_coeffs(1, *params, q)[0][0]]
+                got += [aw_norm(n, params, ctx) / kappa_aw(params, ctx)
+                        for n in range(4)]
+                for g, want in zip(got, [R1, c00, A0, *norms]):
+                    assert abs(g - want) <= 1e-14 * abs(want), (k, sign, level)
 
 
 def _dual_classical(n, level, ctx):

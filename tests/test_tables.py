@@ -17,7 +17,7 @@ from awspec.awop import kernel_truncation, make_rule
 from awspec.qpolys import (JacobiLevel, _aw_params, aw_phi_seq, cqjacobi_seq,
                            on_nodes)
 from awspec.spectral import bn_B, bn_C, bn_minimal_scaled, f_eval, matrix_oracle
-from oracles import _aw_poly_4phi3
+from oracles import _aw_poly_4phi3, _aw_prefactor
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "awspec"
 PERFBENCH = SRC.parents[1] / "perfbench"
@@ -38,6 +38,8 @@ def _clear_tables():
 
 def _aw_step(n, a, b, c, d, q):
     abcd = a * b * c * d
+    if n == 0:
+        return (1 - a * b) * (1 - a * c) * (1 - a * d) / (a * (1 - abcd)), 0.0
     qn = q ** n
     An = ((1 - a * b * qn) * (1 - a * c * qn) * (1 - a * d * qn)
           * (1 - abcd * qn / q)
@@ -154,14 +156,15 @@ def test_matrix_oracle_matches_loop(level):
 
 @pytest.mark.parametrize("q", [0.25, 0.36, 0.81])
 def test_abcd_equal_to_q_cancels_only_the_first_entry(q):
-    # the expansion parameters at alpha = beta = -1/2: (1, sqrt q, -1, -sqrt q)
+    # parameters with abcd = q, where A_0's factor 1 - abcd/q is 0/0 before
+    # it is cancelled: (1, sqrt q, -1, -sqrt q)
     _clear_tables()
     params = (1.0, q ** 0.5, -1.0, -q ** 0.5)
     assert np.prod(params) == q
     ctx = QContext(q)
     # against the 4phi3, while its cancellation (q^{-n(n-1)/2}) stays small
     for n in range(1, 5):
-        got = qpolys._aw_prefactor(n, params, q) * aw_phi_seq(n, params, 0.3, q)[n]
+        got = _aw_prefactor(n, params, q) * aw_phi_seq(n, params, 0.3, q)[n]
         want = _aw_poly_4phi3(n, params, 0.3, ctx)
         assert abs(got - want) <= 1e-11 * abs(want)
     table = qpolys._aw_coeffs(9, *params, q)
