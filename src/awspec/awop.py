@@ -146,11 +146,16 @@ def _kernel_table(level, ctx):
 def _kernel_factors(n, level, ctx):
     """Coefficients t_factor(k) / h_k^{(a+1,b+1)} of P_{k+1}(x)
     P_k^{(a+1,b+1)}(y) in the kernel for k < n, from a table memoised per
-    (level, ctx) and grown on demand."""
+    (level, ctx) and grown on demand.  A norm that has underflowed to 0 is
+    a ``DomainError``."""
     kf = _kernel_table(level, ctx)
     lvl1 = level.shifted(1)
-    kf.extend(t_factor(k, level, ctx.q) / norm_h(k, lvl1, ctx)
-              for k in range(len(kf), n))
+    for k in range(len(kf), n):
+        h = norm_h(k, lvl1, ctx)
+        if h == 0:
+            raise DomainError(f"kernel: the norm h_{k} of the shifted level "
+                              f"underflows to 0 at q = {ctx.q}")
+        kf.append(t_factor(k, level, ctx.q) / h)
     return kf[:n]
 
 
@@ -171,7 +176,8 @@ def kernel_truncation(level, ctx):
     The per-term scale on the support is |factor_n| sqrt(|h_{n+1} h_n'|)
     (polynomials on [-1, 1] oscillate with amplitude ~ sqrt(norm)), which
     decays like sqrt(q)^n; the bound uses the measured trailing ratio
-    capped at 0.95."""
+    capped at 0.95.  A scale that has underflowed to 0 is a
+    ``DomainError``."""
     lvl1 = level.shifted(1)
 
     def scale(n):
@@ -184,6 +190,9 @@ def kernel_truncation(level, ctx):
     while n < 400:
         n += 1
         f = scale(n)
+        if fprev == 0:
+            raise DomainError(f"kernel_truncation: the term scale at k = {n - 1} "
+                              f"underflows to 0 at q = {ctx.q}")
         r = min(0.95, max(f / fprev, math.sqrt(ctx.q)))
         if f * r / (1.0 - r) < ctx.tol:
             break

@@ -29,7 +29,7 @@ import numpy as np
 
 from .awop import make_rule
 from .backend import MAX_TERMS, sum_series
-from .exceptions import NonConvergenceError
+from .exceptions import DomainError, NonConvergenceError
 from .qcore import exp_itheta, phi, qpoch, qpoch_inf
 from .qpolys import (_COEFF_TABLES, _aw_params, cqjacobi_seq, hermite_h,
                      kappa_aw, on_nodes)
@@ -191,6 +191,9 @@ def _aw_projections(mmax, values, level, rule, ctx):
     The weight and the rows P_m are the level's ``on_nodes``; the weight
     is real on real levels and complex on conjugate-pair ones, where the
     orthogonality holds bilinearly against it."""
+    if mmax > rule.size // 2:
+        raise DomainError(f"projections up to degree {mmax} need a rule of at "
+                          f"least {2 * mmax} nodes, got {rule.size}")
     w, rows = on_nodes(level, rule.nodes, ctx)
     return [np.sum(rule.weights * w * f * rows[m] * values)
             for m, f in enumerate(_p_factors(mmax, level, ctx.q))]

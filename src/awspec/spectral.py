@@ -14,9 +14,11 @@ Numerical conventions that matter here:
 * The closed form is evaluated as the double sum with coefficient arrays
   A_k and B_k^{(n)} built ratio-wise; the single-4phi3 inner form loses
   q^{-j(j-1)/2} digits to cancellation and is kept only as a small-degree
-  cross-check.  One builder and one sum serve both precisions: numpy long
-  double first, and when its error estimate is too large the same code
-  reruns in mpmath at higher precision.
+  cross-check.  One builder and one sum serve both precisions.  The sum
+  runs in numpy long double beside a running bound on its error; a value
+  whose bound is within ctx.tol in the mixed measure,
+  bound <= ctx.tol max(1, |b_n|), is returned, and any other reruns in
+  mpmath with as many more digits as the bound says were lost.
 * X_nu is always summed from its convergent series, never by forward
   recurrence, which would destroy minimality.
 """
@@ -136,96 +138,160 @@ def bn_sequence(nmax, mu, level, ctx):
 
 
 class _Arith(NamedTuple):
-    """The arithmetic the closed form runs in: p = sqrt(q), alpha and beta
-    lifted into it, ppow(e) = p**e, and its real and complex constructors."""
-    p: object
+    """The arithmetic the closed form runs in: alpha and beta lifted into
+    it, ln p = ln(q)/2, ppow(e) = exp(e ln p), its real and complex
+    constructors, and its unit roundoff u."""
     al: object
     be: object
+    lnp: object
     ppow: object
     real: object
     cplx: object
+    u: float
 
 
-def _lift(level, p, ppow, real, cplx):
+def _lift(level, lnp, exp, real, cplx, u):
     al, be = (cplx(v) if isinstance(v, complex) else real(v)
               for v in (level.alpha, level.beta))
-    return _Arith(p, al, be, ppow, real, cplx)
+    return _Arith(al, be, lnp, lambda e: exp(e * lnp), real, cplx, u)
 
 
 def _longdouble_arith(level, q):
     """numpy long double.  The exponents are lifted too: the arrays feed a
     convolution whose products overshoot the sum by many orders, so even
     1e-16-level exponent noise would surface in the result."""
-    p = np.sqrt(np.longdouble(q))
-    lnp = np.log(p)
-    return _lift(level, p, lambda e: np.exp(e * lnp), np.longdouble, np.clongdouble)
+    return _lift(level, np.log(np.longdouble(q)) / 2, np.exp, np.longdouble,
+                 np.clongdouble, float(np.finfo(np.longdouble).eps) / 2)
 
 
 def _mp_arith(level, q):
     """mpmath at the working precision; build it inside ``mp.workdps``."""
     import mpmath as mp
-    p = mp.sqrt(mp.mpf(q))
-    lnp = mp.log(p)
-
-    def ppow(e):
-        if isinstance(e, mp.mpc):
-            return mp.e ** (e * lnp)
-        return p ** e
-    return _lift(level, p, ppow, mp.mpf, mp.mpc)
+    return _lift(level, mp.log(mp.mpf(q)) / 2, mp.exp, mp.mpf, mp.mpc,
+                 float(mp.eps) / 2)
 
 
 def _closed_form_arrays(n, ar):
     """A_0..A_n and the single row B_0^{(n)}..B_n^{(n)} of the double-sum
     closed form, built ratio-wise (products only, no cancellation) in the
-    arithmetic ``ar``."""
+    arithmetic ``ar``, real on a real level, and the units of error they
+    carry: A_k and B_k have relative errors of at most a_k u and b_k u, to
+    first order in the unit roundoff u.
+
+    With f_i = (1 - p^{b+1+i})(1 + p^{a+1+i}), g_i = 1 - p^{a+b+2+i} and
+    h_i = 1 - p^{i+1}, A_{k+1} = A_k f_k / (h_k g_k) and
+    B_{k+1} = B_k p^k f_{n-k} / (h_k g_{2n-k}): the paper's B ratio with
+    the large powers p^{-n} taken out of each factor, where they cancel to
+    p^k.  So every factor 1 +- p^x is near 1 or small.
+
+    a_k and b_k add up, over the steps below k, the products (u each, 3u
+    on a complex level), the quotient (2u, 6u complex), B's p^k
+    ((3k |ln p| + 2)u), and for each factor 1 +- p^x the error of p^x,
+    ((4|x| + Z) |ln p| + e)u, times the factor's condition
+    |p^x| / |1 +- p^x| <= 1/|expm1(Re x |ln p|)|, plus the rounding of
+    1 +- p^x.  Zu = 2(|a| + |b| + 1)u bounds the rounding of the sums that
+    form x, and e = 2 bounds a real exp, 5 a complex one.  A factor that
+    may vanish makes the counts infinite."""
     al, be, ppow = ar.al, ar.be, ar.ppow
-    A = [ar.cplx(1)]
-    B = [ar.cplx(1)]
+    x0 = (be + 1, al + 1, al + be + 2)
+    f = [(1 - ppow(x0[0] + i)) * (1 + ppow(x0[1] + i)) for i in range(n + 1)]
+    g = [1 - ppow(x0[2] + i) for i in range(2 * n + 1)]
+    A = [ar.real(1)]
+    B = [ar.real(1)]
     for k in range(n):
-        pk = 1 - ppow(ar.real(k + 1))
-        A.append(A[k] * (1 - ppow(be + 1 + k)) * (1 + ppow(al + 1 + k))
-                 / (pk * (1 - ppow(al + be + 2 + k))))
-        B.append(B[k] * (1 - ppow(-be - n - 1 + k)) * (1 + ppow(-al - n - 1 + k))
-                 / (pk * (1 - ppow(-2 * n - al - be - 2 + k))))
-    return A, B
+        h = 1 - ppow(ar.real(k + 1))
+        A.append(A[k] * f[k] / (h * g[k]))
+        B.append(B[k] * ppow(ar.real(k)) * f[n - k] / (h * g[2 * n - k]))
+    abs_lnp = -float(ar.lnp)
+    # the exponents x of the factors of f (two rows), g and h
+    x = np.array([*map(complex, x0), 1.0])[:, None] + np.arange(2 * n + 1)
+    mul, div, e = (3, 6, 5) if x.imag.any() else (1, 2, 2)
+    gap = np.abs(np.expm1(x.real * abs_lnp))
+    if not gap.all():
+        unbounded = [0.0] + [math.inf] * n
+        return A, B, unbounded, unbounded
+    z = 2 * (abs(complex(al)) + abs(complex(be)) + 1)
+    u_be, u_al, u_g, u_h = ((4 * np.abs(x) + z) * abs_lnp + e) / gap + 1
+    u_f = u_be + u_al + mul
+    a_step = u_f[:n] + u_g[:n] + u_h[:n] + 2 * mul + div
+    b_step = (u_f[n:0:-1] + u_g[2 * n:n:-1] + u_h[:n] + 3 * mul + div
+              + 3 * abs_lnp * np.arange(n) + 2)
+    return (A, B, [0.0, *a_step.cumsum().tolist()],
+            [0.0, *b_step.cumsum().tolist()])
 
 
-def _closed_form_sum(n, mu, A, B, ar):
-    """sum_j (-1)^j p^{j/2} mu^{n-j} sum_k (-1)^k A_k B_{j-k}^{(n)} in the
-    arithmetic ``ar``, as a Python complex."""
-    mu = ar.cplx(mu)
+def _closed_form_sum(n, mu, A, B, a_units, b_units, ar):
+    """(value, bound): sum_j (-1)^j p^{j/2} mu^{n-j} sum_k (-1)^k A_k
+    B_{j-k}^{(n)} in the arithmetic ``ar``, as a Python complex, and a
+    bound on its error for arrays that carry a_k and b_k units of relative
+    error (``_closed_form_arrays``).
+
+    The outer sum runs by Horner's rule in mu.  Beside it, in float, runs
+    the same sum over absolute values with each term weighted by the
+    units of error it can carry,
+    sum_j p^{j/2} |mu|^{n-j} sum_k |A_k| |B_{j-k}| (a_k + b_{j-k} + c_j),
+    and the bound is u / (1 - u max) times it (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3 and 5.1).  c_j
+    counts the inner product (3u), the inner additions (ju), p^{j/2} and
+    its product ((1.5 j |ln p| + 5)u) and the n - j Horner steps that
+    follow (4u each).  A non-finite bound says the error could not be
+    bounded."""
+    amu, mu = abs(mu), ar.cplx(mu)
+    Ak = [(-1) ** k * a for k, a in enumerate(A)]
+    Bj = B[::-1]
+    absA = [abs(complex(a)) for a in A]
+    absB = [abs(complex(b)) for b in Bj]
+    errA = [x * e for x, e in zip(absA, a_units)]
+    errB = [x * e for x, e in zip(absB, b_units[::-1])]
+    abs_lnp = -float(ar.lnp)
     total = ar.cplx(0)
-    for j in range(n, -1, -1):
-        s = ar.cplx(0)
-        for k in range(j + 1):
-            s += (-1.0) ** k * A[k] * B[j - k]
-        total += (-1.0) ** j * ar.p ** ar.real(j / 2) * mu ** (n - j) * s
-    return complex(total)
+    weight = 0.0
+    for j in range(n + 1):
+        s = 0  # real on a real level
+        w = e = 0.0
+        for a, b, ma, mb, ea, eb in zip(Ak, Bj[n - j:], absA, absB[n - j:],
+                                        errA, errB[n - j:]):
+            s += a * b
+            w += ma * mb
+            e += ea * mb + ma * eb
+        pj = ar.ppow(ar.real(j) / 2)
+        total = total * mu + (-1) ** j * pj * s
+        weight = (weight * amu
+                  + float(pj) * (e + w * (4 * n + 8 + j * (1.5 * abs_lnp - 3))))
+    worst = (a_units[n] + b_units[n] + 4 * n + 8 + 1.5 * n * abs_lnp) * ar.u
+    return complex(total), (ar.u * weight / (1 - worst) if worst < 1 else math.inf)
 
 
 def bn_explicit(n, mu, level, ctx):
     """Closed form of b_n(mu): outer j-sum over mu^{n-j} with inner
     terminating sums, base p = sqrt(q), organized as the double sum with
-    bounded summands.
+    bounded summands, within ``ctx.tol`` of b_n in the mixed measure
+    |value - b_n| / max(1, |b_n|).
 
     The summand arrays grow like 1/(p; p)_k before cancelling, so the
-    conditioning degrades as q -> 1.  The sum runs in numpy long double;
-    when that error estimate cannot certify ~1e-12 absolute accuracy, the
-    same array builder and sum rerun in mpmath at higher precision,
-    keeping the closed form a trustworthy independent oracle at every
-    admissible q."""
+    conditioning degrades as q -> 1.  The sum runs in numpy long double
+    beside a running bound on its error (``_closed_form_sum``), and the
+    value is returned when bound <= ctx.tol max(1, |value|).  Otherwise,
+    and when the bound is not finite, the same array builder and sum
+    rerun in mpmath, with as many more digits as the bound says long
+    double lost, so the closed form stays a trustworthy independent oracle
+    at every admissible q."""
     if n < 0:
         raise DomainError("bn_explicit: n must be >= 0")
     ar = _longdouble_arith(level, ctx.q)
-    A, B = _closed_form_arrays(n, ar)
-    cond = (max(abs(complex(a)) for a in A) * max(abs(complex(b)) for b in B)
-            * (n + 1) * max(1.0, abs(mu)) ** n)
-    if cond * 1.1e-19 > 1e-12:
-        import mpmath as mp
-        with mp.workdps(int(math.log10(max(cond, 1.0))) + 25):
-            ar = _mp_arith(level, ctx.q)
-            return _closed_form_sum(n, mu, *_closed_form_arrays(n, ar), ar)
-    return _closed_form_sum(n, mu, A, B, ar)
+    value, bound = _closed_form_sum(n, mu, *_closed_form_arrays(n, ar), ar)
+    if bound <= ctx.tol * max(1.0, abs(value)):
+        return value
+    import mpmath as mp
+    # the bound scales with the unit roundoff: the rerun needs the digits
+    # lost against max(1, |b_n|) >= max(1, |value| - bound), long double's
+    # and ctx.tol's digits, and a guard digit; a non-finite bound counts
+    # no digits lost
+    lost = (math.log10(bound / max(1.0, abs(value) - bound))
+            if math.isfinite(bound) else 0.0)
+    with mp.workdps(math.ceil(lost - math.log10(ar.u * ctx.tol)) + 1):
+        ar = _mp_arith(level, ctx.q)
+        return _closed_form_sum(n, mu, *_closed_form_arrays(n, ar), ar)[0]
 
 
 @functools.lru_cache(maxsize=_COEFF_TABLES)

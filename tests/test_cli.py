@@ -306,6 +306,25 @@ class TestOutputs:
         assert r.stderr.startswith("error: bn_minimal_scaled: C_k underflows")
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("argv,reason", [
+        (["kernel", "--q", "8.37151e-05", "--alpha=2.396", "--beta=2.493",
+          "--grid", "3"], "h_21 of the shifted level underflows"),
+        (["eigen", "--q", "2.4e-6", "--alpha=2.396", "--beta=2.493"],
+         "h_15 of the shifted level underflows"),
+        (["eigen", "--q", "0.00103951", "--alpha=1.816", "--beta=-0.067",
+          "--count", "3"], "kernel_truncation: the term scale at k = 20"),
+        (["kernel", "--q", "1.8e-6", "--alpha=1.816", "--beta=-0.067"],
+         "h_18 of the shifted level underflows"),
+    ], ids=["kernel-8.4e-5", "eigen-2.4e-6", "eigen-1.04e-3", "kernel-1.8e-6"])
+    def test_kernel_norm_underflow_is_a_domain_error(self, argv, reason):
+        # each divided by an exact 0 (a norm or a term scale that had
+        # underflowed): exit 1, ZeroDivisionError traceback
+        r = _run(argv)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and reason in r.stderr
+        assert f"q = {float(argv[2])}" in r.stderr
+        assert len(r.stderr.strip().splitlines()) == 1
+
     def test_beta_conj_spelling(self, tmp_path):
         out = tmp_path / "p.csv"
         rc = main(["poly", "--alpha", "0.3+0.5j", "--beta", "conj",

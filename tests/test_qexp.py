@@ -7,7 +7,7 @@ import oracles
 from awspec import qexp, verify
 from awspec.backend import sum_series
 from awspec.awop import dq_pointwise, make_rule
-from awspec.exceptions import NonConvergenceError
+from awspec.exceptions import DomainError, NonConvergenceError
 from awspec.qcore import QContext, exp_itheta, qpoch, qpoch_inf, phi
 from awspec.qpolys import JacobiLevel
 from awspec.spectral import mu_from_lambda
@@ -148,6 +148,19 @@ class TestExpansionCoefficients:
             jq = jm_quadrature(m, a, r, level, ctx, rule)
             jd = jm_double_series(m, a, r, level, ctx)
             assert abs(jq - jd) <= 1e-6 * max(1.0, abs(jq))
+
+    def test_projection_past_the_rule_is_a_domain_error(self, ctx, level):
+        # an 8-node rule holds P_0..P_4; degree 5 used to be an IndexError
+        rule = make_rule(8)
+        assert jm_quadrature(4, -1j, 0.3, level, ctx, rule) is not None
+        with pytest.raises(DomainError, match="at least 10 nodes"):
+            jm_quadrature(5, -1j, 0.3, level, ctx, rule)
+
+    def test_expansion_suite_names_too_few_nodes(self):
+        r = verify.run_suite("qexp.expansion-coeffs",
+                             verify.VerifyConfig(JacobiLevel(0.3, -0.2),
+                                                 QContext(0.5), 4))
+        assert not r.passed and "DomainError" in r.detail
 
     def test_imn_vanishing(self, ctx, level):
         assert abs(imn_quadrature(3, 1, -1j, level, ctx)) <= 1e-9

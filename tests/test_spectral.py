@@ -88,30 +88,88 @@ class TestBn:
         # run in mpmath give the same value
         n, mu = 12, 0.7 + 0.1j
         ld = spectral._longdouble_arith(lvl, ctx.q)
-        got = spectral._closed_form_sum(n, mu, *spectral._closed_form_arrays(n, ld), ld)
+        got, _ = spectral._closed_form_sum(
+            n, mu, *spectral._closed_form_arrays(n, ld), ld)
         with mpmath.workdps(40):
             mp = spectral._mp_arith(lvl, ctx.q)
-            want = spectral._closed_form_sum(
+            want, _ = spectral._closed_form_sum(
                 n, mu, *spectral._closed_form_arrays(n, mp), mp)
         assert bn_explicit(n, mu, lvl, ctx) == got
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
-    def test_closed_form_escalates_to_mpmath(self, level, monkeypatch):
-        ctx = QContext(0.8)
+    @staticmethod
+    def _count_reruns(monkeypatch):
         built = []
         mp_arith = spectral._mp_arith
         monkeypatch.setattr(spectral, "_mp_arith",
                             lambda *a: built.append(a) or mp_arith(*a))
-        got = bn_explicit(20, 3.0, level, ctx)
-        want = bn_sequence(20, 3.0, level, ctx)[20]
+        return built
+
+    def test_closed_form_escalates_to_mpmath(self, level, monkeypatch):
+        # at q = 0.8 the inner sums of b_20 cancel by more than long
+        # double can hold near |mu| = 1
+        ctx = QContext(0.8)
+        built = self._count_reruns(monkeypatch)
+        for mu in (1.0, 0.1):
+            got = bn_explicit(20, mu, level, ctx)
+            want = bn_sequence(20, mu, level, ctx)[20]
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+        assert len(built) == 2
+
+    def test_closed_form_without_cancellation_stays_in_long_double(
+            self, level, monkeypatch):
+        ctx = QContext(0.8)
+        built = self._count_reruns(monkeypatch)
+        for mu in (3.0, -3.0):
+            got = bn_explicit(20, mu, level, ctx)
+            want = bn_sequence(20, mu, level, ctx)[20]
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+        assert built == []
+
+    def test_unbounded_error_counts_as_a_miss(self, monkeypatch):
+        # beta = -1: the factor 1 - p^{b+1} of A_1 is exactly 0, so its
+        # condition, and the bound, are not finite
+        level, ctx = JacobiLevel(0.3, -1.0), QContext(0.5)
+        built = self._count_reruns(monkeypatch)
+        got = bn_explicit(6, 0.7, level, ctx)
+        want = bn_sequence(6, 0.7, level, ctx)[6]
         assert len(built) == 1
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_closed_form_builds_only_row_n(self, ctx, level):
         n = 9
-        A, B = spectral._closed_form_arrays(n, spectral._longdouble_arith(level, ctx.q))
-        assert len(A) == n + 1 and len(B) == n + 1
+        A, B, a_units, b_units = spectral._closed_form_arrays(
+            n, spectral._longdouble_arith(level, ctx.q))
+        assert len(A) == len(B) == len(a_units) == len(b_units) == n + 1
         assert all(np.ndim(b) == 0 for b in B)
+
+    def test_closed_form_bound_holds_and_returns_meet_tol(self):
+        # every long-double value lies within its running bound of a
+        # 50-digit evaluation of the same closed form, and every value
+        # bn_explicit returns is within ctx.tol of it, mixed measure; up to
+        # q = 0.95 at n = 40
+        mus = (3.0, -1.2 + 1.9j, 0.4j)
+        for al, be in [*verify.BN_PARAM_SETS, (2.0, 1.5), (-0.5, -0.5)]:
+            level = JacobiLevel(al, be)
+            for q in (0.36, 0.5, 0.8, 0.95):
+                ctx = QContext(q)
+                ld = spectral._longdouble_arith(level, q)
+                for n in (0, 1, 5, 10, 20, 40):
+                    arrays = spectral._closed_form_arrays(n, ld)
+                    with mpmath.workdps(50):
+                        mp = spectral._mp_arith(level, q)
+                        mp_arrays = spectral._closed_form_arrays(n, mp)
+                        refs = [spectral._closed_form_sum(n, mu, *mp_arrays, mp)[0]
+                                for mu in mus]
+                    for mu, ref in zip(mus, refs):
+                        where = f"({al}, {be}) q={q} n={n} mu={mu}"
+                        value, bound = spectral._closed_form_sum(n, mu, *arrays, ld)
+                        assert abs(value - ref) <= bound, where
+                        got = bn_explicit(n, mu, level, ctx)
+                        err = abs(got - ref) / max(1.0, abs(ref))
+                        assert err <= ctx.tol, where
+                        if q == 0.95 and n == 40:
+                            assert err <= 1e-12, where
 
     def test_monic_leading_coefficient(self, ctx, level):
         # leading coefficient in mu extracted by scaling at large |mu|
