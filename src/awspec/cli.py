@@ -12,6 +12,7 @@ JSON carries numbers as strings so byte-identical reruns are guaranteed.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 import argparse
+import cmath
 import functools
 import json
 import re
@@ -60,6 +61,18 @@ def int_at_least(minimum):
         return value
     parse.__name__ = "int"
     return parse
+
+
+def finite(parse):
+    """argparse type: a value of ``parse`` (float or complex) whose parts
+    are finite."""
+    def check(text):
+        value = parse(text)
+        if not cmath.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        return value
+    check.__name__ = parse.__name__
+    return check
 
 
 def _add_common(p):
@@ -111,15 +124,15 @@ def build_parser():
 
     p = sub.add_parser("expand", help="q-exponential expansion data")
     _add_common(p)
-    p.add_argument("--r", type=complex, default=0.3)
+    p.add_argument("--r", type=finite(complex), default=0.3)
     p.add_argument("--mmax", type=int_at_least(0), default=25)
     p.add_argument("--grid", type=int_at_least(1), default=9)
 
     p = sub.add_parser("coulomb", help="q-Coulomb function on a rho grid")
     _add_common(p)
-    p.add_argument("--ell", type=float, default=0.5)
-    p.add_argument("--eta", type=float, default=0.3)
-    p.add_argument("--rho-max", type=float, default=2.5)
+    p.add_argument("--ell", type=finite(float), default=0.5)
+    p.add_argument("--eta", type=finite(float), default=0.3)
+    p.add_argument("--rho-max", type=finite(float), default=2.5)
     p.add_argument("--grid", type=int_at_least(1), default=50)
 
     p = sub.add_parser("verify", help="run named verification suites")
@@ -193,7 +206,8 @@ def _cmd_eigfun(args):
     rows += [["sample", fmt(x), *fmt_c(v)] for x, v in zip(xs, values)]
     lr, li = fmt_c(r.lam)
     _emit(args, header, rows,
-          {"lambda_re": lr, "lambda_im": li, "residual_f": fmt(r.residual_f)})
+          {"lambda_re": lr, "lambda_im": li, "residual_f": fmt(r.residual_f),
+           "converged": str(r.converged).lower()})
     return 0
 
 

@@ -27,12 +27,12 @@ import math
 
 import numpy as np
 
-from .awop import make_rule
+from .awop import make_rule, xi_factor
 from .backend import MAX_TERMS, sum_series
 from .exceptions import DomainError, NonConvergenceError
 from .qcore import exp_itheta, phi, qpoch, qpoch_inf
-from .qpolys import (_COEFF_TABLES, _aw_params, cqjacobi_seq, hermite_h,
-                     kappa_aw, on_nodes)
+from .qpolys import (_COEFF_TABLES, _aw_params, connection_down, cqjacobi_seq,
+                     hermite_h, kappa_aw, on_nodes)
 from .spectral import mu_from_lambda, x_nu
 
 __all__ = [
@@ -268,8 +268,6 @@ def e_series_invariant(x, lam, level, ctx):
     Identical at every level (alpha + k, beta + k); equals the closed form
     of e_series_invariant_closed.  Summed by ``backend.sum_series`` within
     the term budget ``_E_SERIES_TERMS``."""
-    from .awop import xi_factor
-    from .qpolys import connection_down
     q = ctx.q
     u = mu_from_lambda(1.0, q)
     mu = lam * u

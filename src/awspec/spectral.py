@@ -7,10 +7,12 @@ and the q-Coulomb wave function.
 Numerical conventions that matter here:
 
 * Forward recurrence of b_n is the dominant direction and is stable at
-  generic mu.  At a zero xi of F the sequence b_n(xi) is the *minimal*
-  solution, so it is computed by a backward (Miller) recurrence, in the
-  scaled variable w_n = b_n(xi) (-xi)^n q^{-n(n+a+b+3)/2} whose dynamic
-  range stays O(1).
+  generic mu.  At an eigenvalue the coefficients a_n, and b_n(xi) at the
+  zero xi of F, are the *minimal* solution, so they are computed
+  backward: the a_n of ``eigenfunction`` by the ratios a_k/a_{k-1} on the
+  rows of the matrix section, and b_n(xi) of the root asymptotics by
+  Miller's recurrence in the scaled variable
+  w_n = b_n(xi) (-xi)^n q^{-n(n+a+b+3)/2}, whose dynamic range stays O(1).
 * The closed form is evaluated as the double sum with coefficient arrays
   A_k and B_k^{(n)} built ratio-wise; the single-4phi3 inner form loses
   q^{-j(j-1)/2} digits to cancellation and is kept only as a small-degree
@@ -294,23 +296,6 @@ def bn_explicit(n, mu, level, ctx):
         return _closed_form_sum(n, mu, *_closed_form_arrays(n, ar), ar)[0]
 
 
-@functools.lru_cache(maxsize=_COEFF_TABLES)
-def _miller_table(level, q):
-    return []
-
-
-def _miller_coeffs(kmax, level, q):
-    """(bn_B(k), bn_C(k), q^{2k+a+b+3}, q^{k+(a+b+2)/2}) for k = 0..kmax
-    (at least): the coefficients of the scaled backward recurrence, a
-    table memoised per (level, q) and grown on demand."""
-    table = _miller_table(level, q)
-    al, be = level.alpha, level.beta
-    for k in range(len(table), kmax + 1):
-        table.append((bn_B(k, level, q), bn_C(k, level, q),
-                      q ** (2 * k + al + be + 3), q ** (k + (al + be + 2) / 2)))
-    return table
-
-
 def bn_minimal_scaled(nmax, xi, level, ctx):
     """w_n = b_n(xi) (-xi)^n q^{-n(n+a+b+3)/2} for n = 0..nmax at a zero xi
     of F, by backward (Miller) recurrence in the scaled variable.
@@ -318,28 +303,29 @@ def bn_minimal_scaled(nmax, xi, level, ctx):
     At a root the b_n(xi) sequence is minimal, so the forward recurrence is
     exponentially contaminated; backward recursion with tail seed (0, 1)
     and normalization w_0 = 1 recovers it.  w_n tends to the constant of
-    the root asymptotics.  The recurrence coefficients are read from a
-    table memoised per (level, q).
+    the root asymptotics.
 
     The recurrence starts 40 steps past the last w_n kept, or lower where
     C_k ~ q^k is no longer a normal float (small q); it raises
     ``DomainError`` when that leaves no step past w_nmax."""
     if xi == 0:
         raise DomainError("bn_minimal_scaled: xi must be nonzero")
+    q = ctx.q
+    al, be = level.alpha, level.beta
     M = nmax + 40
-    coeffs = _miller_coeffs(M, level, ctx.q)
-    while M > nmax and abs(coeffs[M][1]) < sys.float_info.min:
+    while M > nmax and abs(bn_C(M, level, q)) < sys.float_info.min:
         M -= 1
     if M == nmax:
         raise DomainError(f"bn_minimal_scaled: C_k underflows below k = "
-                          f"{nmax + 1} at q = {ctx.q}")
-    xi2 = xi * xi
+                          f"{nmax + 1} at q = {q}")
     w = [0.0 + 0.0j] * (M + 2)
     w[M + 1] = 0.0
     w[M] = 1.0
     for k in range(M, 0, -1):
-        B, C, q_pp, q_p = coeffs[k]
-        w[k - 1] = (w[k + 1] * (q_pp / xi2) + (xi + B) * w[k] * (q_p / xi)) / C
+        s_pp = q ** (2 * k + al + be + 3) / (xi * xi)
+        s_p = q ** (k + (al + be + 2) / 2) / xi
+        w[k - 1] = (w[k + 1] * s_pp + (xi + bn_B(k, level, q)) * w[k] * s_p) \
+            / bn_C(k, level, q)
         m = abs(w[k - 1])
         if m > 1e200:
             for j in range(k - 1, M + 2):
@@ -383,19 +369,6 @@ def zero_asymptotics_constants(level, ctx):
     C = (qpoch_inf(-p ** (big + 1), p, tol) * qpoch_inf(p ** (big + 1), p, tol)
          / ((1 + p ** (big - small)) * qpoch_inf(p ** (big + small + 2), p, tol)))
     return u, C
-
-
-# ---------------------------------------------------------------------------
-# a_n coefficients
-# ---------------------------------------------------------------------------
-
-def _an_prefactor_ratio(k, al, be, q):
-    """f_{k+1} / f_k of the prefactor
-    f_k = (q^{a+b+2}, q^{(a+b+4)/2}, q^{(a+b+5)/2}; q)_k / (q^{a+2}, q^{b+2}; q)_k
-    of a_{k+1}(lambda|q) = f_k (-1)^k b_k(mu) q^{-(k^2/4 + (a + b/2 + 1) k)}."""
-    return ((1 - q ** (al + be + 2 + k)) * (1 - q ** ((al + be + 4) / 2 + k))
-            * (1 - q ** ((al + be + 5) / 2 + k))
-            / ((1 - q ** (al + 2 + k)) * (1 - q ** (be + 2 + k))))
 
 
 # ---------------------------------------------------------------------------
@@ -636,32 +609,26 @@ def eigenvalues(level, ctx, count, nmat, operator_residual=None):
 
 def eigenfunction(lam, level, nmax, ctx):
     """Coefficients a_n(lambda|q), n = 0..nmax with a_0 = 0, a_1 = 1, at a
-    certified eigenvalue.
+    certified eigenvalue: the minimal solution of the section's rows
+    lambda a_k = sR_k a_{k-1} + sQ_k a_k + sP_k a_{k+1} (``_oracle_rows``).
 
-    Built from the scaled minimal solution (Miller route): beyond the
-    point where a_n underflows double precision the coefficients are an
-    exact flush-to-zero (they are below 1e-300 relative to a_1)."""
-    q = ctx.q
-    al, be = level.alpha, level.beta
-    xi = mu_from_lambda(lam, q)
-    w = bn_minimal_scaled(nmax, xi, level, ctx)
-    coeffs = [0.0 + 0.0j, 1.0 + 0.0j]
-    lnq = math.log(q)
-    lnxi = math.log(abs(xi))
-    f = 1.0  # f_k of _an_prefactor_ratio, by its running product
-    for k in range(1, nmax):
-        f *= _an_prefactor_ratio(k - 1, al, be, q)
-        # log-magnitude guard against underflow of q^{k^2/4 + ...}
-        expo = k * k / 4 + k * (1 - al) / 2
-        mag = expo.real * lnq - k * lnxi
-        if mag < -690.0:
-            coeffs.append(0.0 + 0.0j)
-        elif -k * lnxi > 690.0:
-            # at a tiny xi, xi^{-k} alone overflows while q^expo brings the
-            # product back into range: take the two together in log form
-            coeffs.append(f * cmath.exp(expo * lnq - k * cmath.log(xi)) * w[k])
-        else:
-            coeffs.append(f * xi ** (-k) * q ** expo * w[k])
+    Miller's algorithm in ratio form (Gautschi, SIAM Rev. 9, 1967): the
+    ratios t_k = a_k / a_{k-1} = sR_k / (lambda - sQ_k - sP_k t_{k+1}) run
+    backward from t = 0 at row nmax + 40, and a_k = a_{k-1} t_k forward
+    from a_1.  A coefficient below the smallest normal float is an exact
+    0, and so is every one after it."""
+    if lam == 0:
+        raise DomainError("eigenfunction: lambda must be nonzero")
+    lam = complex(lam)
+    rows = _oracle_rows(nmax + 40, level, ctx)
+    t = [0.0] * (nmax + 42)  # t_k at index k, t_{nmax+41} = 0
+    for k in range(nmax + 40, 1, -1):
+        sP, sQ, sR = rows[k - 1]
+        t[k] = sR / (lam - sQ - sP * t[k + 1])
+    coeffs = [0.0, 1.0]
+    for k in range(2, nmax + 1):
+        a = coeffs[k - 1] * t[k]
+        coeffs.append(a if abs(a) >= sys.float_info.min else 0.0)
     return CoeffVector(level, tuple(coeffs[:nmax + 1]))
 
 

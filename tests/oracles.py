@@ -9,12 +9,13 @@ as the library's own route.
 import cmath
 import itertools
 import math
+from types import SimpleNamespace
 
 import mpmath
 
 from awspec.exceptions import DomainError
 from awspec.qcore import exp_itheta, phi, qpoch, qpoch_inf
-from awspec.spectral import bn_sequence, mu_from_lambda
+from awspec.spectral import bn_sequence, mu_from_lambda, recurrence_a_coeffs
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -261,8 +262,9 @@ def _bn_explicit_nested(n, mu, level, ctx):
 def _an_from_bn(k, lam, level, ctx):
     """a_{k+1}(lambda|q) = f_k (-1)^k b_k(mu) q^{-(k^2/4 + (a + b/2 + 1) k)}
     from the forward-summed monic polynomial, f_k in qpoch form; a_0 = 0,
-    a_1 = 1.  The reference of ``eigenfunction``: at an eigenvalue the
-    forward sum runs in the wrong direction."""
+    a_1 = 1.  The reference of the monic transform of the rows, off an
+    eigenvalue: at one the forward sum runs in the wrong direction, so
+    ``eigenfunction`` is checked against ``an_minimal_mp``."""
     if k < 0:
         return 0.0 + 0.0j
     q = ctx.q
@@ -272,6 +274,28 @@ def _an_from_bn(k, lam, level, ctx):
          / (qpoch(q ** (al + 2), q, k) * qpoch(q ** (be + 2), q, k)))
     b = bn_sequence(k, mu_from_lambda(lam, q), level, ctx)[k]
     return f * (-1.0) ** k * b * q ** -(k * k / 4 + (al + be / 2 + 1) * k)
+
+
+def an_minimal_mp(lam, level, q, nmax, dps):
+    """a_0..a_nmax, a_0 = 0 and a_1 = 1, of the minimal solution of the
+    section's rows lambda a_k = sR_k a_{k-1} + sQ_k a_k + sP_k a_{k+1},
+    s = -q^{-(a/2+1/4)}, by Miller's backward recurrence on a_k itself,
+    started at row nmax + 80 with the rows in mpmath at ``dps`` digits: the
+    reference of ``eigenfunction``, as complex floats (0 where they
+    underflow)."""
+    start = nmax + 80
+    with mpmath.workdps(dps):
+        lift = lambda v: mpmath.mpc(v) if isinstance(v, complex) else mpmath.mpf(v)
+        mlevel = SimpleNamespace(alpha=lift(level.alpha), beta=lift(level.beta))
+        mctx = SimpleNamespace(q=mpmath.mpf(q))
+        s = -mctx.q ** -(mlevel.alpha / 2 + mpmath.mpf(0.25))
+        lam = mpmath.mpc(lam)
+        a = [mpmath.mpc(0)] * (start + 2)
+        a[start] = mpmath.mpc(1)
+        for k in range(start, 1, -1):
+            P, Q, R = recurrence_a_coeffs(k, mlevel, mctx)
+            a[k - 1] = ((lam - s * Q) * a[k] - s * P * a[k + 1]) / (s * R)
+        return [complex(v / a[1]) for v in a[:nmax + 1]]
 
 
 def _x_nu_series(nu, x, level, ctx):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from awspec import awop, cli, qexp, qpolys, verify
+from awspec import awop, cli, qexp, qpolys, spectral, verify
 from awspec.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,6 +100,23 @@ class TestUsage:
         assert r.stderr.startswith("error: alpha and beta must be finite")
         assert len(r.stderr.strip().splitlines()) == 1
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["coulomb", "--ell", "nan"], "--ell"),
+        (["coulomb", "--eta", "inf"], "--eta"),
+        (["coulomb", "--rho-max", "inf"], "--rho-max"),
+        (["coulomb", "--rho-max=-inf"], "--rho-max"),
+        (["expand", "--r", "nan"], "--r"),
+        (["expand", "--r", "0.3+nanj"], "--r"),
+        (["expand", "--r", "infj"], "--r"),
+    ])
+    def test_non_finite_float_flag_is_usage_error(self, argv, flag):
+        # --rho-max inf wrote a numpy RuntimeWarning before its error line;
+        # --ell nan and --r nan were blamed on the series
+        r = _run(argv)
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: argument {flag}: must be finite")
+        assert len(r.stderr.strip().splitlines()) == 1
 
     def test_expand_past_the_reach_of_the_series(self):
         # at |ab| = 0.99 E_q needs ~6,800 terms, and the expansion still
@@ -259,6 +276,45 @@ class TestOutputs:
         assert main([command, flag, value, *rest]) == 0
         assert capsys.readouterr().out == want
 
+    def test_eigfun_json_reports_convergence(self, tmp_path):
+        # the eigen rows carry the flag; eigfun's diagnostics did not
+        out = tmp_path / "f.json"
+        assert main(["eigfun", "--format", "json", "--out", str(out)]) == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert set(diagnostics) == {"lambda_re", "lambda_im", "residual_f",
+                                    "converged"}
+        ctx, level = cli._config(build_parser().parse_args(["eigfun"]))
+        root = spectral.eigenvalues(level, ctx, count=1, nmat=80)[0]
+        assert diagnostics["converged"] == str(root.converged).lower() == "true"
+
+    def test_eigfun_sweep_exits_0_or_2(self, capsys):
+        # random levels, q down to 1e-9, indices and sections: each request
+        # prints finite rows, or exits 2 with one error line; the monic b_n
+        # recurrence exited 2 on 56 of them, its C_k having underflowed
+        rng = np.random.default_rng(2023)
+        codes = []
+        for _ in range(150):
+            q = 10 ** rng.uniform(-9, -0.02)
+            alpha = rng.uniform(-0.9, 2.5)
+            if rng.random() < 0.3:
+                level = [f"--alpha={alpha:.3f}{rng.uniform(-1, 1):+.3f}j",
+                         "--beta", "conj"]
+            else:
+                level = [f"--alpha={alpha:.3f}", f"--beta={rng.uniform(-0.9, 2.5):.3f}"]
+            argv = ["eigfun", "--q", f"{q:.3g}", *level,
+                    "--index", str(rng.integers(0, 3)),
+                    "--trunc", str(rng.integers(10, 81)), "--grid", "3"]
+            rc = main(argv)
+            codes.append(rc)
+            out, err = capsys.readouterr()
+            if rc == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, argv
+                continue
+            assert rc == 0 and not err, argv
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert all(math.isfinite(float(v)) for r in rows for v in r[2:]), argv
+        assert codes.count(0) >= 135
+
     def test_eigen_past_the_tiny_seeds(self, tmp_path):
         # the 22nd seed's eigenfunction overflowed in xi ** -k: exit 1, traceback
         out = tmp_path / "e.csv"
@@ -281,12 +337,14 @@ class TestOutputs:
         assert all(line.rstrip().endswith(",true") for line in lines[1:])
         # the header and rows 0-25, which the de-duplication must not move
         digest = hashlib.md5("".join(lines[:27]).encode()).hexdigest()
-        assert digest == "6179d4d0524e918728bbd3f84c14de08"
+        assert digest == "41b5880bd48eb0e925fa0fe7c6024b5d"
 
     @pytest.mark.parametrize("alpha", ["0.3", "0.3+0.5j"])
     def test_eigen_and_eigfun_at_tiny_q(self, tmp_path, alpha):
-        # at q = 1e-4 the Miller coefficient C_k underflows to 0 for k >= 80,
-        # inside the recurrence that started at k = 88: exit 1, traceback
+        # at q = 1e-4 the coefficients a_k fall below the smallest normal
+        # float from k = 19 on and are exact zeros; the monic b_n recurrence
+        # that once gave them divided by its C_k, which underflows to 0 for
+        # k >= 80, from k = 88 down: exit 1, traceback
         level = ["--q", "1e-4", "--alpha", alpha] + (["--beta", "conj"]
                                                      if "j" in alpha else [])
         out = tmp_path / "e.csv"
@@ -299,12 +357,39 @@ class TestOutputs:
         assert len(samples) == 21
         assert all(math.isfinite(float(v)) for r in rows for v in r[2:])
 
-    def test_q_too_small_for_the_eigenfunction_is_a_usage_error(self):
-        # at q = 1e-8, C_k underflows below the 48 coefficients kept
-        r = _run(["eigfun", "--q", "1e-8"])
+    @pytest.mark.parametrize("q", ["1e-7", "1e-8"])
+    @pytest.mark.parametrize("alpha", ["0.3", "0.3+0.5j"], ids=["real", "conj"])
+    def test_eigfun_where_the_monic_recurrence_underflowed(self, tmp_path, q,
+                                                            alpha):
+        # the monic b_n recurrence's C_k underflowed below the 48
+        # coefficients kept: exit 2, "C_k underflows"
+        level = ["--q", q, "--alpha", alpha] + (["--beta", "conj"]
+                                                if "j" in alpha else [])
+        out = tmp_path / "f.json"
+        assert main(["eigfun", "--format", "json", "--out", str(out)] + level) == 0
+        doc = json.loads(out.read_text())
+        lam = complex(float(doc["diagnostics"]["lambda_re"]),
+                      float(doc["diagnostics"]["lambda_im"]))
+        parts = [(float(r["value_re"]), float(r["value_im"]))
+                 for r in doc["results"] if r["kind"] == "coeff"]
+        assert len(parts) == 49
+        assert all(v == 0.0 or sys.float_info.min <= abs(v) < math.inf
+                   for part in parts for v in part)
+        a = [complex(*part) for part in parts]
+        assert a[:2] == [0.0, 1.0] and all(a[1:12])
+        ctx, lv = cli._config(build_parser().parse_args(["eigfun"] + level))
+        rows = spectral._oracle_rows(11, lv, ctx)
+        for k in range(2, 11):
+            sP, sQ, sR = rows[k - 1]
+            terms = [lam * a[k], sR * a[k - 1], sQ * a[k], sP * a[k + 1]]
+            scale = max(abs(t) for t in terms)
+            assert abs(terms[0] - sum(terms[1:])) <= 1e-9 * scale, k
+
+    def test_eigen_at_q_1e_8_is_a_kernel_truncation_error(self):
+        r = _run(["eigen", "--q", "1e-8"])
         assert r.returncode == 2
-        assert r.stderr.startswith("error: bn_minimal_scaled: C_k underflows")
-        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: kernel_truncation:")
+        assert len(r.stderr.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("argv,reason", [
         (["kernel", "--q", "8.37151e-05", "--alpha=2.396", "--beta=2.493",

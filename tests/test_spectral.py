@@ -16,7 +16,7 @@ from awspec.spectral import (EigenResult, bn_B, bn_C, bn_explicit,
                              matrix_oracle, q_coulomb, recurrence_a_coeffs,
                              s_poly, x_nu)
 from oracles import (_an_from_bn, _bn_explicit_nested, _x_nu_series,
-                     classical_a_coeffs)
+                     an_minimal_mp, classical_a_coeffs)
 
 CONJ = JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)
 
@@ -408,6 +408,23 @@ class TestEigenfunction:
         bx = prod * x_nu(n, xi, level, ctx) / x_nu(0, xi, level, ctx)
         got = w[n] * (-xi) ** -n * ctx.q ** (n * (n + 0.3 - 0.2 + 3) / 2)
         assert abs(got - bx) <= 1e-10 * abs(bx)
+
+    @pytest.mark.parametrize("lv", [JacobiLevel(0.3, -0.2), CONJ],
+                             ids=["real", "conj"])
+    @pytest.mark.parametrize("q, count", [(1e-8, 1), (1e-7, 1), (0.1, 5),
+                                          (0.5, 5), (0.9, 5)])
+    def test_matches_the_minimal_solution_at_50_digits(self, lv, q, count):
+        # below q = 1e-7 the monic route's C_k underflowed before the 48
+        # coefficients kept; at q <= 0.1 it flushed coefficients that are
+        # still normal floats
+        ctx = QContext(q)
+        for r in eigenvalues(lv, ctx, count=count, nmat=80):
+            got = eigenfunction(r.lam, lv, 48, ctx).coeffs
+            want = an_minimal_mp(r.lam, lv, q, 48, 50)
+            assert got[:2] == (0.0, 1.0)
+            for k, (g, w) in enumerate(zip(got, want)):
+                if abs(w) >= 1e-200:
+                    assert abs(g - w) <= 1e-12 * abs(w), (k, g, w)
 
     @pytest.mark.parametrize("call", [
         lambda level, ctx: eigenfunction(0.0, level, 10, ctx),

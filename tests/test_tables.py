@@ -22,10 +22,10 @@ from oracles import _aw_poly_4phi3, _aw_prefactor
 SRC = Path(__file__).resolve().parents[1] / "src" / "awspec"
 PERFBENCH = SRC.parents[1] / "perfbench"
 LEVELS = [JacobiLevel(0.3, -0.2), JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)]
-MEMOS = [qpolys._aw_table, qpolys._cq_table, spectral._miller_table,
-         spectral._oracle_table, spectral._f_products, qpolys._norm_table,
-         qpolys._node_table, awop._kernel_table, awop.kernel_truncation,
-         qpolys._point_table, qexp._am_products]
+MEMOS = [qpolys._aw_table, qpolys._cq_table, spectral._oracle_table,
+         spectral._f_products, qpolys._norm_table, qpolys._node_table,
+         awop._kernel_table, awop.kernel_truncation, qpolys._point_table,
+         qexp._am_products]
 
 
 def _clear_tables():
@@ -267,7 +267,6 @@ class TestMemo:
         for k in range(bound + 5):
             level, ctx = JacobiLevel(0.1 + 0.01 * k, 0.2), QContext(0.5)
             cqjacobi_seq(4, level, np.cos(nodes), ctx)
-            bn_minimal_scaled(2, 1.5, level, ctx)
             matrix_oracle(3, level, ctx)
             f_eval(1.5, level, ctx)
             kernel_truncation(level, ctx)
