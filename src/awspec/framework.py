@@ -20,6 +20,7 @@ __all__ = [
 ]
 
 _SHIFT_TOL = 1e-12  # relative tolerance of shift_invariance_check
+_CF_DEPTHS = tuple(25 * 2 ** k for k in range(10))  # cf_minimal_ratio: 25 .. 12800
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class MonicSystem:
     """Monic-form recurrence data: lambda b_n = b_{n+1} + B(n) b_n + C(n) b_{n-1}."""
     B: Callable[[int], complex]
     C: Callable[[int], complex]
-    u: complex
 
 
 def qjacobi_family(level, ctx):
@@ -78,7 +78,7 @@ def monicize(family, u):
             return 0.0 + 0.0j
         return (u * u * family.conn(n).c_nn * family.conn(n + 1).c_nn2
                 / (family.xi(n) * family.xi(n + 1)))
-    return MonicSystem(B, C, u)
+    return MonicSystem(B, C)
 
 
 def shift_invariance_check(family, u, n_max):
@@ -106,27 +106,30 @@ def shift_invariance_check(family, u, n_max):
     return True
 
 
-def cf_minimal_ratio(system, lam, ctx, depth=200, max_depth=12800):
+def cf_minimal_ratio(system, lam, ctx):
     """Value of the continued J-fraction of the monic recurrence,
 
         r_0 = 1 / (lam - B_0 - C_1 / (lam - B_1 - C_2 / (...))),
 
-    evaluated bottom-up with tail 0 and depth doubling (Pincherle: this is
-    G_0/G_{-1} of the minimal solution when B_n, C_n -> 0).  Values larger
-    than 1/tol are reported as spurious-pole candidates via
-    NonConvergenceError."""
+    evaluated bottom-up with tail 0 at the depths ``_CF_DEPTHS`` until two
+    agree within ``ctx.tol`` (Pincherle: this is G_0/G_{-1} of the minimal
+    solution when B_n, C_n -> 0).  A value larger than 1/tol is returned at
+    once as a spurious-pole candidate.  Raises NonConvergenceError when no
+    two depths agree, or when the family's coefficients overflow."""
     prev = None
-    d = depth
-    while d <= max_depth:
+    for d in _CF_DEPTHS:
         r = 0.0 + 0.0j
-        for k in range(d - 1, -1, -1):
-            r = 1.0 / (lam - system.B(k) - system.C(k + 1) * r)
+        try:
+            for k in range(d - 1, -1, -1):
+                r = 1.0 / (lam - system.B(k) - system.C(k + 1) * r)
+        except OverflowError:
+            raise NonConvergenceError(
+                f"cf_minimal_ratio: the coefficients overflow by depth {d}") from None
+        if abs(r) > 1.0 / ctx.tol:
+            return r  # pole neighbourhood: caller inspects magnitude
         if prev is not None and abs(r - prev) <= ctx.tol * max(1.0, abs(r)):
             return r
         prev = r
-        d *= 2
-    if abs(prev) > 1.0 / ctx.tol:
-        return prev  # pole neighbourhood: caller inspects magnitude
     raise NonConvergenceError("cf_minimal_ratio: depth doubling did not settle")
 
 

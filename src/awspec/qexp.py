@@ -199,8 +199,9 @@ def _aw_projections(mmax, values, level, rule, ctx):
             for m, f in enumerate(_p_factors(mmax, level, ctx.q))]
 
 
-def jm_quadrature(m, a, r, level, ctx, rule):
-    """J_m(a; r) by quadrature of the defining weighted integral on ``rule``."""
+def jm_quadrature(m, a, r, level, ctx):
+    """J_m(a; r) by quadrature of the defining weighted integral."""
+    rule = make_rule(_QUAD_NODES)
     ev = np.array([eq_exp(x, a, r, ctx) for x in np.cos(rule.nodes)])
     return complex(_aw_projections(m, ev, level, rule, ctx)[m])
 

@@ -78,9 +78,6 @@ class ConnectionTriple:
     c_nn1: complex
     c_nn2: complex
 
-    def as_tuple(self):
-        return (self.c_nn, self.c_nn1, self.c_nn2)
-
 
 # ---------------------------------------------------------------------------
 # polynomial evaluation

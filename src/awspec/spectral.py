@@ -542,7 +542,7 @@ class EigenResult:
     residual_f: float
     residual_operator: float
     coeffs: CoeffVector
-    converged: bool = True
+    converged: bool
 
     def __post_init__(self):
         if self.lam == 0:

@@ -5,9 +5,10 @@ import pytest
 
 from awspec import framework, verify
 from awspec.exceptions import NonConvergenceError
-from awspec.framework import (cf_minimal_ratio, four_param_b, large_param_a,
-                              large_param_b, large_param_limit_check,
-                              monicize, qjacobi_family, shift_invariance_check,
+from awspec.framework import (MonicSystem, cf_minimal_ratio, four_param_b,
+                              large_param_a, large_param_b,
+                              large_param_limit_check, monicize,
+                              qjacobi_family, shift_invariance_check,
                               telescope_residual, ultraspherical_family)
 from awspec.qcore import QContext
 from awspec.qpolys import JacobiLevel
@@ -71,22 +72,42 @@ class TestContinuedFraction:
             vals.append(cf / xr)
         assert abs(vals[0] - vals[1]) <= 1e-8 * abs(vals[1])
 
-    def test_depth_doubling_settles(self, ctx, level):
+    def test_self_sized_depth_matches_a_deeper_fraction(self, ctx, level):
+        # the depth the routine settles at (50 to 100 here) already gives
+        # the value of the fraction at depth 800
         u = 2 * math.sqrt(ctx.q) / (1 - ctx.q)
         sys = monicize(qjacobi_family(level, ctx), u)
-        a = cf_minimal_ratio(sys, 1.5, ctx, depth=200)
-        b = cf_minimal_ratio(sys, 1.5, ctx, depth=400)
-        assert abs(a - b) <= 1e-12 * abs(b)
+        deep = 0.0 + 0.0j
+        for k in range(799, -1, -1):
+            deep = 1.0 / (1.5 - sys.B(k) - sys.C(k + 1) * deep)
+        assert abs(cf_minimal_ratio(sys, 1.5, ctx) - deep) <= 1e-14 * abs(deep)
 
     def test_pole_at_certified_eigenvalue(self, ctx, level):
         u = 2 * math.sqrt(ctx.q) / (1 - ctx.q)
         sys = monicize(qjacobi_family(level, ctx), u)
         mu_star = eigenvalues(level, ctx, count=1, nmat=50)[0].mu
         try:
-            val = cf_minimal_ratio(sys, mu_star, ctx, depth=400, max_depth=800)
+            val = cf_minimal_ratio(sys, mu_star, ctx)
         except NonConvergenceError:
             val = math.inf
         assert abs(val) > 1e6
+
+    def test_overflowing_coefficients_do_not_converge(self, ctx):
+        # C_n overflows past n = 40, as the ladder factor's q^{-n} does at
+        # depth; the first depth has nothing to agree with, so a second runs
+        sys = MonicSystem(lambda n: 0.0,
+                          lambda n: 1.0 if n < 40 else math.exp(100 * n))
+        with pytest.raises(NonConvergenceError, match="overflow"):
+            cf_minimal_ratio(sys, 0.5, ctx)
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.4])
+    def test_suite_passes_at_small_q(self, q):
+        # at these q the ladder factor's q^{-n} overflows within a few
+        # hundred levels, so the fraction must stop before it gets there
+        config = verify.VerifyConfig(verify.DEFAULT_CONFIG.level,
+                                     QContext(q, 1e-14), verify.DEFAULT_CONFIG.nodes)
+        r = verify.run_suite("framework.cf-pincherle", config)
+        assert r.passed, f"{r.max_err} > {r.tol} ({r.detail})"
 
 
 class TestTelescope:

@@ -276,7 +276,7 @@ class TestEigenvalues:
 
     def test_lambda_zero_rejected(self, ctx, level):
         with pytest.raises(DomainError):
-            EigenResult(0.0, 0.0, 0.0, 0.0, None)
+            EigenResult(0.0, 0.0, 0.0, 0.0, None, True)
 
     def test_nonzero_and_conjugate_closure(self, ctx, level):
         res = eigenvalues(level, ctx, count=6, nmat=60)
