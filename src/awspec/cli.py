@@ -174,18 +174,17 @@ def _emit(args, header, rows, diagnostics):
 
 def _cmd_eigen(args):
     ctx, level = _config(args)
-    resid = functools.partial(awop.operator_residual, xs=np.linspace(-0.8, 0.8, 5),
-                              level=level, rule=awop.make_rule(args.nodes), ctx=ctx)
-    res = spectral.eigenvalues(level, ctx, count=args.count, nmat=args.trunc,
-                               operator_residual=resid)
+    xs, rule = np.linspace(-0.8, 0.8, 5), awop.make_rule(args.nodes)
+    res = spectral.eigenvalues(level, ctx, count=args.count, nmat=args.trunc)
     header = ["index", "lambda_re", "lambda_im", "mu_re", "mu_im",
               "residual_f", "residual_operator", "converged"]
     rows = []
     for i, r in enumerate(res):
         lr, li = fmt_c(r.lam)
         mr, mi = fmt_c(r.mu)
+        res_op = awop.operator_residual(r.lam, r.coeffs, xs, level, rule, ctx)
         rows.append([str(i), lr, li, mr, mi, fmt(r.residual_f),
-                     fmt(r.residual_operator), str(r.converged).lower()])
+                     fmt(res_op), str(r.converged).lower()])
     _emit(args, header, rows, {"count": str(len(res))})
     return 0
 

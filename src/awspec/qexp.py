@@ -15,10 +15,11 @@ With it the coefficient formula collapses to
 
 the a and -c of the level's Askey-Wilson parameters (a, b, c, d), which
 come from ``qpolys._aw_params``; the p_m are the level's own rows P_m
-times a^{-m} (q, ac, ad; q)_m.  The leading ratio mirrors the classical
-(alpha+beta+1)_n/(alpha+beta+1)_{2n} structure; every form here is
-validated against quadrature of the defining integrals by the verify
-suites ``qexp.expansion-coeffs`` and ``qexp.jm-integrals``.
+times a^{-m} (q, ac, ad; q)_m, so the norm of p_m is the level's norm
+h_m (``qpolys.norm_h``) times (p_m/P_m)^2.  The leading ratio mirrors
+the classical (alpha+beta+1)_n/(alpha+beta+1)_{2n} structure; every form
+here is validated against quadrature of the defining integrals by the
+verify suites ``qexp.expansion-coeffs`` and ``qexp.jm-integrals``.
 """
 import cmath
 import functools
@@ -32,7 +33,7 @@ from .backend import MAX_TERMS, sum_series
 from .exceptions import DomainError, NonConvergenceError
 from .qcore import exp_itheta, phi, qpoch, qpoch_inf
 from .qpolys import (_COEFF_TABLES, _aw_params, connection_down, cqjacobi_seq,
-                     hermite_h, kappa_aw, on_nodes)
+                     hermite_h, norm_h, on_nodes)
 from .spectral import mu_from_lambda, x_nu
 
 __all__ = [
@@ -143,7 +144,8 @@ def am_coeff(m, r, level, ctx):
 def jm_double_series(m, a, r, level, ctx):
     """J_m(a; r) for general a as the double series (n-sum of terminating
     4phi3 in base q^{1/2}), with the corrected m-prefactor, summed by
-    ``backend.sum_series`` within a term budget set by |a r|.  The n-sum
+    ``backend.sum_series`` within a term budget set by |a r|.  The
+    prefactor's total mass is the level's h_0 (``norm_h``).  The n-sum
     converges for |a r| < 1 only, and arguments outside that disc are
     rejected."""
     if abs(a * r) >= 1.0:
@@ -155,7 +157,7 @@ def jm_double_series(m, a, r, level, ctx):
     rt = math.sqrt(q)
     fcorr = (qpoch(b * b * rt, q, m) * qpoch(-b * c, q, m)
              * qpoch(-b * c * rt, q, m) / b ** m)
-    pre = (kappa_aw(params, ctx)
+    pre = (norm_h(0, level, ctx)
            * qpoch(c * c * rt, q, m) * (-a * b * r) ** m * q ** (m * m / 4.0)
            / (qpoch(b * c * rt, q, m) * qpoch(b * c * q, q, m)))
 

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .qcore import (exp_itheta, h_product, phi, qpoch, qpoch_inf,
-                    qpoch_multi)
+from .qcore import exp_itheta, h_product, phi, qpoch, qpoch_multi
 
 __all__ = [
     "JacobiLevel", "ConnectionTriple", "aw_phi_seq", "cqjacobi",
     "cqjacobi_seq", "hermite_h", "weight_theta", "on_nodes", "norm_h",
-    "norm_ratio", "aw_norm", "kappa_aw", "connection_down", "dual_expansion_aw",
+    "norm_ratio", "connection_down", "dual_expansion_aw",
 ]
 
 
@@ -288,33 +287,6 @@ def norm_ratio(n, level, q):
             * top
             / ((1 - q ** (2 * n + al + be + 3)) * (1 - q ** (n + 1))
                * bottom * (1 + q ** ((al + be + 1) / 2 + n))))
-
-
-def kappa_aw(params, ctx):
-    """kappa(a,b,c,d|q) = 2 pi (abcd)_inf / (q, ab, ac, ad, bc, bd, cd)_inf
-    at ``params`` = (a, b, c, d)."""
-    a, b, c, d = params
-    q, tol = ctx.q, ctx.tol
-    return (2 * math.pi * qpoch_inf(a * b * c * d, q, tol)
-            / (qpoch_inf(q, q, tol) * qpoch_inf(a * b, q, tol)
-               * qpoch_inf(a * c, q, tol) * qpoch_inf(a * d, q, tol)
-               * qpoch_inf(b * c, q, tol) * qpoch_inf(b * d, q, tol)
-               * qpoch_inf(c * d, q, tol)))
-
-
-def aw_norm(n, params, ctx):
-    """Askey-Wilson orthogonality norm of p_n at ``params`` = (a, b, c, d)
-    (right side of the AW orthogonality relation), with its factor
-    (1 - abcd/q) cancelled: kappa (q, ab, ac, ad, bc, bd, cd; q)_n
-    (abcd q^{n-1}; q)_n / (abcd; q)_{2n}."""
-    a, b, c, d = params
-    q = ctx.q
-    abcd = a * b * c * d
-    return (kappa_aw(params, ctx)
-            * qpoch(q, q, n) * qpoch(a * b, q, n) * qpoch(a * c, q, n)
-            * qpoch(a * d, q, n) * qpoch(b * c, q, n) * qpoch(b * d, q, n)
-            * qpoch(c * d, q, n) * qpoch(abcd * q ** (n - 1), q, n)
-            / qpoch(abcd, q, 2 * n))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .qpolys import _COEFF_TABLES
 __all__ = [
     "recurrence_a_coeffs", "bn_B", "bn_C", "bn_sequence",
     "bn_explicit", "bn_minimal_scaled", "bn0_scaled_sequence",
-    "zero_asymptotics_constants", "x_nu", "f_eval", "bn_growth_limit",
+    "zero_asymptotics_constants", "x_nu", "f_eval",
     "root_asymptotics_constant", "eigenvalue_equation", "matrix_oracle",
     "EigenResult", "eigenvalues", "eigenfunction", "s_poly", "markov_ratio",
     "markov_stieltjes", "q_coulomb", "mu_from_lambda", "lambda_from_mu",
@@ -457,11 +457,6 @@ def _f_and_slope(x, level, ctx):
     return pref * series, pref * (dlog_prod * series + slope) / x
 
 
-def bn_growth_limit(x, level, ctx):
-    """Limit of x^n b_n(1/x): equals F evaluated at 1/x."""
-    return f_eval(1.0 / x, level, ctx)
-
-
 def root_asymptotics_constant(xi, level, ctx):
     """Constant of the root asymptotics: b_n(xi) (-xi)^n q^{-n(n+a+b+3)/2}
     tends to this value at a zero xi of F."""
@@ -540,7 +535,6 @@ class EigenResult:
     lam: complex
     mu: complex
     residual_f: float
-    residual_operator: float
     coeffs: CoeffVector
     converged: bool
 
@@ -562,7 +556,7 @@ def _newton_f(mu0, level, ctx):
     return mu, abs(f_eval(mu, level, ctx)) < 1e-9
 
 
-def eigenvalues(level, ctx, count, nmat, operator_residual=None):
+def eigenvalues(level, ctx, count, nmat):
     """Locate ``count`` eigenvalues: seeds from the ``nmat``-square
     truncated matrix, Newton refinement on F in the mu variable (F and
     dF/dmu from one pass), residual certification, and the eigenfunction
@@ -594,15 +588,12 @@ def eigenvalues(level, ctx, count, nmat, operator_residual=None):
             continue
         res_f = abs(f_eval(mu, level, ctx))
         coeffs = eigenfunction(lam, level, 48, ctx)
-        res_op = math.nan
-        if operator_residual is not None:
-            res_op = operator_residual(lam, coeffs)
-        results.append(EigenResult(lam, mu, res_f, res_op, coeffs, ok))
+        results.append(EigenResult(lam, mu, res_f, coeffs, ok))
         if level.is_real and abs(lam.imag) > 1e-13 * abs(lam):
             conj_coeffs = CoeffVector(coeffs.level,
                                       tuple(c.conjugate() for c in coeffs.coeffs))
             results.append(EigenResult(lam.conjugate(), mu.conjugate(),
-                                       res_f, res_op, conj_coeffs, ok))
+                                       res_f, conj_coeffs, ok))
     results.sort(key=lambda r: (-abs(r.lam), cmath.phase(r.lam)))
     return results[:count]
 

@@ -19,7 +19,6 @@ base^{-n(n-1)/2}), so residuals of that kind are normalized by the largest
 participating term, the backward-error scale; the others mostly use the
 mixed error |value - ref| / max(1, |ref|).
 """
-import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -423,7 +422,7 @@ def _asymp_growth(config):
     errs = []
     for x in (0.5, 1 + 1j, -2.0):
         b = spectral.bn_sequence(80, 1.0 / x, level, ctx)[80]
-        tgt = spectral.bn_growth_limit(x, level, ctx)
+        tgt = spectral.f_eval(1.0 / x, level, ctx)
         errs.append(abs(x ** 80 * b - tgt) / abs(tgt))
     return errs, "n = 80 at three x"
 
@@ -491,14 +490,13 @@ def _eigen_certify(config):
     regimes."""
     ctx = config.ctx
     level = config.level
-    resid = functools.partial(awop.operator_residual, xs=np.linspace(-0.85, 0.85, 10),
-                              level=level, rule=awop.make_rule(config.nodes), ctx=ctx)
+    xs, rule = np.linspace(-0.85, 0.85, 10), awop.make_rule(config.nodes)
     res40 = spectral.eigenvalues(level, ctx, count=5, nmat=40)
-    res80 = spectral.eigenvalues(level, ctx, count=5, nmat=80,
-                                 operator_residual=resid)
+    res80 = spectral.eigenvalues(level, ctx, count=5, nmat=80)
     drift = [abs(a.lam - b.lam) for a, b in zip(res40, res80)]
     fres = [r.residual_f for r in res80]
-    opres = [r.residual_operator for r in res80]
+    opres = [awop.operator_residual(r.lam, r.coeffs, xs, level, rule, ctx)
+             for r in res80]
     lams = [r.lam for r in spectral.eigenvalues(level, ctx, count=6, nmat=80)]
     if level.is_real:
         sym_name = "conj"
@@ -579,13 +577,12 @@ def _expansion_coeffs(config):
     r = 0.3
     rule = awop.make_rule(2 * config.nodes)
     xs = np.cos(rule.nodes)
-    q = ctx.q
-    params = qpolys._aw_params(level, q)
     ev = np.array([qexp.eq_exp(x, -1j, r, ctx) for x in xs])
     projs = qexp._aw_projections(10, ev, level, rule, ctx)
+    f = qexp._p_factors(10, level, ctx.q)
     errs = []
     for m in range(11):
-        proj = projs[m] / qpolys.aw_norm(m, params, ctx)
+        proj = projs[m] / (qpolys.norm_h(m, level, ctx) * f[m] ** 2)
         am = qexp.am_coeff(m, r, level, ctx)
         errs.append(_mixed(proj, am))
     return errs, "m <= 10 at r=0.3"
@@ -611,17 +608,16 @@ def _jm_integrals(config):
     integral at a = 0.5i and against a_m times the norm at a = -i; and
     I_{m,n} vanishes for n < m.  At the config level and at (0.3 +- 0.5i)."""
     ctx = config.ctx
-    q = ctx.q
     r = 0.3
     errs = []
     for level in (config.level, _CONJ_LEVEL):
         for m in range(3):
             errs.append(_mixed(qexp.jm_double_series(m, 0.5j, r, level, ctx),
                                qexp.jm_quadrature(m, 0.5j, r, level, ctx)))
-        params = qpolys._aw_params(level, q)
+        f = qexp._p_factors(3, level, ctx.q)
         for m in range(4):
             closed = (qexp.am_coeff(m, r, level, ctx)
-                      * qpolys.aw_norm(m, params, ctx))
+                      * qpolys.norm_h(m, level, ctx) * f[m] ** 2)
             errs.append(_mixed(qexp.jm_double_series(m, -1j, r, level, ctx), closed))
         errs += [abs(qexp.imn_quadrature(m, n, -1j, level, ctx))
                  for m in range(1, 5) for n in range(m)]

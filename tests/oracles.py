@@ -43,6 +43,34 @@ def _aw_poly_4phi3(n, params, x, ctx):
     return _aw_prefactor(n, (a, b, c, d), q) * val
 
 
+def kappa_aw(params, ctx):
+    """The Askey-Wilson integral kappa(a,b,c,d|q) = 2 pi (abcd)_inf /
+    (q, ab, ac, ad, bc, bd, cd)_inf at ``params`` = (a, b, c, d): the
+    reference of the level's h_0 (``norm_h(0)``)."""
+    a, b, c, d = params
+    q, tol = ctx.q, ctx.tol
+    return (2 * math.pi * qpoch_inf(a * b * c * d, q, tol)
+            / (qpoch_inf(q, q, tol) * qpoch_inf(a * b, q, tol)
+               * qpoch_inf(a * c, q, tol) * qpoch_inf(a * d, q, tol)
+               * qpoch_inf(b * c, q, tol) * qpoch_inf(b * d, q, tol)
+               * qpoch_inf(c * d, q, tol)))
+
+
+def aw_norm(n, params, ctx):
+    """The Askey-Wilson orthogonality norm of p_n at ``params`` =
+    (a, b, c, d), with its factor (1 - abcd/q) cancelled: kappa (q, ab,
+    ac, ad, bc, bd, cd; q)_n (abcd q^{n-1}; q)_n / (abcd; q)_{2n}.  The
+    reference of the library's h_n (p_n/P_n)^2."""
+    a, b, c, d = params
+    q = ctx.q
+    abcd = a * b * c * d
+    return (kappa_aw(params, ctx)
+            * qpoch(q, q, n) * qpoch(a * b, q, n) * qpoch(a * c, q, n)
+            * qpoch(a * d, q, n) * qpoch(b * c, q, n) * qpoch(b * d, q, n)
+            * qpoch(c * d, q, n) * qpoch(abcd * q ** (n - 1), q, n)
+            / qpoch(abcd, q, 2 * n))
+
+
 def _hermite_h_theta(n, x, q):
     """H_n(x|q) as the q-binomial sum over e^{i(n-2k)theta}, the reference
     of ``hermite_h``."""
@@ -86,8 +114,9 @@ def line_factors_mp(level, q, dps):
     alpha + beta = -1, each by its uncancelled formula in ``dps``-digit
     arithmetic at the stored float level and q: R of the a_k recurrence at
     k = 1, c_{0,0} of ``connection_down``, A_0 of the Askey-Wilson
-    recurrence at the level's parameters, and aw_norm(n)/kappa_aw for
-    n = 0..3.  Off the line only; there each 0/0 is 0/0 in any precision."""
+    recurrence at the level's parameters, and the Askey-Wilson norm of p_n
+    over kappa, h_n (p_n/P_n)^2 / h_0, for n = 0..3.  Off the line only;
+    there each 0/0 is 0/0 in any precision."""
     with mpmath.workdps(dps):
         q = mpmath.mpf(q)
         al, be = mpmath.mpf(level.alpha), mpmath.mpf(level.beta)

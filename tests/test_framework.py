@@ -1,9 +1,10 @@
 import dataclasses
 import math
 
+import mpmath
 import pytest
 
-from awspec import framework, verify
+from awspec import framework, spectral, verify
 from awspec.exceptions import NonConvergenceError
 from awspec.framework import (MonicSystem, cf_minimal_ratio, four_param_b,
                               large_param_a, large_param_b,
@@ -23,6 +24,27 @@ class TestMonicize:
             assert abs(sys.B(n) + bn_B(n, level, ctx.q)) <= 1e-14
             if n >= 1:
                 assert abs(sys.C(n) + bn_C(n, level, ctx.q)) <= 1e-14
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    @pytest.mark.parametrize("lv", [(0.3, -0.2), (0.3 + 0.5j, 0.3 - 0.5j)],
+                             ids=["real", "conj"])
+    def test_both_routes_hold_50_digits(self, lv, q):
+        # the suite framework.qjacobi-coeffs holds the two routes to each
+        # other in an absolute metric; against 50 digits each is within
+        # 5e-15 max(1, |ref|), so its 1.07e-14 at q = 0.9, where
+        # C_1 = 22.4, comes from the metric and not from either route
+        level, ctx = JacobiLevel(*lv), QContext(q)
+        sys = monicize(qjacobi_family(level, ctx), spectral.mu_from_lambda(1.0, q))
+        with mpmath.workdps(50):
+            lift = lambda v: mpmath.mpc(v) if isinstance(v, complex) else mpmath.mpf(v)
+            al, be, qm = lift(level.alpha), lift(level.beta), mpmath.mpf(q)
+            refs = [[complex(f(n, al, be, lambda e: qm ** e))
+                     for f in (spectral._monic_B, spectral._monic_C)]
+                    for n in range(21)]
+        for n, (B, C) in enumerate(refs):
+            for got, want in [(bn_B(n, level, q), B), (-sys.B(n), B),
+                              (bn_C(n, level, q), C), (-sys.C(n), C)]:
+                assert abs(got - want) <= 5e-15 * max(1.0, abs(want)), n
 
     def test_ultraspherical_recurrence(self):
         # the generic machinery reduces to the classical ultraspherical

@@ -16,12 +16,12 @@ from awspec.qexp import (_aw_projections, am_coeff, e_series_invariant,
                          expansion_residual, hermite_identity_residual,
                          hermite_series, imn_quadrature, jm_double_series,
                          jm_quadrature)
-from awspec.qpolys import _aw_params, aw_norm
+from awspec.qpolys import _aw_params
 
 
 def _jm_closed(m, r, level, ctx):
     """J_m(-i; r) in closed single-sum form: a_m times the Askey-Wilson norm."""
-    return am_coeff(m, r, level, ctx) * aw_norm(
+    return am_coeff(m, r, level, ctx) * oracles.aw_norm(
         m, _aw_params(level, ctx.q), ctx)
 
 
@@ -127,7 +127,7 @@ class TestExpansionCoefficients:
         params = _aw_params(level, ctx.q)
         for m in range(4):
             jq = jm_quadrature(m, -1j, r, level, ctx)
-            am_q = jq / aw_norm(m, params, ctx)
+            am_q = jq / oracles.aw_norm(m, params, ctx)
             assert abs(am_q - am_coeff(m, r, level, ctx)) \
                 <= 1e-7 * max(1.0, abs(am_q))
 
@@ -304,8 +304,9 @@ class TestSuites:
 
     @pytest.mark.parametrize("q", [0.5, 0.9])
     def test_suites_on_the_line(self, q):
-        # alpha + beta = -1, where connection_down(0) and aw_norm held 0/0
-        # factors; at q = 0.9 jm-integrals keeps its q -> 1 error (3.1e-10)
+        # alpha + beta = -1, where connection_down(0) and the norm of p_m
+        # held 0/0 factors; at q = 0.9 jm-integrals keeps its q -> 1 error
+        # (3.1e-10)
         config = verify.VerifyConfig(JacobiLevel(-0.5, -0.5), QContext(q), 160)
         names = ["qexp.hermite-value", "qexp.level-shift",
                  "qexp.expansion-coeffs", "qexp.jm-integrals"]

@@ -7,14 +7,14 @@ import pytest
 from awspec import awop, qpolys, verify
 from awspec.exceptions import DomainError
 from awspec.qcore import QContext
-from awspec.qpolys import (JacobiLevel, _aw_coeffs, _aw_params, aw_norm,
-                           aw_phi_seq, connection_down, cqjacobi, cqjacobi_seq,
-                           dual_expansion_aw, hermite_h, kappa_aw, norm_h,
-                           weight_theta)
+from awspec.qexp import _p_factors
+from awspec.qpolys import (JacobiLevel, _aw_coeffs, _aw_params, aw_phi_seq,
+                           connection_down, cqjacobi, cqjacobi_seq,
+                           dual_expansion_aw, hermite_h, norm_h, weight_theta)
 from awspec.spectral import recurrence_a_coeffs
 from oracles import (_aw_poly_4phi3, _aw_prefactor, _hermite_h_theta,
-                     _weight_w_literal, awpoly_to_cqj_factor,
-                     classical_to_aw_factor, cqjacobi_classical,
+                     _weight_w_literal, aw_norm, awpoly_to_cqj_factor,
+                     classical_to_aw_factor, cqjacobi_classical, kappa_aw,
                      line_factors_mp)
 
 
@@ -178,9 +178,21 @@ class TestNorms:
                 <= 1e-10 * abs(aw / conv ** 2)
 
     def test_kappa_is_degree_zero_norm(self, ctx, level):
-        params = _aw_params(level, ctx.q)
-        k = kappa_aw(params, ctx)
-        assert abs(aw_norm(0, params, ctx) - k) <= 1e-13 * abs(k)
+        k = kappa_aw(_aw_params(level, ctx.q), ctx)
+        assert abs(norm_h(0, level, ctx) - k) <= 1e-13 * abs(k)
+
+    @pytest.mark.parametrize("q", [0.36, 0.5, 0.9])
+    @pytest.mark.parametrize("lv", [(0.3, -0.2), (0.5, 0.5),
+                                    (0.3 + 0.5j, 0.3 - 0.5j), (-0.5, -0.5)])
+    def test_expansion_family_norm_is_askey_wilson_closed_form(self, lv, q):
+        # the norm of p_m = (p_m/P_m) P_m is h_m (p_m/P_m)^2
+        level, ctx = JacobiLevel(*lv), QContext(q)
+        params = _aw_params(level, q)
+        f = _p_factors(10, level, q)
+        for m in range(11):
+            want = aw_norm(m, params, ctx)
+            got = norm_h(m, level, ctx) * f[m] ** 2
+            assert abs(got - want) <= 1e-13 * abs(want), m
 
 
 class TestConnection:
@@ -264,7 +276,8 @@ def test_removable_factors_cancel_near_the_line(q):
                 got = [recurrence_a_coeffs(1, level, ctx)[2],
                        connection_down(0, level, ctx).c_nn,
                        _aw_coeffs(1, *params, q)[0][0]]
-                got += [aw_norm(n, params, ctx) / kappa_aw(params, ctx)
+                f = _p_factors(3, level, q)
+                got += [norm_h(n, level, ctx) * f[n] ** 2 / norm_h(0, level, ctx)
                         for n in range(4)]
                 for g, want in zip(got, [R1, c00, A0, *norms]):
                     assert abs(g - want) <= 1e-14 * abs(want), (k, sign, level)

@@ -351,9 +351,9 @@ def test_frozen_dataclasses_are_set_only_in_post_init():
 
 
 # defaulted function parameters in src/awspec, lambdas not counted; each one
-# left is set differently by two callers: cli.main(argv), verify._disc(rmin),
-# spectral.eigenvalues(operator_residual) and qpolys.cqjacobi(method)
-MAX_DEFAULTS = 4
+# left is set differently by two callers: cli.main(argv), verify._disc(rmin)
+# and qpolys.cqjacobi(method)
+MAX_DEFAULTS = 3
 # cqjacobi keeps method="phi": the benchmark checks its rows against the 4phi3
 ROUTED = {("qpolys.py", "cqjacobi")}
 
