@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import awop, qexp, qpolys, spectral, verify
+from . import awop, qexp, qpolys, spectral
 from .exceptions import DomainError, QSeriesError
 from .qcore import QContext
 from .qpolys import JacobiLevel
@@ -87,7 +87,8 @@ def _add_common(p):
 
 # flags registered only on the commands that read them
 _TRUNC = {"type": int_at_least(1), "default": 80,
-          "help": "size of the matrix section that seeds the eigenvalues"}
+          "help": "rows of the matrix section the eigenvalues are first "
+                  "solved on (more are added until each root settles)"}
 _NODES = {"type": int_at_least(2), "default": 160, "help": "quadrature nodes"}
 
 
@@ -261,6 +262,9 @@ def _cmd_coulomb(args):
 
 
 def _cmd_verify(args):
+    # imported here: no other command needs the suites, and a fresh process
+    # that compiles its modules pays for them at every start
+    from . import verify
     if args.list:
         for name in verify.suite_names():
             sys.stdout.write(name + "\n")

@@ -23,6 +23,12 @@ Numerical conventions that matter here:
   mpmath with as many more digits as the bound says were lost.
 * X_nu is always summed from its convergent series, never by forward
   recurrence, which would destroy minimality.
+* The eigenvalues are solved on the section's own rows, not on F: Newton
+  on the twisted pivot of the tridiagonal section, split at the row where
+  the eigenvector peaks, from seeds of a small dense section.  The split
+  keeps the small roots of the graded section to their own relative
+  accuracy, which the dense solver loses.  F is evaluated once per root,
+  as the certificate residual_f.
 """
 import cmath
 import functools
@@ -34,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .awop import CoeffVector
-from .backend import MAX_TERMS, phi_terms, sum_series
+from .backend import MAX_TERMS
 from .exceptions import DomainError
 from .qcore import phi, qpoch_inf
 from .qpolys import _COEFF_TABLES
@@ -46,16 +52,12 @@ __all__ = [
     "zero_asymptotics_constants", "x_nu", "f_eval",
     "root_asymptotics_constant", "eigenvalue_equation", "matrix_oracle",
     "EigenResult", "eigenvalues", "eigenfunction", "s_poly", "markov_ratio",
-    "markov_stieltjes", "q_coulomb", "mu_from_lambda", "lambda_from_mu",
+    "markov_stieltjes", "q_coulomb", "mu_from_lambda",
 ]
 
 
 def mu_from_lambda(lam, q):
     return 2.0 * lam * math.sqrt(q) / (1.0 - q)
-
-
-def lambda_from_mu(mu, q):
-    return (1.0 - q) * mu / (2.0 * math.sqrt(q))
 
 
 # ---------------------------------------------------------------------------
@@ -421,42 +423,6 @@ def f_eval(x, level, ctx):
             * phi([a1, v], [w], p, z, nterms=-1, tol=ctx.tol))
 
 
-def _f_and_slope(x, level, ctx):
-    """(F(x), dF/dx), the value the same float as ``f_eval``'s, from one
-    pass over F's 2phi1 and one over the log-derivative of its product.
-
-    F's parameters w and v are constants times 1/x, so with
-    g(u) = u/(1 - u) the product has x (w; p)_inf' = (w; p)_inf
-    sum_j g(w p^j), and the 2phi1 term t_k has x t_k' = t_k L_k,
-    L_k = sum_{j<k} g(v p^j) - g(w p^j).  sum_k t_k L_k accumulates beside
-    the terms t_k that ``sum_series`` sums, under their stopping rule."""
-    p, w, v, a1, z = _f_params(x, level, ctx)
-    num, den = _f_products(level, ctx)
-    slope = 0.0  # sum_k t_k L_k over the terms summed so far
-
-    def terms():
-        nonlocal slope
-        lk, pk = 0.0, 1.0
-        for k, t in enumerate(phi_terms([a1, v], [w], p, z, 0)):
-            if k:  # phi_terms has passed its pole test on w p^{k-1}
-                vk, wk = v * pk, w * pk
-                lk += vk / (1.0 - vk) - wk / (1.0 - wk)
-                pk *= p
-            slope += t * lk
-            yield t
-
-    def log_terms():  # g(w p^j), j = 0, 1, ...
-        wj = w
-        while True:
-            yield wj / (1.0 - wj)
-            wj *= p
-
-    series = sum_series(terms(), ctx.tol, MAX_TERMS, "phi_sum")
-    dlog_prod = sum_series(log_terms(), ctx.tol, MAX_TERMS, "f_slope")
-    pref = num * qpoch_inf(w, p, ctx.tol) / den
-    return pref * series, pref * (dlog_prod * series + slope) / x
-
-
 def root_asymptotics_constant(xi, level, ctx):
     """Constant of the root asymptotics: b_n(xi) (-xi)^n q^{-n(n+a+b+3)/2}
     tends to this value at a zero xi of F."""
@@ -543,57 +509,178 @@ class EigenResult:
             raise DomainError("lambda = 0 is not an eigenvalue")
 
 
-def _newton_f(mu0, level, ctx):
-    mu = complex(mu0)
-    for _ in range(80):
-        f0, d = _f_and_slope(mu, level, ctx)
+_EPS = sys.float_info.epsilon
+_SEED_ROWS = 32  # rows of the first section the seeds come from
+_NEWTON_STEPS = 30  # Newton steps on the twisted pivot, per section size
+
+
+def _twisted_pivot(lam, rows, n):
+    """(g_k, dg_k/dlambda, s_k) of the section's first n rows at lambda, at
+    the row k where |g_k| is least.
+
+    g_k = lambda - sQ_k - sP_k t_{k+1} - sR_k r_k is the twisted pivot of
+    lambda - J split at row k (Dhillon & Parlett, SIAM J. Matrix Anal.
+    Appl. 25, 2004): 1/g_k is entry (k, k) of (lambda - J)^{-1}, so g_k
+    vanishes exactly at the eigenvalues.  The backward ratios
+    t_j = a_j / a_{j-1} = sR_j / (lambda - sQ_j - sP_j t_{j+1}) start from
+    t_{n+1} = 0, as in ``eigenfunction``; the forward ratios
+    r_j = a_{j-1} / a_j = sP_{j-1} / (lambda - sQ_{j-1} - sR_{j-1} r_{j-1})
+    from r_1 = 0, a_0 being 0.  Their derivatives in lambda run beside them
+    in the same two passes.  The row where |g_k| is least is where the
+    eigenvector peaks, and there no term of g_k is a large cancelling one.
+    s_k = |lambda| + |sQ_k| + |sP_k t_{k+1}| + |sR_k r_k| is the scale of
+    the rounding g_k carries.  A pivot that is exactly 0 is moved to a
+    roundoff of its terms."""
+    t, dt = _backward(lam, rows[:n])  # t_{j+1} at index j
+    r = dr = 0.0
+    least = math.inf
+    for j, (sP, sQ, sR) in enumerate(rows[:n]):  # row j + 1
+        below, above = sP * t[j + 1], sR * r
+        e = lam - sQ - above
+        g = e - below
+        size = abs(g)
+        if size < least:
+            least = size
+            best = (g, 1.0 - sP * dt[j + 1] - sR * dr,
+                    abs(lam) + abs(sQ) + abs(below) + abs(above))
+        if e == 0:
+            e = _EPS * (abs(lam) + abs(sQ))
+        r = sP / e
+        dr = (sR * dr - 1.0) * r / e
+    return best
+
+
+def _backward(lam, rows):
+    """The backward ratios of ``_twisted_pivot`` over ``rows`` and their
+    derivatives in lambda, as two lists: t[i] = sR / (lambda - sQ - sP
+    t[i+1]) on rows[i], from a ratio 0 past the last row, which ends each
+    list."""
+    t = [0.0] * (len(rows) + 1)
+    dt = [0.0] * (len(rows) + 1)
+    tj = dtj = 0.0
+    for j in range(len(rows) - 1, -1, -1):
+        sP, sQ, sR = rows[j]
+        d = lam - sQ - sP * tj
         if d == 0:
-            return mu, False
-        step = f0 / d
-        mu -= step
-        if abs(step) < 1e-14 * max(1.0, abs(mu)):
-            return mu, True
-    return mu, abs(f_eval(mu, level, ctx)) < 1e-9
+            d = _EPS * (abs(lam) + abs(sQ))
+        tj = sR / d
+        dtj = (sP * dtj - 1.0) * tj / d
+        t[j], dt[j] = tj, dtj
+    return t, dt
 
 
-def eigenvalues(level, ctx, count, nmat):
-    """Locate ``count`` eigenvalues: seeds from the ``nmat``-square
-    truncated matrix, Newton refinement on F in the mu variable (F and
-    dF/dmu from one pass), residual certification, and the eigenfunction
-    coefficients a_0..a_48.  Results sorted by (|lambda| desc, arg
-    lambda); conjugate-pair symmetry is enforced for real parameter
-    levels.  Seeds that fail to refine are reported with
-    ``converged=False``, never dropped.  A root within 1e-10 |lambda| of
-    one already kept is dropped.  Seeds are refined in the oracle's order
-    (|lambda| descending) until ``count`` roots are kept and the next
-    seed's |lambda| lies below the ``count``-th kept |lambda| by more than
-    1e-8 relative: a seed that ties with a kept root is still refined, so
-    a smaller ``count`` lists the first roots of a larger one."""
-    q = ctx.q
-    seeds = [ev for ev in matrix_oracle(nmat, level, ctx) if abs(ev) > 1e-13]
-    if level.is_real:
-        # keep one representative per conjugate pair, restore partners after
-        reps = [ev for ev in seeds if ev.imag >= -1e-15]
-    else:
-        reps = list(seeds)
-    results = []
-    for lam0 in reps:
+def _settle(lam, level, ctx, nrows):
+    """(lambda, converged): Newton on the twisted pivot from the seed
+    ``lam``, on the section's first n = ``nrows`` rows, doubling n until
+    rows n+1..2n leave the root where it is.  Either the root moved from
+    n/2 rows to n by no more than its rounding level,
+    4 u max(|lambda|, s_k / |dg_k|), or, without solving again, the
+    backward ratio t_{n+1} that rows n+1..2n give moves the pivot of row
+    n, lambda - sQ_n - sP_n t_{n+1}, and its slope by less than half a
+    unit of roundoff u, so the pivots of n and of 2n rows agree at the
+    root to rounding.  At each size Newton stops on its residual, after
+    the step from a pivot with |g_k| <= 4 u s_k.
+
+    ``converged`` is False where Newton does not stop within
+    ``_NEWTON_STEPS`` steps, the slope vanishes, the iterate is not a
+    finite nonzero number (the seed is returned then), or 2n would pass
+    ``MAX_TERMS`` before the root settles."""
+    seed = lam = complex(lam)
+    n, prev = nrows, None
+    while 2 * n <= MAX_TERMS:
+        rows = _oracle_rows(2 * n, level, ctx)
+        for _ in range(_NEWTON_STEPS):
+            g, slope, scale = _twisted_pivot(lam, rows, n)
+            if slope == 0:
+                return lam, False
+            lam -= g / slope
+            if not (cmath.isfinite(lam) and lam):
+                return seed, False
+            if abs(g) <= 4 * _EPS * scale:
+                break
+        else:
+            return lam, False
+        rounding = 4 * _EPS * max(abs(lam), scale / abs(slope))
+        if prev is not None and abs(lam - prev) <= rounding:
+            return lam, True
+        t, dt = _backward(lam, rows[n:2 * n])
+        sP, sQ, _ = rows[n - 1]
+        if (abs(sP * t[0]) <= _EPS / 2 * abs(lam - sQ)
+                and abs(sP * dt[0]) <= _EPS / 2):
+            return lam, True
+        prev, n = lam, 2 * n
+    return lam, False
+
+
+def _with_partner(lam, ok, level, ctx):
+    """The EigenResult of the root ``lam``, with mu, the certificate
+    residual_f = |F(mu)| and a_0..a_48, and on a real level that of the
+    conjugate of a complex root."""
+    mu = mu_from_lambda(lam, ctx.q)
+    res_f = abs(f_eval(mu, level, ctx))
+    coeffs = eigenfunction(lam, level, 48, ctx)
+    found = [EigenResult(lam, mu, res_f, coeffs, ok)]
+    if level.is_real and abs(lam.imag) > 1e-13 * abs(lam):
+        conj_coeffs = CoeffVector(coeffs.level,
+                                  tuple(c.conjugate() for c in coeffs.coeffs))
+        found.append(EigenResult(lam.conjugate(), mu.conjugate(), res_f,
+                                 conj_coeffs, ok))
+    return found
+
+
+def _refine_section(size, level, ctx, count, nmat, results):
+    """Refine the seeds of the ``size``-row section into ``results``;
+    True when a larger section is still needed.
+
+    The seeds are the section's eigenvalues, |lambda| descending, one per
+    conjugate pair on a real level, less those within 1e-6 relative of a
+    converged root that a smaller section gave.  A seed whose refinement
+    fails, or lands within 1e-10 |lambda| of a listed root, marks the
+    section's unresolved tail: below ``nmat`` rows the section doubles
+    there, and at ``nmat`` rows the seed is listed with
+    ``converged=False``."""
+    last = size == nmat
+    kept = [r.lam for r in results if r.converged]
+    for lam0 in matrix_oracle(size, level, ctx):
+        if abs(lam0) <= 1e-13 or (level.is_real and lam0.imag < -1e-15):
+            continue
+        if any(abs(lam0 - k) <= 1e-6 * abs(k) for k in kept):
+            continue
         if len(results) >= count:
             kth = sorted((abs(r.lam) for r in results), reverse=True)[count - 1]
             if abs(lam0) < kth * (1.0 - 1e-8):
-                break
-        mu, ok = _newton_f(mu_from_lambda(lam0, q), level, ctx)
-        lam = lambda_from_mu(mu, q)
-        if any(abs(lam - r.lam) <= 1e-10 * abs(lam) for r in results):
-            continue
-        res_f = abs(f_eval(mu, level, ctx))
-        coeffs = eigenfunction(lam, level, 48, ctx)
-        results.append(EigenResult(lam, mu, res_f, coeffs, ok))
-        if level.is_real and abs(lam.imag) > 1e-13 * abs(lam):
-            conj_coeffs = CoeffVector(coeffs.level,
-                                      tuple(c.conjugate() for c in coeffs.coeffs))
-            results.append(EigenResult(lam.conjugate(), mu.conjugate(),
-                                       res_f, conj_coeffs, ok))
+                return False
+        lam, ok = _settle(lam0, level, ctx, nmat)
+        ok = ok and not any(abs(lam - r.lam) <= 1e-10 * abs(lam) for r in results)
+        if not (ok or last):
+            return True
+        results += _with_partner(lam, ok, level, ctx)
+    return not last and len(results) < count
+
+
+def eigenvalues(level, ctx, count, nmat):
+    """Locate ``count`` eigenvalues from the section's own rows.
+
+    Seeds come from the dense section of the leading min(nmat, 32) rows,
+    doubled up to ``nmat`` rows while its seeds run out before ``count``
+    roots are kept (``_refine_section``).  Each seed is refined by Newton
+    on the twisted pivot of the rows, from ``nmat`` rows up until the root
+    settles (``_settle``), so ``nmat`` sets the rows the roots are first
+    solved on.  Each root gets the certificate residual_f = |F(mu)|, one F
+    per root, and the eigenfunction coefficients a_0..a_48; ``converged``
+    says that the stop test passed and the root settled.
+
+    Results are sorted by (|lambda| desc, arg lambda); on a real level
+    each complex root brings its conjugate.  Seeds are refined in order
+    until ``count`` roots are kept and the next seed's |lambda| lies below
+    the ``count``-th kept |lambda| by more than 1e-8 relative: a seed that
+    ties with a kept root is still refined, and the first section does not
+    depend on ``count``, so a smaller ``count`` lists the first roots of a
+    larger one."""
+    results = []
+    size = min(nmat, _SEED_ROWS)
+    while _refine_section(size, level, ctx, count, nmat, results):
+        size = min(2 * size, nmat)
     results.sort(key=lambda r: (-abs(r.lam), cmath.phase(r.lam)))
     return results[:count]
 

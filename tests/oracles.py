@@ -13,9 +13,11 @@ from types import SimpleNamespace
 
 import mpmath
 
+from awspec.backend import MAX_TERMS, phi_terms, sum_series
 from awspec.exceptions import DomainError
 from awspec.qcore import exp_itheta, phi, qpoch, qpoch_inf
-from awspec.spectral import bn_sequence, mu_from_lambda, recurrence_a_coeffs
+from awspec.spectral import (_f_params, _f_products, bn_sequence, f_eval,
+                             matrix_oracle, mu_from_lambda, recurrence_a_coeffs)
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -325,6 +327,86 @@ def an_minimal_mp(lam, level, q, nmax, dps):
             P, Q, R = recurrence_a_coeffs(k, mlevel, mctx)
             a[k - 1] = ((lam - s * Q) * a[k] - s * P * a[k + 1]) / (s * R)
         return [complex(v / a[1]) for v in a[:nmax + 1]]
+
+
+# ---------------------------------------------------------------------------
+# the roots of F by Newton on F itself
+# ---------------------------------------------------------------------------
+
+
+def _f_and_slope(x, level, ctx):
+    """(F(x), dF/dx), the value the same float as ``f_eval``'s, from one
+    pass over F's 2phi1 and one over the log-derivative of its product.
+
+    F's parameters w and v are constants times 1/x, so with
+    g(u) = u/(1 - u) the product has x (w; p)_inf' = (w; p)_inf
+    sum_j g(w p^j), and the 2phi1 term t_k has x t_k' = t_k L_k,
+    L_k = sum_{j<k} g(v p^j) - g(w p^j).  sum_k t_k L_k accumulates beside
+    the terms t_k that ``sum_series`` sums, under their stopping rule."""
+    p, w, v, a1, z = _f_params(x, level, ctx)
+    num, den = _f_products(level, ctx)
+    slope = 0.0  # sum_k t_k L_k over the terms summed so far
+
+    def terms():
+        nonlocal slope
+        lk, pk = 0.0, 1.0
+        for k, t in enumerate(phi_terms([a1, v], [w], p, z, 0)):
+            if k:  # phi_terms has passed its pole test on w p^{k-1}
+                vk, wk = v * pk, w * pk
+                lk += vk / (1.0 - vk) - wk / (1.0 - wk)
+                pk *= p
+            slope += t * lk
+            yield t
+
+    def log_terms():  # g(w p^j), j = 0, 1, ...
+        wj = w
+        while True:
+            yield wj / (1.0 - wj)
+            wj *= p
+
+    series = sum_series(terms(), ctx.tol, MAX_TERMS, "phi_sum")
+    dlog_prod = sum_series(log_terms(), ctx.tol, MAX_TERMS, "f_slope")
+    pref = num * qpoch_inf(w, p, ctx.tol) / den
+    return pref * series, pref * (dlog_prod * series + slope) / x
+
+
+def _newton_f(mu0, level, ctx):
+    mu = complex(mu0)
+    for _ in range(80):
+        f0, d = _f_and_slope(mu, level, ctx)
+        if d == 0:
+            return mu, False
+        step = f0 / d
+        mu -= step
+        if abs(step) < 1e-14 * max(1.0, abs(mu)):
+            return mu, True
+    return mu, abs(f_eval(mu, level, ctx)) < 1e-9
+
+
+def lambda_from_mu(mu, q):
+    """The inverse of ``spectral.mu_from_lambda``."""
+    return (1.0 - q) * mu / (2.0 * math.sqrt(q))
+
+
+def f_root_lambdas(level, ctx, count, nmat):
+    """The first ``count`` eigenvalues as Newton on F finds them from the
+    seeds of the ``nmat``-row section, sorted like ``eigenvalues`` (|lambda|
+    descending, then arg lambda), one seed per conjugate pair on a real
+    level with its partner restored: the reference of ``eigenvalues``,
+    which solves on the section's rows."""
+    lams = []
+    for ev in matrix_oracle(nmat, level, ctx):
+        if len(lams) > count:
+            break
+        if abs(ev) <= 1e-13 or (level.is_real and ev.imag < -1e-15):
+            continue
+        mu, _ = _newton_f(mu_from_lambda(ev, ctx.q), level, ctx)
+        lam = lambda_from_mu(mu, ctx.q)
+        lams.append(lam)
+        if level.is_real and abs(lam.imag) > 1e-13 * abs(lam):
+            lams.append(lam.conjugate())
+    lams.sort(key=lambda z: (-abs(z), cmath.phase(z)))
+    return lams[:count]
 
 
 def _x_nu_series(nu, x, level, ctx):

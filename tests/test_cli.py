@@ -26,6 +26,19 @@ def _run(argv):
                           env={**os.environ, "PYTHONPATH": path})
 
 
+def test_import_loads_no_suite_and_no_mpmath():
+    # every request starts a process that imports awspec.cli; only verify
+    # needs the suites, and mpmath loads where a computation asks for it
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    code = ("import sys, awspec.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('mpmath', 'scipy') or m == 'awspec.verify'))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env={**os.environ, "PYTHONPATH": path})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 class TestUsage:
     def test_missing_subcommand_is_usage_error(self):
         r = _run([])
@@ -324,7 +337,8 @@ class TestOutputs:
         assert all(math.isfinite(float(v)) for r in rows for v in r[1:7])
 
     def test_eigen_lists_each_root_once(self, tmp_path):
-        # Newton from two tiny seeds can land on one root; it is listed once
+        # Newton from two tiny seeds could land on one root; each root is
+        # listed once, and a seed that lands on a listed one says so
         out = tmp_path / "e.csv"
         assert main(["eigen", "--count", "30", "--out", str(out)]) == 0
         lines = out.read_text().splitlines(keepends=True)
@@ -337,7 +351,7 @@ class TestOutputs:
         assert all(line.rstrip().endswith(",true") for line in lines[1:])
         # the header and rows 0-25, which the de-duplication must not move
         digest = hashlib.md5("".join(lines[:27]).encode()).hexdigest()
-        assert digest == "41b5880bd48eb0e925fa0fe7c6024b5d"
+        assert digest == "c12271bf77de5881805c7b5cf52cf838"
 
     @pytest.mark.parametrize("alpha", ["0.3", "0.3+0.5j"])
     def test_eigen_and_eigfun_at_tiny_q(self, tmp_path, alpha):
@@ -384,6 +398,21 @@ class TestOutputs:
             terms = [lam * a[k], sR * a[k - 1], sQ * a[k], sP * a[k + 1]]
             scale = max(abs(t) for t in terms)
             assert abs(terms[0] - sum(terms[1:])) <= 1e-9 * scale, k
+
+    def test_eigen_where_newton_on_f_met_a_pole(self, capsys):
+        # Newton on F met the pole of F's 2phi1 from the seed of a small
+        # root: exit 2, "phi_terms: denominator factor vanished at k=1";
+        # solved on the section's rows it exits 0
+        rc = main(["eigen", "--q", "1.80636e-06", "--alpha=-0.917",
+                   "--beta=2.069"])
+        out, err = capsys.readouterr()
+        if rc == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            return
+        assert rc == 0 and not err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 5
+        assert all(math.isfinite(float(v)) for r in rows for v in r[1:7])
 
     def test_eigen_at_q_1e_8_is_a_kernel_truncation_error(self):
         r = _run(["eigen", "--q", "1e-8"])

@@ -15,8 +15,9 @@ from awspec.spectral import (EigenResult, bn_B, bn_C, bn_explicit,
                              f_eval, markov_ratio, markov_stieltjes,
                              matrix_oracle, q_coulomb, recurrence_a_coeffs,
                              s_poly, x_nu)
-from oracles import (_an_from_bn, _bn_explicit_nested, _x_nu_series,
-                     an_minimal_mp, classical_a_coeffs)
+from oracles import (_an_from_bn, _bn_explicit_nested, _f_and_slope,
+                     _x_nu_series, an_minimal_mp, classical_a_coeffs,
+                     f_root_lambdas)
 
 CONJ = JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)
 
@@ -342,6 +343,54 @@ class TestEigenvalues:
                 assert [bits(r) for r in few] == [bits(r) for r in more]
 
 
+class TestTwistedSolve:
+    """The roots solved on the section's rows against Newton on F, the
+    dense section and a 30-digit eigensolve."""
+
+    @pytest.mark.parametrize("q", [1e-4, 0.1, 0.36, 0.5, 0.8, 0.9])
+    @pytest.mark.parametrize("lv", [(0.3, -0.2), (0.4, 0.4),
+                                    (0.3 + 0.5j, 0.3 - 0.5j), (-0.5, -0.5),
+                                    (2.0, 1.5)])
+    def test_top_five_match_newton_on_f(self, lv, q):
+        level, ctx = JacobiLevel(*lv), QContext(q)
+        got = [r.lam for r in eigenvalues(level, ctx, count=5, nmat=80)]
+        want = f_root_lambdas(level, ctx, 5, 80)
+        assert len(got) == len(want) == 5
+        for mine, theirs in ((got, want), (want, got)):
+            for lam in mine:
+                assert min(abs(lam - o) for o in theirs) <= 1e-14 * abs(lam)
+
+    @pytest.mark.parametrize("lv,q", [((0.3, -0.2), 0.5),
+                                      ((0.3 + 0.5j, 0.3 - 0.5j), 0.6),
+                                      ((0.4, 0.4), 0.9)])
+    def test_roots_are_the_top_of_the_dense_section(self, lv, q):
+        level, ctx = JacobiLevel(*lv), QContext(q)
+        dense = matrix_oracle(160, level, ctx)
+        for count in (1, 3, 5, 10, 20):
+            res = eigenvalues(level, ctx, count=count, nmat=80)
+            assert len(res) == count and all(r.converged for r in res)
+            for r, ev in zip(res, dense[:count]):
+                assert abs(r.lam - ev) <= 1e-10 * abs(ev), (count, r.lam, ev)
+
+    def test_top_five_hold_30_digits(self):
+        # the top five of the 20-row section equal those of the 24- and
+        # 28-row sections to 30 digits here, so the section is settled
+        level, ctx = CONJ, QContext(0.5)
+        rows = spectral._oracle_rows(20, level, ctx)[:20]
+        with mpmath.workdps(30):
+            m = mpmath.zeros(20, 20)
+            for i, (sP, sQ, sR) in enumerate(rows):
+                m[i, i] = mpmath.mpmathify(sQ)
+                if i + 1 < 20:
+                    m[i, i + 1] = mpmath.mpmathify(sP)
+                if i:
+                    m[i, i - 1] = mpmath.mpmathify(sR)
+            exact = [complex(e) for e in mpmath.eig(m, left=False, right=False)]
+        for r in eigenvalues(level, ctx, count=5, nmat=80):
+            err = min(abs(r.lam - e) for e in exact) / abs(r.lam)
+            assert err <= 3e-16, (r.lam, err)
+
+
 class TestFSlope:
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.8])
     @pytest.mark.parametrize("lv", [(0.3, -0.2), (0.3 + 0.5j, 0.3 - 0.5j)],
@@ -350,7 +399,7 @@ class TestFSlope:
         level, ctx = JacobiLevel(*lv), QContext(q)
         root = eigenvalues(level, ctx, count=1, nmat=40)[0].mu
         for x in (root, 1.7 - 0.2j, -0.9 + 2.1j):
-            f, d = spectral._f_and_slope(x, level, ctx)
+            f, d = _f_and_slope(x, level, ctx)
             assert f == f_eval(x, level, ctx)
 
             def central(h):
