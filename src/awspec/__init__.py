@@ -15,10 +15,9 @@ from .qpolys import (ConnectionTriple, JacobiLevel, connection_down, cqjacobi,
 from .awop import (CoeffVector, QuadratureRule, dq_coeffs, dq_pointwise,
                    eval_coeffvector, kernel_eval, make_rule, t_coeffs,
                    t_factor, t_quadrature, xi_factor)
-from .spectral import (EigenResult, bn_explicit, eigenvalue_equation,
-                       eigenfunction, eigenvalues, f_eval, markov_ratio,
-                       markov_stieltjes, matrix_oracle, q_coulomb,
-                       recurrence_a_coeffs, s_poly, x_nu)
+from .spectral import (EigenResult, bn_explicit, eigenfunction, eigenvalues,
+                       f_eval, markov_ratio, markov_stieltjes, matrix_oracle,
+                       q_coulomb, recurrence_a_coeffs, s_poly, x_nu)
 from .qexp import (am_coeff, eq_exp, expansion_residual, hermite_identity_residual,
                    hermite_series, jm_quadrature)
 from .framework import (LadderFamily, MonicSystem, cf_minimal_ratio,

@@ -22,7 +22,8 @@ Numerical conventions that matter here:
   bound <= ctx.tol max(1, |b_n|), is returned, and any other reruns in
   mpmath with as many more digits as the bound says were lost.
 * X_nu is always summed from its convergent series, never by forward
-  recurrence, which would destroy minimality.
+  recurrence, which would destroy minimality.  The series is entire in
+  1/x, with no pole, and F(mu) = -X_{-1}(mu)/mu is its only formula for F.
 * The eigenvalues are solved on the section's own rows, not on F: Newton
   on the twisted pivot of the tridiagonal section, split at the row where
   the eigenvector peaks, from seeds of a small dense section.  The split
@@ -40,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .awop import CoeffVector
-from .backend import MAX_TERMS
-from .exceptions import DomainError
+from .backend import MAX_TERMS, sum_series
+from .exceptions import DomainError, NonConvergenceError
 from .qcore import phi, qpoch_inf
 from .qpolys import _COEFF_TABLES
 
@@ -50,7 +51,7 @@ __all__ = [
     "recurrence_a_coeffs", "bn_B", "bn_C", "bn_sequence",
     "bn_explicit", "bn_minimal_scaled", "bn0_scaled_sequence",
     "zero_asymptotics_constants", "x_nu", "f_eval",
-    "root_asymptotics_constant", "eigenvalue_equation", "matrix_oracle",
+    "root_asymptotics_constant", "matrix_oracle",
     "EigenResult", "eigenvalues", "eigenfunction", "s_poly", "markov_ratio",
     "markov_stieltjes", "q_coulomb", "mu_from_lambda",
 ]
@@ -374,53 +375,70 @@ def zero_asymptotics_constants(level, ctx):
 
 
 # ---------------------------------------------------------------------------
-# minimal solutions, F, and the transcendental equation
+# minimal solutions X_nu and F
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=_COEFF_TABLES)
+def _x_products(nu, level, ctx):
+    """(p^{b+nu+2}; p)_inf / (p^{a+b+2nu+4}; p)_inf, the x-free ratio of
+    X_nu, memoised per (nu, level, ctx): the context's tol truncates it."""
+    p = math.sqrt(ctx.q)
+    al, be = level.alpha, level.beta
+    return (qpoch_inf(p ** (be + nu + 2), p, ctx.tol)
+            / qpoch_inf(p ** (al + be + 2 * nu + 4), p, ctx.tol))
+
+
 def x_nu(nu, x, level, ctx):
-    """Minimal solution X_nu(x), nu >= -1 (real order allowed), by the
-    everywhere-convergent representation with argument p^{b+nu+2}."""
+    """Minimal solution X_nu(x), nu >= -1 (real order allowed), as the
+    series entire in 1/x
+
+        X_nu(x) = (-x)^{-nu} (p^{b+nu+2}; p)_inf / (p^{a+b+2nu+4}; p)_inf
+                  * sum_n c_n (w p^n; p)_inf,
+        c_n = (p^{a+nu+2}, p^{1/2}/x; p)_n p^{(b+nu+2)n} / (p; p)_n,
+
+    w = -p^{a+nu+5/2}/x: the 2phi1 in p^{b+nu+2} with (w; p)_inf taken
+    into each term (Ismail & Zhang, Adv. Math. 109, 1994), so it has none
+    of the 2phi1's poles at w p^k = 1.  The tails (w p^n; p)_inf are
+    suffix products from 1 where ``qpoch_inf``'s tail bound stops; where a
+    factor 1 - w p^k is exactly 0 the terms n <= k are 0 and the sum
+    starts at n = k + 1.  c_n runs by its ratio, whose denominator
+    1 - p^{n+1} never vanishes."""
     if x == 0:
         raise DomainError("x_nu: x must be nonzero")
     p = math.sqrt(ctx.q)
     al, be = level.alpha, level.beta
-    pref = ((-x) ** (-nu) * qpoch_inf(p ** (be + nu + 2), p, ctx.tol)
-            * qpoch_inf(-p ** (al + nu + 2.5) / x, p, ctx.tol)
-            / qpoch_inf(p ** (al + be + 2 * nu + 4), p, ctx.tol))
-    return pref * phi([p ** (al + nu + 2), p ** 0.5 / x],
-                      [-p ** (al + nu + 2.5) / x], p, p ** (be + nu + 2),
-                      nterms=-1, tol=ctx.tol)
+    w = -p ** (al + nu + 2.5) / x
+    factors = []
+    bound = abs(w) / (1.0 - p)
+    while bound > ctx.tol:
+        if len(factors) >= MAX_TERMS:
+            raise NonConvergenceError("x_nu: tail bound not met")
+        factors.append(1.0 - w)
+        w *= p
+        bound *= p
+    tails = [1.0]  # (w p^n; p)_inf for n = J, J-1, ..., 0, J = len(factors)
+    for f in reversed(factors):
+        tails.append(tails[-1] * f)
+    tails.reverse()
+    start = max((k + 1 for k, f in enumerate(factors) if f == 0), default=0)
+    a1, v, z = p ** (al + nu + 2), p ** 0.5 / x, p ** (be + nu + 2)
 
+    def terms():
+        c, pn = 1.0, 1.0  # c_n and p^n
+        for n in range(sys.maxsize):
+            if n >= start:
+                yield c * tails[min(n, len(factors))]
+            c *= (1.0 - a1 * pn) * (1.0 - v * pn) * z / (1.0 - p * pn)
+            pn *= p
 
-@functools.lru_cache(maxsize=_COEFF_TABLES)
-def _f_products(level, ctx):
-    """(p^{b+1}; p)_inf and (p^{a+b+2}; p)_inf of F, memoised per (level,
-    ctx): they do not depend on x, and the context's tol truncates them."""
-    p = math.sqrt(ctx.q)
-    al, be = level.alpha, level.beta
-    return (qpoch_inf(p ** (be + 1), p, ctx.tol),
-            qpoch_inf(p ** (al + be + 2), p, ctx.tol))
-
-
-def _f_params(x, level, ctx):
-    """p = sqrt(q) and the parameters of
-    F(x) = (p^{b+1}; p)_inf / (p^{a+b+2}; p)_inf * (w; p)_inf
-           * 2phi1(p^{a+1}, v; w; p, p^{b+1}),
-    w = -p^{a+3/2}/x and v = p^{1/2}/x, as (p, w, v, p^{a+1}, p^{b+1})."""
-    if x == 0:
-        raise DomainError("f_eval: x must be nonzero")
-    p = math.sqrt(ctx.q)
-    al, be = level.alpha, level.beta
-    return p, -p ** (al + 1.5) / x, p ** 0.5 / x, p ** (al + 1), p ** (be + 1)
+    return ((-x) ** (-nu) * _x_products(nu, level, ctx)
+            * sum_series(terms(), ctx.tol, MAX_TERMS, "x_nu"))
 
 
 def f_eval(x, level, ctx):
-    """F(x); F(x) = 0 iff X_{-1}(x) = 0 (eigencondition in the mu variable).
-    The two products that do not depend on x are memoised per (level, ctx)."""
-    p, w, v, a1, z = _f_params(x, level, ctx)
-    num, den = _f_products(level, ctx)
-    return (num * qpoch_inf(w, p, ctx.tol) / den
-            * phi([a1, v], [w], p, z, nterms=-1, tol=ctx.tol))
+    """F(x) = -X_{-1}(x)/x, the eigenvalue function in the mu variable,
+    zero exactly at the eigenvalues: the library's one formula for F."""
+    return -x_nu(-1, x, level, ctx) / x
 
 
 def root_asymptotics_constant(xi, level, ctx):
@@ -434,23 +452,6 @@ def root_asymptotics_constant(xi, level, ctx):
                * qpoch_inf(q ** ((al + be + 5) / 2), q, tol)
                * qpoch_inf(q ** ((al + be + 4) / 2), q, tol) ** 2)
             / x_nu(0, xi, level, ctx))
-
-
-def eigenvalue_equation(x, level, ctx):
-    """Literal left side of the transcendental eigenvalue equation, with
-    p = sqrt(q).
-
-    Its zero set maps onto zeros of F via mu = 2/((1-q) x): the package
-    treats the F route as authoritative (it is the one backed by the
-    convergence proof and the matrix oracle), so roots x* here correspond
-    to eigenvalues lambda = q^{-1/2}/x*."""
-    q = ctx.q
-    p = math.sqrt(q)
-    al, be = level.alpha, level.beta
-    z = (1.0 - q) * x / 2.0
-    return (qpoch_inf(-p ** (al + 1.5) * z, p, ctx.tol)
-            * phi([p ** (al + 1), z * p ** 0.5], [-p ** (al + 1.5) * z],
-                  p, p ** (be + 1), nterms=-1, tol=ctx.tol))
 
 
 # ---------------------------------------------------------------------------

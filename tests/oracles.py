@@ -16,8 +16,8 @@ import mpmath
 from awspec.backend import MAX_TERMS, phi_terms, sum_series
 from awspec.exceptions import DomainError
 from awspec.qcore import exp_itheta, phi, qpoch, qpoch_inf
-from awspec.spectral import (_f_params, _f_products, bn_sequence, f_eval,
-                             matrix_oracle, mu_from_lambda, recurrence_a_coeffs)
+from awspec.spectral import (bn_sequence, matrix_oracle, mu_from_lambda,
+                             recurrence_a_coeffs)
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -330,12 +330,52 @@ def an_minimal_mp(lam, level, q, nmax, dps):
 
 
 # ---------------------------------------------------------------------------
-# the roots of F by Newton on F itself
+# F by its 2phi1, and the roots of F by Newton on F itself
 # ---------------------------------------------------------------------------
 
 
+def _f_params(x, level, ctx):
+    """p = sqrt(q), the parameters of F's 2phi1 and the two products in
+    front of it that do not depend on x, in
+    F(x) = (p^{b+1}; p)_inf / (p^{a+b+2}; p)_inf * (w; p)_inf
+           * 2phi1(p^{a+1}, v; w; p, p^{b+1}),
+    w = -p^{a+3/2}/x and v = p^{1/2}/x, as (p, w, v, p^{a+1}, p^{b+1},
+    (p^{b+1}; p)_inf, (p^{a+b+2}; p)_inf)."""
+    if x == 0:
+        raise DomainError("F: x must be nonzero")
+    p = math.sqrt(ctx.q)
+    al, be = level.alpha, level.beta
+    return (p, -p ** (al + 1.5) / x, p ** 0.5 / x, p ** (al + 1), p ** (be + 1),
+            qpoch_inf(p ** (be + 1), p, ctx.tol),
+            qpoch_inf(p ** (al + be + 2), p, ctx.tol))
+
+
+def _f_2phi1(x, level, ctx):
+    """F(x) by the 2phi1 with the product (w; p)_inf in front (``_f_params``):
+    the reference of ``f_eval``, the entire series.  It has a pole wherever
+    w p^k = 1, where the product in front vanishes and F does not."""
+    p, w, v, a1, z, num, den = _f_params(x, level, ctx)
+    return (num * qpoch_inf(w, p, ctx.tol) / den
+            * phi([a1, v], [w], p, z, nterms=-1, tol=ctx.tol))
+
+
+def _eigenvalue_equation(x, level, ctx):
+    """The literal left side E(x) of the paper's transcendental eigenvalue
+    equation, with p = sqrt(q) and z = (1-q) x/2:
+    (-p^{a+3/2} z; p)_inf 2phi1(p^{a+1}, z p^{1/2}; -p^{a+3/2} z; p, p^{b+1}).
+    At x = 2/((1-q) mu), E(x)/E(0) = F(mu): E(0) = (p^{a+b+2}; p)_inf /
+    (p^{b+1}; p)_inf is 1/F(infinity)."""
+    q = ctx.q
+    p = math.sqrt(q)
+    al, be = level.alpha, level.beta
+    z = (1.0 - q) * x / 2.0
+    return (qpoch_inf(-p ** (al + 1.5) * z, p, ctx.tol)
+            * phi([p ** (al + 1), z * p ** 0.5], [-p ** (al + 1.5) * z],
+                  p, p ** (be + 1), nterms=-1, tol=ctx.tol))
+
+
 def _f_and_slope(x, level, ctx):
-    """(F(x), dF/dx), the value the same float as ``f_eval``'s, from one
+    """(F(x), dF/dx), the value the same float as ``_f_2phi1``'s, from one
     pass over F's 2phi1 and one over the log-derivative of its product.
 
     F's parameters w and v are constants times 1/x, so with
@@ -343,8 +383,7 @@ def _f_and_slope(x, level, ctx):
     sum_j g(w p^j), and the 2phi1 term t_k has x t_k' = t_k L_k,
     L_k = sum_{j<k} g(v p^j) - g(w p^j).  sum_k t_k L_k accumulates beside
     the terms t_k that ``sum_series`` sums, under their stopping rule."""
-    p, w, v, a1, z = _f_params(x, level, ctx)
-    num, den = _f_products(level, ctx)
+    p, w, v, a1, z, num, den = _f_params(x, level, ctx)
     slope = 0.0  # sum_k t_k L_k over the terms summed so far
 
     def terms():
@@ -380,7 +419,7 @@ def _newton_f(mu0, level, ctx):
         mu -= step
         if abs(step) < 1e-14 * max(1.0, abs(mu)):
             return mu, True
-    return mu, abs(f_eval(mu, level, ctx)) < 1e-9
+    return mu, abs(_f_2phi1(mu, level, ctx)) < 1e-9
 
 
 def lambda_from_mu(mu, q):

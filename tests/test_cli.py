@@ -349,9 +349,10 @@ class TestOutputs:
                    for b in lams[:i])
         # Newton refines every seed, the tiny ones too
         assert all(line.rstrip().endswith(",true") for line in lines[1:])
-        # the header and rows 0-25, which the de-duplication must not move
+        # the header and rows 0-25, which the de-duplication must not move;
+        # pinned after the entire series of F moved only residual_f
         digest = hashlib.md5("".join(lines[:27]).encode()).hexdigest()
-        assert digest == "c12271bf77de5881805c7b5cf52cf838"
+        assert digest == "814fef85e1b988f3306b670b7eed7c25"
 
     @pytest.mark.parametrize("alpha", ["0.3", "0.3+0.5j"])
     def test_eigen_and_eigfun_at_tiny_q(self, tmp_path, alpha):
@@ -413,6 +414,21 @@ class TestOutputs:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == 5
         assert all(math.isfinite(float(v)) for r in rows for v in r[1:7])
+
+    def test_eigfun_on_a_pole_of_the_2phi1(self, capsys):
+        # the second root's mu is the pole mu = -p^{a+5/2} of F's 2phi1 to
+        # 1.5e-16 relative: residual_f raised "phi_terms: denominator factor
+        # vanished at k=1", exit 2; the entire series of F has no pole
+        rc = main(["eigfun", "--q", "6.18e-08", "--alpha=-0.379",
+                   "--beta=1.966", "--index", "1", "--trunc", "40",
+                   "--format", "json"])
+        out, err = capsys.readouterr()
+        assert rc == 0 and not err
+        doc = json.loads(out)
+        res_f = float(doc["diagnostics"]["residual_f"])
+        assert math.isfinite(res_f) and res_f <= 1e-12
+        assert all(math.isfinite(float(row[k])) for row in doc["results"]
+                   for k in ("value_re", "value_im"))
 
     def test_eigen_at_q_1e_8_is_a_kernel_truncation_error(self):
         r = _run(["eigen", "--q", "1e-8"])

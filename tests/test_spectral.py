@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -10,14 +11,13 @@ from awspec.exceptions import DomainError
 from awspec.qcore import QContext, qpoch_inf
 from awspec.qpolys import JacobiLevel, norm_h, norm_ratio
 from awspec.spectral import (EigenResult, bn_B, bn_C, bn_explicit,
-                             bn_minimal_scaled, bn_sequence,
-                             eigenvalue_equation, eigenfunction, eigenvalues,
-                             f_eval, markov_ratio, markov_stieltjes,
-                             matrix_oracle, q_coulomb, recurrence_a_coeffs,
-                             s_poly, x_nu)
-from oracles import (_an_from_bn, _bn_explicit_nested, _f_and_slope,
-                     _x_nu_series, an_minimal_mp, classical_a_coeffs,
-                     f_root_lambdas)
+                             bn_minimal_scaled, bn_sequence, eigenfunction,
+                             eigenvalues, f_eval, markov_ratio,
+                             markov_stieltjes, matrix_oracle, q_coulomb,
+                             recurrence_a_coeffs, s_poly, x_nu)
+from oracles import (_an_from_bn, _bn_explicit_nested, _eigenvalue_equation,
+                     _f_2phi1, _f_and_slope, _x_nu_series, an_minimal_mp,
+                     classical_a_coeffs, f_root_lambdas)
 
 CONJ = JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)
 
@@ -199,9 +199,45 @@ class TestXnuF:
     def test_routes_agree(self):
         ctx = QContext(0.36)
         level = JacobiLevel(0.5, -0.25)
-        v1 = x_nu(0, 1.5, level, ctx)
-        v2 = _x_nu_series(0, 1.5, level, ctx)
-        assert abs(v1 - v2) <= 1e-10 * abs(v1)
+        for nu in (-1, 0, 3):
+            v1 = x_nu(nu, 1.5, level, ctx)
+            v2 = _x_nu_series(nu, 1.5, level, ctx)
+            assert abs(v1 - v2) <= 1e-10 * abs(v1), nu
+
+    def test_f_matches_the_2phi1_oracle(self):
+        # the one F, the entire series, against the 2phi1 with the product
+        # in front: 100 draws of mu per level, |Re mu|, |Im mu| <= 3
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        for lv in [(0.3, -0.2), (0.3 + 0.5j, 0.3 - 0.5j), (2.0, 1.5),
+                   (1.2, 0.7), (-0.4, 0.6)]:
+            level = JacobiLevel(*lv)
+            for q in (0.1, 0.36, 0.5, 0.8, 0.9):
+                ctx = QContext(q)
+                for _ in range(20):
+                    mu = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                    want = _f_2phi1(mu, level, ctx)
+                    worst = max(worst, abs(f_eval(mu, level, ctx) - want) / abs(want))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("lv", [(0.3, -0.2), (-0.5, -0.5),
+                                    (0.3 + 0.5j, 0.3 - 0.5j)],
+                             ids=["real", "half", "conj"])
+    def test_f_is_continuous_at_the_2phi1_poles(self, lv, q):
+        # at mu_k = -p^{a+3/2+k} the 2phi1's w p^k = 1: its product in front
+        # is 0 and its series has a pole, where F itself is finite; some of
+        # these factors round to exactly 0, so the sum starts past them
+        level, ctx = JacobiLevel(*lv), QContext(q)
+        p = math.sqrt(q)
+        for k in range(5):
+            mu = -p ** (level.alpha + 1.5 + k)
+            f = f_eval(mu, level, ctx)
+            h = 1e-7
+            mid = (f_eval(mu * (1 + h), level, ctx)
+                   + f_eval(mu * (1 - h), level, ctx)) / 2
+            assert cmath.isfinite(f) and f != 0, (k, f)
+            assert abs(f - mid) <= 1e-10 * max(1.0, abs(f)), (k, f, mid)
 
     def test_series_route_domain(self, ctx, level):
         with pytest.raises(DomainError):
@@ -250,11 +286,24 @@ class TestEig314:
         al, be = 0.3, -0.2
         want = (qpoch_inf(p ** (al + be + 2), p, tol=1e-14)
                 / qpoch_inf(p ** (be + 1), p, tol=1e-14))
-        assert abs(eigenvalue_equation(0.0, level, ctx) - want) <= 1e-10 * abs(want)
+        assert abs(_eigenvalue_equation(0.0, level, ctx) - want) <= 1e-10 * abs(want)
 
     def test_real_for_real_input(self, ctx, level):
-        v = eigenvalue_equation(1.7, level, ctx)
+        v = _eigenvalue_equation(1.7, level, ctx)
         assert abs(v.imag) <= 1e-13 * max(1.0, abs(v))
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.8])
+    @pytest.mark.parametrize("lv", [(0.3, -0.2), (0.3 + 0.5j, 0.3 - 0.5j)],
+                             ids=["real", "conj"])
+    def test_ratio_to_its_value_at_zero_is_f(self, lv, q):
+        # E(x)/E(0) = F(mu) at x = 2/((1-q) mu): E(0) is 1/F(infinity)
+        level, ctx = JacobiLevel(*lv), QContext(q)
+        e0 = _eigenvalue_equation(0.0, level, ctx)
+        for mu in (1.7 - 0.2j, -0.9 + 2.1j, 0.4, -2.5 - 0.3j):
+            x = 2.0 / ((1.0 - q) * mu)
+            f = f_eval(mu, level, ctx)
+            got = _eigenvalue_equation(x, level, ctx) / e0
+            assert abs(got - f) <= 1e-12 * max(1.0, abs(f)), (mu, got, f)
 
     def test_root_maps_to_certified_eigenvalue(self, ctx, level):
         # zeros x* of the literal equation correspond to eigenvalues via
@@ -263,7 +312,7 @@ class TestEig314:
         res = eigenvalues(level, ctx, count=1, nmat=50)
         mu = res[0].mu
         xstar = 2.0 / ((1 - ctx.q) * mu)
-        assert abs(eigenvalue_equation(xstar, level, ctx)) < 1e-9
+        assert abs(_eigenvalue_equation(xstar, level, ctx)) < 1e-9
         lam_mapped = ctx.q ** -0.5 / xstar
         assert abs(lam_mapped - res[0].lam) <= 1e-9 * abs(res[0].lam)
 
@@ -400,7 +449,7 @@ class TestFSlope:
         root = eigenvalues(level, ctx, count=1, nmat=40)[0].mu
         for x in (root, 1.7 - 0.2j, -0.9 + 2.1j):
             f, d = _f_and_slope(x, level, ctx)
-            assert f == f_eval(x, level, ctx)
+            assert f == _f_2phi1(x, level, ctx)
 
             def central(h):
                 return (f_eval(x + h, level, ctx) - f_eval(x - h, level, ctx)) / (2 * h)

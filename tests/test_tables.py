@@ -3,7 +3,7 @@ to the per-step loops they replace, kept apart per key, and bounded; and
 AST checks on the source: every memo bounded and listed, no frozen
 dataclass written after its construction, few, route-free,
 tolerance-free defaults, and every exported name defined and reached by
-a CLI command, a verify suite or the benchmark."""
+a CLI command, a verify suite or the benchmark, and few of them."""
 import ast
 import importlib
 from pathlib import Path
@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "awspec"
 PERFBENCH = SRC.parents[1] / "perfbench"
 LEVELS = [JacobiLevel(0.3, -0.2), JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)]
 MEMOS = [qpolys._aw_table, qpolys._cq_table, spectral._oracle_table,
-         spectral._f_products, qpolys._norm_table, qpolys._node_table,
+         spectral._x_products, qpolys._norm_table, qpolys._node_table,
          awop._kernel_table, awop.kernel_truncation, qpolys._point_table,
          qexp._am_products]
 
@@ -354,6 +354,8 @@ def test_frozen_dataclasses_are_set_only_in_post_init():
 # left is set differently by two callers: cli.main(argv), verify._disc(rmin)
 # and qpolys.cqjacobi(method)
 MAX_DEFAULTS = 3
+# names in the modules' __all__ lists: each formula is exported once
+MAX_EXPORTS = 83
 # cqjacobi keeps method="phi": the benchmark checks its rows against the 4phi3
 ROUTED = {("qpolys.py", "cqjacobi")}
 
@@ -396,6 +398,14 @@ def test_every_exported_name_resolves():
         missing += [f"{name}.{n}" for n in getattr(module, "__all__", ())
                     if not hasattr(module, n)]
     assert not missing, f"exported but not defined: {', '.join(missing)}"
+
+
+def test_exports_are_few():
+    exported = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "awspec" if path.stem == "__init__" else f"awspec.{path.stem}"
+        exported += getattr(importlib.import_module(name), "__all__", ())
+    assert len(exported) <= MAX_EXPORTS, f"{len(exported)} exported names"
 
 
 def _perfbench_names():

@@ -111,3 +111,13 @@ def test_eigen_certify_passes_on_a_conjugate_pair_level():
     r = verify.run_suite("spectral.eigen-certify", config)
     assert r.passed, r.detail
     assert "re/|lam|=" in r.detail and "conj=" not in r.detail
+
+
+def test_asymp_growth_passes_where_the_2phi1_has_a_pole():
+    # at alpha = beta = -1/2, q = 0.5 the suite's x = -2 puts F's argument
+    # on a pole of its 2phi1 (w p = 1), where F itself is finite
+    config = dataclasses.replace(verify.DEFAULT_CONFIG,
+                                 level=JacobiLevel(-0.5, -0.5))
+    r = verify.run_suite("spectral.asymp-growth", config)
+    assert r.passed, r.detail
+    assert r.max_err <= 1e-12
