@@ -27,6 +27,8 @@ REQUESTS = {
     "eigen-conj.csv": ["eigen", *CONJ],
     "kernel-conj.csv": ["kernel", *CONJ],
     "eigen.json": ["eigen", "--format", "json"],
+    "poly.json": ["poly", "--format", "json"],
+    "coulomb.json": ["coulomb", "--format", "json"],
     # on the line alpha + beta = -1, where the level formulas cancel 0/0 pairs
     "expand-line.csv": ["expand", "--alpha=-0.5", "--beta=-0.5"],
     "eigen-line.csv": ["eigen", "--alpha=-0.3", "--beta=-0.7"],
