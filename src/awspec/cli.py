@@ -14,9 +14,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 import argparse
 import cmath
 import functools
-import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -75,10 +75,25 @@ def finite(parse):
     return check
 
 
+def complex_text(text):
+    """argparse type: the text of a complex number, kept as given, so the
+    config echo shows --alpha and --beta as typed."""
+    complex(text)
+    return text
+
+
+def beta_text(text):
+    """argparse type of --beta: "conj", or the text of a complex number."""
+    return text if text == "conj" else complex_text(text)
+
+
+complex_text.__name__ = beta_text.__name__ = "complex"
+
+
 def _add_common(p):
     p.add_argument("--q", type=float, default=0.5, help="base q in (0,1)")
-    p.add_argument("--alpha", type=complex, default=0.3)
-    p.add_argument("--beta", type=str, default="-0.2",
+    p.add_argument("--alpha", type=complex_text, default=0.3)
+    p.add_argument("--beta", type=beta_text, default="-0.2",
                    help="beta, or 'conj' for the conjugate of alpha")
     p.add_argument("--tol", type=float, default=1e-14)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -154,18 +169,46 @@ def _config(args):
     return ctx, JacobiLevel(alpha, beta)
 
 
+def _json_object(fields, indent):
+    """The text ``json.dumps`` writes for a map at ``indent`` levels of 2
+    spaces, from its fields ``"key": "value"`` in key order."""
+    if not fields:
+        return "{}"
+    pad = "\n" + "  " * (indent + 1)
+    return "{" + pad + ("," + pad).join(fields) + "\n" + "  " * indent + "}"
+
+
+def _fields(mapping):
+    return [encode_basestring_ascii(k) + ": " + encode_basestring_ascii(v)
+            for k, v in sorted(mapping.items())]
+
+
+def json_text(config, diagnostics, header, rows):
+    """The CLI's JSON document: the ``config`` and ``diagnostics`` maps and
+    the ``results`` list of row maps (``header`` to each row), every value
+    a string, keys sorted, indent 2: the bytes of ``json.dumps(...,
+    indent=2, sort_keys=True)``.  The keys of a row are escaped once per
+    document, into a template that each row fills with its values."""
+    order = sorted({k: j for j, k in enumerate(header)}.items())
+    row = _json_object([encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                        for k, _ in order], 2)
+    results = ",\n    ".join(
+        [row % tuple([encode_basestring_ascii(r[j]) for _, j in order])
+         for r in rows])
+    return ('{\n  "config": ' + _json_object(_fields(config), 1)
+            + ',\n  "diagnostics": ' + _json_object(_fields(diagnostics), 1)
+            + ',\n  "results": '
+            + (f"[\n    {results}\n  ]" if rows else "[]") + "\n}\n")
+
+
 def _emit(args, header, rows, diagnostics):
-    config = {k: str(v) for k, v in sorted(vars(args).items())
-              if k not in ("out",)}
     if args.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(r) for r in rows]
         text = "\n".join(lines) + "\n"
     else:
-        results = [dict(zip(header, r)) for r in rows]
-        text = json.dumps({"config": config, "results": results,
-                           "diagnostics": diagnostics},
-                          indent=2, sort_keys=True) + "\n"
+        config = {k: str(v) for k, v in vars(args).items() if k != "out"}
+        text = json_text(config, diagnostics, header, rows)
     if args.out == "-":
         sys.stdout.write(text)
     else:
@@ -252,11 +295,9 @@ def _cmd_expand(args):
 def _cmd_coulomb(args):
     ctx, _ = _config(args)
     header = ["rho", "value_re", "value_im"]
-    rows = []
-    for rho in np.linspace(args.rho_max / args.grid, args.rho_max, args.grid):
-        v = spectral.q_coulomb(args.ell, args.eta, float(rho), ctx)
-        vr, vi = fmt_c(v)
-        rows.append([fmt(rho), vr, vi])
+    rhos = np.linspace(args.rho_max / args.grid, args.rho_max, args.grid)
+    values = spectral.q_coulomb(args.ell, args.eta, rhos, ctx)
+    rows = [[fmt(rho), *fmt_c(v)] for rho, v in zip(rhos, values)]
     _emit(args, header, rows, {"L": fmt(args.ell), "eta": fmt(args.eta)})
     return 0
 

@@ -753,20 +753,32 @@ def markov_stieltjes(x, level, ctx):
 
 def q_coulomb(L, eta, rho, ctx):
     """q-analog of the regular Coulomb wave function; real for real rho.
+    ``rho`` is a scalar, or a real ndarray, which gives an ndarray of the
+    values the scalar calls give, bit for bit.
 
     The defining series in z = i q^{1/2} rho converges only for |z| < 1;
     the Heine-transformed representation, a 2phi1 in B = q^{L-i eta+1},
     is its analytic continuation, and the two agree on the overlap.  The
     direct series is summed for |z| < min(0.9, |B|) only: where
-    |B| <= |z|, the continued series has the faster decaying terms."""
-    q = ctx.q
-    z = 1j * math.sqrt(q) * rho
+    |B| <= |z|, the continued series has the faster decaying terms.
+    A, B and the two rho-free products of the Heine form are taken once
+    per call."""
+    q, tol = ctx.q, ctx.tol
     A = q ** (L + 1j * eta + 1)
     B = q ** (L - 1j * eta + 1)
-    if abs(z) < min(0.9, abs(B)):
-        return (qpoch_inf(z, q, ctx.tol)
-                * phi([-A, B], [q ** (2 * L + 2)], q, z, nterms=-1,
-                      tol=ctx.tol))
-    return (qpoch_inf(B, q, ctx.tol) * qpoch_inf(-A * z, q, ctx.tol)
-            / qpoch_inf(q ** (2 * L + 2), q, ctx.tol)
-            * phi([A, z], [-A * z], q, B, nterms=-1, tol=ctx.tol))
+    c = q ** (2 * L + 2)
+    edge = min(0.9, abs(B))
+    heine = None  # (B; q)_inf and (c; q)_inf, at the first rho that needs them
+    grid = isinstance(rho, np.ndarray)
+    out = []
+    for r in rho.ravel().tolist() if grid else [rho]:
+        z = 1j * math.sqrt(q) * r
+        if abs(z) < edge:
+            out.append(qpoch_inf(z, q, tol)
+                       * phi([-A, B], [c], q, z, nterms=-1, tol=tol))
+            continue
+        if heine is None:
+            heine = qpoch_inf(B, q, tol), qpoch_inf(c, q, tol)
+        out.append(heine[0] * qpoch_inf(-A * z, q, tol) / heine[1]
+                   * phi([A, z], [-A * z], q, B, nterms=-1, tol=tol))
+    return np.array(out, dtype=complex).reshape(rho.shape) if grid else out[0]

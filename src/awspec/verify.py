@@ -541,8 +541,8 @@ def _markov(config):
 def _coulomb(config):
     """Reality of the q-Coulomb function on a 50-point real rho grid."""
     ctx = config.ctx
-    errs = [abs(spectral.q_coulomb(0.5, 0.3, rho, ctx).imag)
-            for rho in np.linspace(0.05, 2.5, 50)]
+    values = spectral.q_coulomb(0.5, 0.3, np.linspace(0.05, 2.5, 50), ctx)
+    errs = np.abs(values.imag).tolist()
     return errs, "L=0.5, eta=0.3"
 
 

@@ -8,6 +8,7 @@ as the library's own route.
 """
 import cmath
 import itertools
+import json
 import math
 from types import SimpleNamespace
 
@@ -459,3 +460,33 @@ def _x_nu_series(nu, x, level, ctx):
             * phi([-p ** (al + 2 + nu), p ** (be + 2 + nu)],
                   [p ** (al + be + 2 * nu + 4)], p, p ** 0.5 / x,
                   nterms=-1, tol=ctx.tol))
+
+
+def q_coulomb_literal(L, eta, rho, ctx):
+    """``q_coulomb`` at one rho with every product taken afresh, in the
+    same order of operations: the bit-for-bit reference of its grid."""
+    q = ctx.q
+    z = 1j * math.sqrt(q) * rho
+    A = q ** (L + 1j * eta + 1)
+    B = q ** (L - 1j * eta + 1)
+    if abs(z) < min(0.9, abs(B)):
+        return (qpoch_inf(z, q, ctx.tol)
+                * phi([-A, B], [q ** (2 * L + 2)], q, z, nterms=-1,
+                      tol=ctx.tol))
+    return (qpoch_inf(B, q, ctx.tol) * qpoch_inf(-A * z, q, ctx.tol)
+            / qpoch_inf(q ** (2 * L + 2), q, ctx.tol)
+            * phi([A, z], [-A * z], q, B, nterms=-1, tol=ctx.tol))
+
+
+# ---------------------------------------------------------------------------
+# CLI output
+# ---------------------------------------------------------------------------
+
+
+def json_document(config, diagnostics, header, rows):
+    """The CLI's JSON document by ``json.dumps``: the reference of
+    ``cli.json_text``."""
+    results = [dict(zip(header, r)) for r in rows]
+    return json.dumps({"config": config, "results": results,
+                       "diagnostics": diagnostics},
+                      indent=2, sort_keys=True) + "\n"

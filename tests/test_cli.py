@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 from awspec import awop, cli, qexp, qpolys, spectral, verify
@@ -214,6 +215,43 @@ class TestOutputs:
         assert set(doc) == {"config", "results", "diagnostics"}
         assert all(isinstance(v, str) for row in doc["results"]
                    for v in row.values())
+
+    @pytest.mark.parametrize("doc", [
+        ({}, {}, [], []),
+        ({"q": "0.5"}, {}, ["n", "x"], []),
+        ({"b": "1", "a": "2"}, {"count": "0"}, ["z", "a", "m"],
+         [["1", "2", "3"], ["4", "5", "6"]]),
+        ({"alpha": 'say "hi"', "path": "C:\\out\\x"}, {"r": "\u00e9\u2603\n"},
+         ["\u00fc", "u", "%s", 'k"ey', "b\\s"],
+         [["\\", '"', "\u00e9", "\t\u0000", "\U0001f600%"]]),
+        ({"e": "1", "\u00e9": "2", "f": "3"}, {}, ["b", "a", "b"],
+         [["1", "2", "3"]]),
+        ({}, {"k": "v"}, [], [[], []]),
+    ], ids=["empty", "no-rows", "unsorted-header", "escapes", "non-ascii-keys",
+            "empty-rows"])
+    def test_json_text_is_the_json_dumps_document(self, doc):
+        assert cli.json_text(*doc) == oracles.json_document(*doc)
+
+    def test_alpha_echo_is_the_text_given(self, tmp_path):
+        # the default and an explicit --alpha 0.3 write the same bytes
+        outs = []
+        for extra in ([], ["--alpha", "0.3"]):
+            out = tmp_path / f"p{len(outs)}.json"
+            assert main(["poly", "--grid", "2", "--format", "json",
+                         "--out", str(out)] + extra) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["config"]["alpha"] == "0.3"
+        out = tmp_path / "c.json"
+        assert main(["poly", "--alpha=-0.3+0.5j", "--beta", "conj", "--grid",
+                     "2", "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["alpha"] == "-0.3+0.5j"
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_level_flag_that_is_not_a_number_is_a_usage_error(self, flag):
+        r = _run(["poly", flag, "foo"])
+        assert r.returncode == 2
+        assert r.stderr == f"error: argument {flag}: invalid complex value: 'foo'\n"
 
     @pytest.mark.parametrize("argv", [
         ["kernel", "--grid", "4"],

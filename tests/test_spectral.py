@@ -17,7 +17,7 @@ from awspec.spectral import (EigenResult, bn_B, bn_C, bn_explicit,
                              recurrence_a_coeffs, s_poly, x_nu)
 from oracles import (_an_from_bn, _bn_explicit_nested, _eigenvalue_equation,
                      _f_2phi1, _f_and_slope, _x_nu_series, an_minimal_mp,
-                     classical_a_coeffs, f_root_lambdas)
+                     classical_a_coeffs, f_root_lambdas, q_coulomb_literal)
 
 CONJ = JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)
 
@@ -595,6 +595,23 @@ class TestQCoulomb:
     def test_reality(self, ctx):
         v = q_coulomb(0.5, 0.3, 1.2, ctx)
         assert abs(v.imag) <= 1e-12
+
+    @pytest.mark.parametrize("L, eta, q", [(0.5, 0.3, 0.5), (-0.9, -0.7, 0.5),
+                                           (1.2, 0.4, 0.8)])
+    def test_grid_is_the_scalar_calls_bit_for_bit(self, L, eta, q):
+        # the grid holds rho = 0 and crosses |z| = min(0.9, |B|), where the
+        # direct series hands over to the Heine form; at (-0.9, -0.7) the
+        # switch is at 0.9, elsewhere at |B| = q^{L+1}
+        ctx = QContext(q)
+        rhos = np.linspace(0.0, 2.5, 51)
+        assert 0.0 < min(0.9, q ** (L + 1)) / math.sqrt(q) < rhos[-1]
+        want = np.array([q_coulomb_literal(L, eta, float(r), ctx) for r in rhos])
+        scalar = np.array([q_coulomb(L, eta, float(r), ctx) for r in rhos])
+        got = q_coulomb(L, eta, rhos, ctx)
+        assert got.dtype == complex and got.shape == rhos.shape
+        assert got.tobytes() == scalar.tobytes() == want.tobytes()
+        assert q_coulomb(L, eta, rhos.reshape(3, 17), ctx).tobytes() == want.tobytes()
+        assert got[0] == 1.0
 
     def test_continuation_consistency(self, ctx):
         # direct series and Heine-continued form agree inside the disc, and
