@@ -8,10 +8,9 @@ everything layered on top is pure Python + numpy.
 from .backend import BACKEND
 from .exceptions import (DomainError, NonConvergenceError, PoleError,
                          QSeriesError)
-from .qcore import (QContext, exp_itheta, h_product, phi, qpoch, qpoch_inf,
-                    qpoch_multi)
+from .qcore import QContext, exp_itheta, h_product, phi, qpoch, qpoch_inf
 from .qpolys import (ConnectionTriple, JacobiLevel, connection_down, cqjacobi,
-                     cqjacobi_seq, dual_expansion_aw, hermite_h, norm_h)
+                     cqjacobi_seq, dual_expansion_aw, norm_h)
 from .awop import (CoeffVector, QuadratureRule, dq_coeffs, dq_pointwise,
                    eval_coeffvector, kernel_eval, make_rule, t_coeffs,
                    t_factor, t_quadrature, xi_factor)

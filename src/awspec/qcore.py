@@ -16,8 +16,7 @@ from .backend import check_base, qpoch, qpoch_inf
 from .exceptions import DomainError
 
 __all__ = [
-    "QContext", "qpoch", "qpoch_inf", "qpoch_multi", "phi", "h_product",
-    "exp_itheta",
+    "QContext", "qpoch", "qpoch_inf", "phi", "h_product", "exp_itheta",
 ]
 
 
@@ -49,17 +48,6 @@ def exp_itheta(x):
     return z + cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0)
 
 
-def qpoch_multi(params, base, n, tol):
-    """(a_1, ..., a_m; base)_n, n a nonnegative integer or None for infinity."""
-    out = 1.0 + 0.0j
-    for a in params:
-        if n is None:
-            out *= qpoch_inf(a, base, tol)
-        else:
-            out *= qpoch(a, base, n)
-    return out
-
-
 def phi(num, den, base, z, nterms, *, tol):
     """r-phi-s series with explicit parameter lists.
 
@@ -74,17 +62,16 @@ def phi(num, den, base, z, nterms, *, tol):
 
 def h_product(x, params, base, tol):
     """h(cos theta; a_1, ..., a_m) = prod_k (a_k e^{i theta}, a_k e^{-i theta}; base)_inf
-    at a scalar x, or at every x of a real ndarray in [-1, 1].
+    at every x of a real ndarray ``x`` in [-1, 1] (complex ndarray).
 
     Each pair of products is taken as the one product over j of
     1 - 2 a_k base^j x + a_k^2 base^{2j}, run until qpoch_inf's tail bound
     |a_k e^{+-i theta}| base^j / (1 - base) is below ``tol``.  On [-1, 1]
-    |e^{i theta}| = 1, so every x of an array takes the same factors."""
-    grid = isinstance(x, np.ndarray)
-    out = np.ones(x.shape, dtype=complex) if grid else 1.0 + 0.0j
-    scale = 1.0 if grid else abs(exp_itheta(x))
+    |e^{i theta}| = 1, so every x takes the same factors; x off [-1, 1]
+    would need more of them, and is not taken."""
+    out = np.ones(x.shape, dtype=complex)
     for a in params:
-        bound = abs(a) * scale / (1.0 - base)
+        bound = abs(a) / (1.0 - base)
         while bound > tol:
             out *= 1.0 - 2.0 * a * x + a * a
             a, bound = a * base, bound * base

@@ -33,7 +33,7 @@ from .backend import MAX_TERMS, sum_series
 from .exceptions import DomainError, NonConvergenceError
 from .qcore import exp_itheta, phi, qpoch, qpoch_inf
 from .qpolys import (_COEFF_TABLES, _aw_params, connection_down, cqjacobi_seq,
-                     hermite_h, norm_h, on_nodes)
+                     norm_h, on_nodes)
 from .spectral import mu_from_lambda, x_nu
 
 __all__ = [
@@ -243,15 +243,19 @@ def expansion_residual(coeffs, x, r, level, ctx):
 
 def hermite_series(z, x, ctx):
     """sum_n q^{n^2/4} (-z)^{-n} / (q; q)_n H_n(x|q), summed by
-    ``backend.sum_series`` within the term budget ``_HERMITE_TERMS``."""
+    ``backend.sum_series`` within the term budget ``_HERMITE_TERMS``.  The
+    q-Hermite polynomials H_n(x|q) run beside the terms, by their recurrence
+    H_{n+1} = 2x H_n - (1-q^n) H_{n-1}, H_0 = 1, H_1 = 2x."""
     q = ctx.q
 
     def terms():
         qfac = 1.0
+        h0, h1 = 1.0 + 0.0j, 2.0 * x + 0.0j  # H_n, H_{n+1}
         for n in itertools.count():
             if n > 0:
                 qfac *= 1.0 - q ** n
-            yield q ** (n * n / 4.0) * (-z) ** float(-n) / qfac * hermite_h(n, x, q)
+            yield q ** (n * n / 4.0) * (-z) ** float(-n) / qfac * h0
+            h0, h1 = h1, 2 * x * h1 - (1 - q ** (n + 1)) * h0
     return sum_series(terms(), ctx.tol, _HERMITE_TERMS, "hermite_series")
 
 

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .qcore import exp_itheta, h_product, phi, qpoch, qpoch_multi
+from .qcore import exp_itheta, h_product, phi, qpoch, qpoch_inf
 
 __all__ = [
     "JacobiLevel", "ConnectionTriple", "aw_phi_seq", "cqjacobi",
-    "cqjacobi_seq", "hermite_h", "weight_theta", "on_nodes", "norm_h",
+    "cqjacobi_seq", "weight_theta", "on_nodes", "norm_h",
     "norm_ratio", "connection_down", "dual_expansion_aw",
 ]
 
@@ -137,17 +137,6 @@ def aw_phi_seq(nmax, params, x, q):
     return vals
 
 
-def hermite_h(n, x, q):
-    """Continuous q-Hermite H_n(x|q) by its recurrence
-    H_{n+1} = 2x H_n - (1-q^n) H_{n-1}, H_0 = 1, H_1 = 2x."""
-    h0, h1 = 1.0 + 0.0j, 2.0 * x + 0.0j
-    if n == 0:
-        return h0
-    for k in range(1, n):
-        h0, h1 = h1, 2 * x * h1 - (1 - q ** k) * h0
-    return h1
-
-
 @functools.lru_cache(maxsize=_COEFF_TABLES)
 def _cq_table(al, q):
     return [1.0 + 0.0j]
@@ -219,8 +208,8 @@ def cqjacobi(n, level, x, ctx, method="auto"):
 # ---------------------------------------------------------------------------
 
 def weight_theta(params, xs, ctx):
-    """w(x) sin(theta) = h(x; 1, -1, sqrt(q), -sqrt(q)) / h(x; params) at a
-    point or every point of a real array ``xs`` in [-1, 1] (complex)."""
+    """w(x) sin(theta) = h(x; 1, -1, sqrt(q), -sqrt(q)) / h(x; params) at
+    every point of a real ndarray ``xs`` in [-1, 1] (complex ndarray)."""
     q, sq = ctx.q, math.sqrt(ctx.q)
     return (h_product(xs, (1.0, -1.0, sq, -sq), q, ctx.tol)
             / h_product(xs, params, q, ctx.tol))
@@ -250,10 +239,11 @@ def _norm_table(level, ctx):
     q, tol = ctx.q, ctx.tol
     al, be = level.alpha, level.beta
     s = al + be
-    return [2 * math.pi * qpoch_multi(
-        [q ** ((s + 2) / 2), q ** ((s + 3) / 2)], q, None, tol) / qpoch_multi(
-        [q, q ** (al + 1), q ** (be + 1), -q ** ((s + 1) / 2), -q ** ((s + 2) / 2)],
-        q, None, tol)]
+    num, den = (math.prod((qpoch_inf(a, q, tol) for a in params), start=1.0 + 0.0j)
+                for params in ([q ** ((s + 2) / 2), q ** ((s + 3) / 2)],
+                               [q, q ** (al + 1), q ** (be + 1),
+                                -q ** ((s + 1) / 2), -q ** ((s + 2) / 2)]))
+    return [2 * math.pi * num / den]
 
 
 def _norms(n, level, ctx):

@@ -692,21 +692,18 @@ def eigenfunction(lam, level, nmax, ctx):
     lambda a_k = sR_k a_{k-1} + sQ_k a_k + sP_k a_{k+1} (``_oracle_rows``).
 
     Miller's algorithm in ratio form (Gautschi, SIAM Rev. 9, 1967): the
-    ratios t_k = a_k / a_{k-1} = sR_k / (lambda - sQ_k - sP_k t_{k+1}) run
-    backward from t = 0 at row nmax + 40, and a_k = a_{k-1} t_k forward
-    from a_1.  A coefficient below the smallest normal float is an exact
-    0, and so is every one after it."""
+    ratios t_k = a_k / a_{k-1} = sR_k / (lambda - sQ_k - sP_k t_{k+1}) are
+    ``_backward``'s on rows 2..nmax+40, from t = 0 past row nmax + 40 and
+    with its guard on an exactly zero divisor, and a_k = a_{k-1} t_k runs
+    forward from a_1.  A coefficient below the smallest normal float is an
+    exact 0, and so is every one after it."""
     if lam == 0:
         raise DomainError("eigenfunction: lambda must be nonzero")
-    lam = complex(lam)
     rows = _oracle_rows(nmax + 40, level, ctx)
-    t = [0.0] * (nmax + 42)  # t_k at index k, t_{nmax+41} = 0
-    for k in range(nmax + 40, 1, -1):
-        sP, sQ, sR = rows[k - 1]
-        t[k] = sR / (lam - sQ - sP * t[k + 1])
+    t, _ = _backward(complex(lam), rows[1:nmax + 40])  # t_k at index k - 2
     coeffs = [0.0, 1.0]
     for k in range(2, nmax + 1):
-        a = coeffs[k - 1] * t[k]
+        a = coeffs[k - 1] * t[k - 2]
         coeffs.append(a if abs(a) >= sys.float_info.min else 0.0)
     return CoeffVector(level, tuple(coeffs[:nmax + 1]))
 
@@ -737,7 +734,8 @@ def markov_ratio(n, x, level, ctx):
         raise DomainError("markov_ratio requires Im x != 0")
     den = s_poly(n, x, level, ctx)
     if abs(den) < 1e-280:
-        raise ZeroDivisionError("s_n vanishes at x; retry at a nearby x")
+        raise DomainError(f"markov_ratio: s_{n} vanishes at x = {x}; "
+                          "retry at a nearby x")
     return s_poly(n - 1, x, level.shifted(1), ctx) / den
 
 

@@ -76,11 +76,21 @@ def aw_norm(n, params, ctx):
 
 def _hermite_h_theta(n, x, q):
     """H_n(x|q) as the q-binomial sum over e^{i(n-2k)theta}, the reference
-    of ``hermite_h``."""
+    of the H_n that ``qexp.hermite_series`` runs by their recurrence."""
     w = exp_itheta(x)
     qn = qpoch(q, q, n)
     return sum(qn / (qpoch(q, q, k) * qpoch(q, q, n - k)) * w ** (n - 2 * k)
                for k in range(n + 1))
+
+
+def hermite_series_terms(z, x, q, hermite):
+    """The terms of ``qexp.hermite_series``, in its arithmetic, with each
+    H_n(x|q) taken from ``hermite(n, x, q)``."""
+    qfac = 1.0
+    for n in itertools.count():
+        if n > 0:
+            qfac *= 1.0 - q ** n
+        yield q ** (n * n / 4.0) * (-z) ** float(-n) / qfac * hermite(n, x, q)
 
 
 def awpoly_to_cqj_factor(n, level, q):

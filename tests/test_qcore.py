@@ -2,14 +2,14 @@ import cmath
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awspec import backend, qcore, verify
 from awspec.exceptions import DomainError, NonConvergenceError, PoleError
-from awspec.qcore import (QContext, exp_itheta, h_product, phi, qpoch, qpoch_inf,
-                          qpoch_multi)
+from awspec.qcore import QContext, exp_itheta, h_product, phi, qpoch, qpoch_inf
 
 
 class TestQContext:
@@ -84,23 +84,6 @@ class TestQPochInf:
             qpoch_inf(0.5, 0.99999, tol=1e-14)
 
 
-class TestQPochMulti:
-    def test_empty_product(self):
-        assert qpoch_multi([], 0.5, 4, tol=1e-14) == 1.0
-
-    def test_single_factor_reduction(self):
-        assert (qpoch_multi([0.3 + 0.1j], 0.5, 5, tol=1e-14)
-                == qpoch(0.3 + 0.1j, 0.5, 5))
-
-    def test_direct_two_factor(self):
-        assert qpoch_multi([0.3, 0.7], 0.5, 1, tol=1e-14) == pytest.approx(0.21)
-
-    def test_infinite_variant(self):
-        v = qpoch_multi([0.3, 0.7], 0.5, None, tol=1e-14)
-        assert v == pytest.approx(qpoch_inf(0.3, 0.5, tol=1e-14)
-                                  * qpoch_inf(0.7, 0.5, tol=1e-14))
-
-
 class TestRphis:
     """The r-phi-s series, ``phi``."""
 
@@ -163,21 +146,24 @@ class TestW8W7:
 
 
 class TestHProduct:
+    """``h_product`` on one-element arrays: it takes a real ndarray of x
+    in [-1, 1]."""
+
     def test_empty_params(self):
-        assert h_product(0.3, [], 0.5, tol=1e-14) == 1.0
+        assert h_product(np.array([0.3]), [], 0.5, tol=1e-14) == 1.0
 
     def test_chebyshev_case(self):
         # h(cos t; 1, -1, sqrt(q), -sqrt(q)) = (e^{2it}, e^{-2it}; q)_inf
         q, theta = 0.5, math.pi / 3
-        x = math.cos(theta)
+        x = np.array([math.cos(theta)])
         lhs = h_product(x, [1.0, -1.0, math.sqrt(q), -math.sqrt(q)], q, tol=1e-14)
         w2 = cmath.exp(2j * theta)
         rhs = qpoch_inf(w2, q, tol=1e-14) * qpoch_inf(1.0 / w2, q, tol=1e-14)
-        assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+        assert abs(lhs[0] - rhs) <= 1e-13 * abs(rhs)
 
     def test_real_endpoint_square(self):
         q, a = 0.5, 0.4
-        lhs = h_product(1.0, [a], q, tol=1e-14)
+        lhs = h_product(np.array([1.0]), [a], q, tol=1e-14)[0]
         assert abs(lhs - qpoch_inf(a, q, tol=1e-14) ** 2) <= 1e-13 * abs(lhs)
 
 

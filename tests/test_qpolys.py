@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from awspec import awop, qpolys, verify
+from awspec.backend import sum_series
 from awspec.exceptions import DomainError
 from awspec.qcore import QContext
-from awspec.qexp import _p_factors
+from awspec.qexp import _p_factors, hermite_series
 from awspec.qpolys import (JacobiLevel, _aw_coeffs, _aw_params, aw_phi_seq,
                            connection_down, cqjacobi, cqjacobi_seq,
-                           dual_expansion_aw, hermite_h, norm_h, weight_theta)
+                           dual_expansion_aw, norm_h, weight_theta)
 from awspec.spectral import recurrence_a_coeffs
 from oracles import (_aw_poly_4phi3, _aw_prefactor, _hermite_h_theta,
                      _weight_w_literal, aw_norm, awpoly_to_cqj_factor,
-                     classical_to_aw_factor, cqjacobi_classical, kappa_aw,
-                     line_factors_mp)
+                     classical_to_aw_factor, cqjacobi_classical,
+                     hermite_series_terms, kappa_aw, line_factors_mp)
 
 
 def _aw_poly(n, params, x, q):
@@ -30,16 +31,24 @@ class TestAWPoly:
 
     def test_hermite_specialization(self):
         # at all-zero parameters p_n is the continuous q-Hermite H_n(x|q),
-        # which the library evaluates by hermite_h: degree 2 by hand
+        # whose q-binomial sum is the reference of the H_n in
+        # hermite_series: degree 2 by hand
         x, q = 0.3, 0.5
         h2 = 2 * x * (2 * x) - (1 - q)
-        assert abs(hermite_h(2, x, q) - h2) <= 1e-14
+        assert abs(_hermite_h_theta(2, x, q) - h2) <= 1e-14
 
-    def test_hermite_routes_agree(self, ctx):
-        for n in range(9):
-            a = hermite_h(n, 0.37, ctx.q)
-            b = _hermite_h_theta(n, 0.37, ctx.q)
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+    def test_hermite_routes_agree(self):
+        # hermite_series runs H_n by its recurrence; the same series on the
+        # q-binomial sum of H_n agrees.  Above q = 0.5 the series cancels
+        # terms far larger than its sum, so both lose digits there.
+        for q in (1e-4, 0.3, 0.5):
+            ctx = QContext(q)
+            for z in (1.7, 2.5, -3.0 + 1j, 0.7j, 1.1):
+                for x in (0.0, 0.37, -0.8, 1.0):
+                    a = hermite_series(z, x, ctx)
+                    b = sum_series(hermite_series_terms(z, x, q, _hermite_h_theta),
+                                   ctx.tol, 90, "theta")
+                    assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
 
     def test_bcd_permutation_symmetry(self, ctx, rng):
         a, b, c, d = 0.6, 0.3, -0.45, 0.2
@@ -122,7 +131,7 @@ class TestWeight:
     def test_two_routes_agree(self):
         ctx = QContext(0.64)
         level = JacobiLevel(0.3, -0.2)
-        a = _weight_theta(level, 0.5, ctx).real
+        a = _weight_theta(level, np.array([0.5]), ctx)[0].real
         b = (_weight_w_literal(level, 0.5, ctx) * math.sqrt(1.0 - 0.5 * 0.5)).real
         assert abs(a - b) <= 1e-10 * abs(a)
 
@@ -132,7 +141,7 @@ class TestWeight:
 
     def test_real_level_weight_is_real(self, ctx, level):
         for x in (-0.7, 0.1, 0.8):
-            v = _weight_theta(level, x, ctx)
+            v = _weight_theta(level, np.array([x]), ctx)[0]
             assert abs(v.imag) <= 1e-13 * abs(v)
 
     def test_conjugate_pair_routes_agree(self):
@@ -142,7 +151,7 @@ class TestWeight:
         ctx = QContext(0.5)
         level = JacobiLevel(0.3 + 0.4j, 0.3 - 0.4j)
         for x in (-0.6, 0.2, 0.7):
-            v1 = _weight_theta(level, x, ctx)
+            v1 = _weight_theta(level, np.array([x]), ctx)[0]
             v2 = _weight_w_literal(level, x, ctx) * math.sqrt(1.0 - x * x)
             assert abs(v1 - v2) <= 1e-11 * abs(v1)
 

@@ -570,6 +570,12 @@ class TestMarkov:
         with pytest.raises(DomainError):
             markov_ratio(10, 1.5, CONJ, ctx)
 
+    def test_vanishing_s_n_is_a_domain_error(self, ctx, monkeypatch):
+        monkeypatch.setattr(spectral, "s_poly", lambda n, x, level, ctx: 0.0)
+        with pytest.raises(DomainError,
+                           match=r"^markov_ratio: s_10 vanishes at x = 2j; "):
+            markov_ratio(10, 2j, CONJ, ctx)
+
     def test_ratio_matches_stieltjes(self, ctx):
         rat = markov_ratio(60, 2j, CONJ, ctx)
         closed = markov_stieltjes(2j, CONJ, ctx)

@@ -1,23 +1,26 @@
-"""The memoised recurrence-coefficient and point-set tables: bit-identical
-to the per-step loops they replace, kept apart per key, and bounded; and
+"""The memoised recurrence-coefficient and point-set tables, and the
+recurrences folded into one loop: bit-identical to the per-step loops they
+replace, kept apart per key, and bounded; and
 AST checks on the source: every memo bounded and listed, no frozen
 dataclass written after its construction, few, route-free,
 tolerance-free defaults, and every exported name defined and reached by
 a CLI command, a verify suite or the benchmark, and few of them."""
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from awspec import awop, qexp, qpolys, spectral
+from awspec.backend import sum_series
 from awspec.qcore import QContext
 from awspec.awop import kernel_truncation, make_rule
 from awspec.qpolys import (JacobiLevel, _aw_params, aw_phi_seq, cqjacobi_seq,
                            on_nodes)
 from awspec.spectral import bn_B, bn_C, bn_minimal_scaled, f_eval, matrix_oracle
-from oracles import _aw_poly_4phi3, _aw_prefactor
+from oracles import _aw_poly_4phi3, _aw_prefactor, hermite_series_terms
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "awspec"
 PERFBENCH = SRC.parents[1] / "perfbench"
@@ -33,7 +36,8 @@ def _clear_tables():
         memo.cache_clear()
 
 
-# the per-step loops as they were before the tables, kept as references
+# the per-step loops as they were before the tables, and eigenfunction's
+# and hermite_series' own loops before their folds, kept as references
 
 
 def _aw_step(n, a, b, c, d, q):
@@ -96,6 +100,34 @@ def _bn_minimal_scaled_loop(nmax, xi, level, ctx):
     return [w[n] * c for n in range(nmax + 1)]
 
 
+def _eigenfunction_loop(lam, level, nmax, ctx):
+    lam = complex(lam)
+    rows = spectral._oracle_rows(nmax + 40, level, ctx)
+    t = [0.0] * (nmax + 42)  # t_k at index k, t_{nmax+41} = 0
+    for k in range(nmax + 40, 1, -1):
+        sP, sQ, sR = rows[k - 1]
+        t[k] = sR / (lam - sQ - sP * t[k + 1])
+    coeffs = [0.0, 1.0]
+    for k in range(2, nmax + 1):
+        a = coeffs[k - 1] * t[k]
+        coeffs.append(a if abs(a) >= sys.float_info.min else 0.0)
+    return coeffs[:nmax + 1]
+
+
+def _hermite_h_loop(n, x, q):
+    h0, h1 = 1.0 + 0.0j, 2.0 * x + 0.0j
+    if n == 0:
+        return h0
+    for k in range(1, n):
+        h0, h1 = h1, 2 * x * h1 - (1 - q ** k) * h0
+    return h1
+
+
+def _hermite_series_loop(z, x, ctx):
+    return sum_series(hermite_series_terms(z, x, ctx.q, _hermite_h_loop), ctx.tol,
+                      qexp._HERMITE_TERMS, "hermite_series")
+
+
 def _same(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -152,6 +184,29 @@ def test_matrix_oracle_matches_loop(level):
         ev = np.linalg.eigvals(m)
         want = ev[np.lexsort((np.angle(ev), -np.abs(ev)))]
         assert np.array_equal(matrix_oracle(n, level, ctx), want)
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=["real", "conj"])
+@pytest.mark.parametrize("q", [1e-4, 0.5, 0.9])
+def test_eigenfunction_matches_loop(level, q):
+    _clear_tables()
+    ctx = QContext(q)
+    for root in spectral.eigenvalues(level, ctx, count=4, nmat=80):
+        for nmax in (48, 5, 1, 0):
+            got = spectral.eigenfunction(root.lam, level, nmax, ctx).coeffs
+            want = _eigenfunction_loop(root.lam, level, nmax, ctx)
+            # the bytes count signed zeros
+            assert (np.array(got, dtype=complex).tobytes()
+                    == np.array(want, dtype=complex).tobytes())
+
+
+@pytest.mark.parametrize("q", [1e-4, 0.5, 0.9])
+def test_hermite_series_matches_loop(q):
+    ctx = QContext(q)
+    for z in (1.7, 2.5, -3.0 + 1j, 0.7j):
+        for x in (0.0, 0.37, -0.8, 1.0):
+            got = qexp.hermite_series(z, x, ctx)
+            assert np.array(got).tobytes() == np.array(_hermite_series_loop(z, x, ctx)).tobytes()
 
 
 @pytest.mark.parametrize("q", [0.25, 0.36, 0.81])
@@ -355,7 +410,7 @@ def test_frozen_dataclasses_are_set_only_in_post_init():
 # and qpolys.cqjacobi(method)
 MAX_DEFAULTS = 3
 # names in the modules' __all__ lists: each formula is exported once
-MAX_EXPORTS = 83
+MAX_EXPORTS = 81
 # cqjacobi keeps method="phi": the benchmark checks its rows against the 4phi3
 ROUTED = {("qpolys.py", "cqjacobi")}
 
