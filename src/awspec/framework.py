@@ -10,7 +10,7 @@ from typing import Callable
 from .awop import xi_factor
 from .exceptions import DomainError, NonConvergenceError
 from .qpolys import ConnectionTriple, connection_down
-from .spectral import bn_B, bn_C
+from .spectral import _backward, bn_B, bn_C
 
 __all__ = [
     "LadderFamily", "MonicSystem", "qjacobi_family", "ultraspherical_family",
@@ -111,17 +111,17 @@ def cf_minimal_ratio(system, lam, ctx):
 
         r_0 = 1 / (lam - B_0 - C_1 / (lam - B_1 - C_2 / (...))),
 
-    evaluated bottom-up with tail 0 at the depths ``_CF_DEPTHS`` until two
-    agree within ``ctx.tol`` (Pincherle: this is G_0/G_{-1} of the minimal
-    solution when B_n, C_n -> 0).  A value larger than 1/tol is returned at
-    once as a spurious-pole candidate.  Raises NonConvergenceError when no
-    two depths agree, or when the family's coefficients overflow."""
+    ``spectral._backward``'s ratio on the rows (C_{k+1}, B_k, 1) with tail 0,
+    at the depths ``_CF_DEPTHS`` until two agree within ``ctx.tol``
+    (Pincherle: this is G_0/G_{-1} of the minimal solution when B_n, C_n ->
+    0).  A value larger than 1/tol is returned at once as a spurious-pole
+    candidate.  Raises NonConvergenceError when no two depths agree, or when
+    the family's coefficients overflow, and PoleError where lam = B_k = 0."""
     prev = None
     for d in _CF_DEPTHS:
-        r = 0.0 + 0.0j
         try:
-            for k in range(d - 1, -1, -1):
-                r = 1.0 / (lam - system.B(k) - system.C(k + 1) * r)
+            r = _backward(complex(lam), [(system.C(k + 1), system.B(k), 1.0)
+                                         for k in range(d)])[0][0]
         except OverflowError:
             raise NonConvergenceError(
                 f"cf_minimal_ratio: the coefficients overflow by depth {d}") from None

@@ -10,9 +10,9 @@ Numerical conventions that matter here:
   generic mu.  At an eigenvalue the coefficients a_n, and b_n(xi) at the
   zero xi of F, are the *minimal* solution, so they are computed
   backward: the a_n of ``eigenfunction`` by the ratios a_k/a_{k-1} on the
-  rows of the matrix section, and b_n(xi) of the root asymptotics by
-  Miller's recurrence in the scaled variable
-  w_n = b_n(xi) (-xi)^n q^{-n(n+a+b+3)/2}, whose dynamic range stays O(1).
+  rows of the matrix section, and b_n(xi) of the root asymptotics by the
+  same ratios in the scaled variable w_n = b_n(xi) (-xi)^n q^{-n(n+a+b+3)/2},
+  whose dynamic range stays O(1); ``_backward`` is the one ratio loop.
 * The closed form is evaluated as the double sum with coefficient arrays
   A_k and B_k^{(n)} built ratio-wise; the single-4phi3 inner form loses
   q^{-j(j-1)/2} digits to cancellation and is kept only as a small-degree
@@ -42,7 +42,7 @@ import numpy as np
 
 from .awop import CoeffVector
 from .backend import MAX_TERMS, sum_series
-from .exceptions import DomainError, NonConvergenceError
+from .exceptions import DomainError, NonConvergenceError, PoleError
 from .qcore import phi, qpoch_inf
 from .qpolys import _COEFF_TABLES
 
@@ -300,41 +300,28 @@ def bn_explicit(n, mu, level, ctx):
 
 
 def bn_minimal_scaled(nmax, xi, level, ctx):
-    """w_n = b_n(xi) (-xi)^n q^{-n(n+a+b+3)/2} for n = 0..nmax at a zero xi
-    of F, by backward (Miller) recurrence in the scaled variable.
-
-    At a root the b_n(xi) sequence is minimal, so the forward recurrence is
-    exponentially contaminated; backward recursion with tail seed (0, 1)
-    and normalization w_0 = 1 recovers it.  w_n tends to the constant of
-    the root asymptotics.
-
-    The recurrence starts 40 steps past the last w_n kept, or lower where
-    C_k ~ q^k is no longer a normal float (small q); it raises
-    ``DomainError`` when that leaves no step past w_nmax."""
+    """w_n = b_n(xi) (-xi)^n q^{-n(n+a+b+3)/2}, n = 0..nmax, w_0 = 1, at a
+    zero xi of F, where b_n(xi) is the minimal solution; w_n tends to the
+    constant of the root asymptotics.  b_n(u lambda) = a_{n+1} prod_{j<=n}
+    u sP_j, u = mu_from_lambda(1, q), so w_n / w_{n-1} = c_n (-xi) t_{n+1}
+    with t_k = a_k/a_{k-1} ``_backward``'s ratios at lambda = xi/u, as in
+    ``eigenfunction``, and c_n = u sP_n q^{-(n+1+(a+b)/2)} in closed form,
+    q^{a/2} taken once (a complex q^{(a-n)/2} per step loses digits)."""
     if xi == 0:
         raise DomainError("bn_minimal_scaled: xi must be nonzero")
     q = ctx.q
     al, be = level.alpha, level.beta
-    M = nmax + 40
-    while M > nmax and abs(bn_C(M, level, q)) < sys.float_info.min:
-        M -= 1
-    if M == nmax:
-        raise DomainError(f"bn_minimal_scaled: C_k underflows below k = "
-                          f"{nmax + 1} at q = {q}")
-    w = [0.0 + 0.0j] * (M + 2)
-    w[M + 1] = 0.0
-    w[M] = 1.0
-    for k in range(M, 0, -1):
-        s_pp = q ** (2 * k + al + be + 3) / (xi * xi)
-        s_p = q ** (k + (al + be + 2) / 2) / xi
-        w[k - 1] = (w[k + 1] * s_pp + (xi + bn_B(k, level, q)) * w[k] * s_p) \
-            / bn_C(k, level, q)
-        m = abs(w[k - 1])
-        if m > 1e200:
-            for j in range(k - 1, M + 2):
-                w[j] /= m
-    c = 1.0 / w[0]
-    return [w[n] * c for n in range(nmax + 1)]
+    t, _ = _backward(complex(xi / mu_from_lambda(1.0, q)),
+                     _oracle_rows(nmax + 41, level, ctx)[1:nmax + 41])
+    qa = q ** (al / 2)
+    w = [1.0 + 0.0j]
+    for n in range(1, nmax + 1):
+        c = (-qa * q ** (-n / 2 - 0.25)
+             * (1 - q ** (al + n + 1)) * (1 - q ** (be + n + 1))
+             / ((1 - q ** (al + be + 1 + n)) * (1 - q ** ((al + be + 2) / 2 + n))
+                * (1 - q ** ((al + be + 3) / 2 + n))))
+        w.append(w[-1] * c * -xi * t[n - 1])
+    return w
 
 
 def bn0_scaled_sequence(nmax, level, ctx):
@@ -405,6 +392,10 @@ def x_nu(nu, x, level, ctx):
     1 - p^{n+1} never vanishes."""
     if x == 0:
         raise DomainError("x_nu: x must be nonzero")
+    try:
+        power = (-x) ** (-nu)
+    except OverflowError:
+        raise NonConvergenceError("x_nu: the value overflows") from None
     p = math.sqrt(ctx.q)
     al, be = level.alpha, level.beta
     w = -p ** (al + nu + 2.5) / x
@@ -431,7 +422,7 @@ def x_nu(nu, x, level, ctx):
             c *= (1.0 - a1 * pn) * (1.0 - v * pn) * z / (1.0 - p * pn)
             pn *= p
 
-    return ((-x) ** (-nu) * _x_products(nu, level, ctx)
+    return (power * _x_products(nu, level, ctx)
             * sum_series(terms(), ctx.tol, MAX_TERMS, "x_nu"))
 
 
@@ -552,10 +543,12 @@ def _twisted_pivot(lam, rows, n):
 
 
 def _backward(lam, rows):
-    """The backward ratios of ``_twisted_pivot`` over ``rows`` and their
-    derivatives in lambda, as two lists: t[i] = sR / (lambda - sQ - sP
-    t[i+1]) on rows[i], from a ratio 0 past the last row, which ends each
-    list."""
+    """The backward ratios t[i] = sR / (lambda - sQ - sP t[i+1]) on rows[i]
+    and their derivatives in lambda, as two lists, from a ratio 0 past the
+    last row, which ends each list: the library's one backward recurrence
+    (``_twisted_pivot``, ``_settle``, ``eigenfunction``, ``bn_minimal_scaled``,
+    ``framework.cf_minimal_ratio``).  A zero divisor moves to a roundoff of
+    its terms, or raises ``PoleError`` where those are 0 too."""
     t = [0.0] * (len(rows) + 1)
     dt = [0.0] * (len(rows) + 1)
     tj = dtj = 0.0
@@ -564,6 +557,8 @@ def _backward(lam, rows):
         d = lam - sQ - sP * tj
         if d == 0:
             d = _EPS * (abs(lam) + abs(sQ))
+            if d == 0:
+                raise PoleError(f"backward recurrence: row {j} divides by 0")
         tj = sR / d
         dtj = (sP * dtj - 1.0) * tj / d
         t[j], dt[j] = tj, dtj

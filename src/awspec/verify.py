@@ -446,17 +446,21 @@ def _asymp_zero(config):
 
 @_suite("spectral.asymp-root", 1e-3)
 def _asymp_root(config):
-    """Root asymptotics at a certified zero of F, via the scaled Miller
-    recurrence, plus the X_n(-xi)^n -> 1 intermediate form."""
+    """Root asymptotics at a certified zero of F from the minimal solution,
+    and X_nu (-xi)^nu -> 1, at n = max(50, 25/(1-q)) and nu = n - 10."""
     ctx = config.ctx
     level = config.level
     res = spectral.eigenvalues(level, ctx, count=1, nmat=60)
     xi = res[0].mu
-    w = spectral.bn_minimal_scaled(50, xi, level, ctx)
+    n = max(50, math.ceil(25 / (1 - ctx.q)))
+    w = spectral.bn_minimal_scaled(n, xi, level, ctx)
     K = spectral.root_asymptotics_constant(xi, level, ctx)
-    err = abs(w[50] - K) / abs(K)
-    x40 = spectral.x_nu(40, xi, level, ctx) * (-xi) ** 40
-    return [(err, 1e-3), (abs(x40 - 1.0), 1e-3)], f"|F(xi)|={res[0].residual_f:.1e}"
+    err = abs(w[n] - K) / abs(K)
+    try:
+        xn = spectral.x_nu(n - 10, xi, level, ctx) * (-xi) ** (n - 10)
+    except OverflowError:
+        raise NonConvergenceError(f"(-xi)^{n - 10} overflows") from None
+    return [(err, 1e-3), (abs(xn - 1.0), 1e-3)], f"|F(xi)|={res[0].residual_f:.1e}"
 
 
 @_suite("spectral.x-telescope", 1e-10)

@@ -17,8 +17,8 @@ import mpmath
 from awspec.backend import MAX_TERMS, phi_terms, sum_series
 from awspec.exceptions import DomainError
 from awspec.qcore import exp_itheta, phi, qpoch, qpoch_inf
-from awspec.spectral import (bn_sequence, matrix_oracle, mu_from_lambda,
-                             recurrence_a_coeffs)
+from awspec.spectral import (bn_B, bn_C, bn_sequence, matrix_oracle,
+                             mu_from_lambda, recurrence_a_coeffs)
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -318,6 +318,12 @@ def _an_from_bn(k, lam, level, ctx):
     return f * (-1.0) ** k * b * q ** -(k * k / 4 + (al + be / 2 + 1) * k)
 
 
+def _mp_level(level):
+    """The level's alpha and beta in mpmath at the working precision."""
+    lift = lambda v: mpmath.mpc(v) if isinstance(v, complex) else mpmath.mpf(v)
+    return SimpleNamespace(alpha=lift(level.alpha), beta=lift(level.beta))
+
+
 def an_minimal_mp(lam, level, q, nmax, dps):
     """a_0..a_nmax, a_0 = 0 and a_1 = 1, of the minimal solution of the
     section's rows lambda a_k = sR_k a_{k-1} + sQ_k a_k + sP_k a_{k+1},
@@ -327,8 +333,7 @@ def an_minimal_mp(lam, level, q, nmax, dps):
     underflow)."""
     start = nmax + 80
     with mpmath.workdps(dps):
-        lift = lambda v: mpmath.mpc(v) if isinstance(v, complex) else mpmath.mpf(v)
-        mlevel = SimpleNamespace(alpha=lift(level.alpha), beta=lift(level.beta))
+        mlevel = _mp_level(level)
         mctx = SimpleNamespace(q=mpmath.mpf(q))
         s = -mctx.q ** -(mlevel.alpha / 2 + mpmath.mpf(0.25))
         lam = mpmath.mpc(lam)
@@ -338,6 +343,28 @@ def an_minimal_mp(lam, level, q, nmax, dps):
             P, Q, R = recurrence_a_coeffs(k, mlevel, mctx)
             a[k - 1] = ((lam - s * Q) * a[k] - s * P * a[k + 1]) / (s * R)
         return [complex(v / a[1]) for v in a[:nmax + 1]]
+
+
+def bn_minimal_mp(xi, level, q, nmax, dps):
+    """w_0..w_nmax, w_n = b_n(xi) (-xi)^n q^{-n(n+a+b+3)/2} normalised to
+    w_0 = 1, of the minimal solution of the monic recurrence
+    b_{k+1} = (xi + B_k) b_k + C_k b_{k-1}, by Miller's backward recurrence
+    on b_k itself, started at nmax + 80 with B_k and C_k in mpmath at
+    ``dps`` digits: the reference of ``bn_minimal_scaled``, as complex
+    floats."""
+    start = nmax + 80
+    with mpmath.workdps(dps):
+        mlevel = _mp_level(level)
+        mq = mpmath.mpf(q)
+        xi = mpmath.mpc(xi)
+        b = [mpmath.mpc(0)] * (start + 2)
+        b[start] = mpmath.mpc(1)
+        for k in range(start, 0, -1):
+            b[k - 1] = ((b[k + 1] - (xi + bn_B(k, mlevel, mq)) * b[k])
+                        / bn_C(k, mlevel, mq))
+        ab3 = mlevel.alpha + mlevel.beta + 3
+        return [complex(b[n] / b[0] * (-xi) ** n * mq ** (-n * (n + ab3) / 2))
+                for n in range(nmax + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from awspec import framework, spectral, verify
-from awspec.exceptions import NonConvergenceError
+from awspec.exceptions import NonConvergenceError, PoleError
 from awspec.framework import (MonicSystem, cf_minimal_ratio, four_param_b,
                               large_param_a, large_param_b,
                               large_param_limit_check, monicize,
@@ -102,12 +102,24 @@ class TestContinuedFraction:
         deep = 0.0 + 0.0j
         for k in range(799, -1, -1):
             deep = 1.0 / (1.5 - sys.B(k) - sys.C(k + 1) * deep)
-        assert abs(cf_minimal_ratio(sys, 1.5, ctx) - deep) <= 1e-14 * abs(deep)
+        assert cf_minimal_ratio(sys, 1.5, ctx) == deep
 
     def test_pole_at_certified_eigenvalue(self, ctx, level):
         u = 2 * math.sqrt(ctx.q) / (1 - ctx.q)
         sys = monicize(qjacobi_family(level, ctx), u)
         mu_star = eigenvalues(level, ctx, count=1, nmat=50)[0].mu
+        try:
+            val = cf_minimal_ratio(sys, mu_star, ctx)
+        except NonConvergenceError:
+            val = math.inf
+        assert abs(val) > 1e6
+
+    def test_exactly_zero_denominator_at_an_eigenvalue_reads_as_a_pole(self):
+        # at the top root of (-0.5, -0.5), q = 0.8, one partial denominator
+        # rounds to exactly 0; it moves to a roundoff of its terms
+        ctx, level = QContext(0.8), JacobiLevel(-0.5, -0.5)
+        sys = monicize(qjacobi_family(level, ctx), spectral.mu_from_lambda(1.0, 0.8))
+        mu_star = eigenvalues(level, ctx, count=1, nmat=60)[0].mu
         try:
             val = cf_minimal_ratio(sys, mu_star, ctx)
         except NonConvergenceError:
@@ -121,6 +133,17 @@ class TestContinuedFraction:
                           lambda n: 1.0 if n < 40 else math.exp(100 * n))
         with pytest.raises(NonConvergenceError, match="overflow"):
             cf_minimal_ratio(sys, 0.5, ctx)
+
+    @pytest.mark.parametrize("system", [
+        lambda ctx: monicize(ultraspherical_family(0.7), 2.0),
+        lambda ctx: monicize(qjacobi_family(JacobiLevel(0.4, 0.4), ctx),
+                             spectral.mu_from_lambda(1.0, ctx.q)),
+    ], ids=["ultraspherical", "qjacobi"])
+    def test_zero_partial_denominator_is_a_pole(self, ctx, system):
+        # a symmetric family has B_k = 0, so at lam = 0 the last partial
+        # denominator lam - B_k is exactly 0 and has no roundoff to move to
+        with pytest.raises(PoleError, match="row 24"):
+            cf_minimal_ratio(system(ctx), 0.0, ctx)
 
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.4])
     def test_suite_passes_at_small_q(self, q):

@@ -7,7 +7,7 @@ import pytest
 
 from awspec import spectral, verify
 from awspec.awop import make_rule, operator_residual
-from awspec.exceptions import DomainError
+from awspec.exceptions import DomainError, NonConvergenceError
 from awspec.qcore import QContext, qpoch_inf
 from awspec.qpolys import JacobiLevel, norm_h, norm_ratio
 from awspec.spectral import (EigenResult, bn_B, bn_C, bn_explicit,
@@ -246,6 +246,11 @@ class TestXnuF:
     def test_large_order_asymptotics(self, ctx, level):
         v = x_nu(40, 2.0, level, ctx) * (-2.0) ** 40
         assert abs(v - 1.0) <= 1e-4
+
+    def test_overflowing_power_is_a_typed_error(self):
+        # (-x)^{-nu} passes the largest float at large nu and small |x|
+        with pytest.raises(NonConvergenceError, match="overflows"):
+            x_nu(490, 0.2, JacobiLevel(0.3, -0.2), QContext(0.5))
 
     def test_three_term_recurrence(self, ctx, level, rng):
         q = ctx.q

@@ -1,10 +1,12 @@
 """The memoised recurrence-coefficient and point-set tables, and the
 recurrences folded into one loop: bit-identical to the per-step loops they
-replace, kept apart per key, and bounded; and
+replace (``bn_minimal_scaled`` to rounding, and to 50 digits), kept apart
+per key, and bounded; and
 AST checks on the source: every memo bounded and listed, no frozen
 dataclass written after its construction, few, route-free,
-tolerance-free defaults, and every exported name defined and reached by
-a CLI command, a verify suite or the benchmark, and few of them."""
+tolerance-free defaults, every exported name defined and reached by
+a CLI command, a verify suite or the benchmark, and few of them, and few
+source lines."""
 import ast
 import importlib
 import sys
@@ -20,7 +22,8 @@ from awspec.awop import kernel_truncation, make_rule
 from awspec.qpolys import (JacobiLevel, _aw_params, aw_phi_seq, cqjacobi_seq,
                            on_nodes)
 from awspec.spectral import bn_B, bn_C, bn_minimal_scaled, f_eval, matrix_oracle
-from oracles import _aw_poly_4phi3, _aw_prefactor, hermite_series_terms
+from oracles import (_aw_poly_4phi3, _aw_prefactor, bn_minimal_mp,
+                     hermite_series_terms)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "awspec"
 PERFBENCH = SRC.parents[1] / "perfbench"
@@ -36,8 +39,9 @@ def _clear_tables():
         memo.cache_clear()
 
 
-# the per-step loops as they were before the tables, and eigenfunction's
-# and hermite_series' own loops before their folds, kept as references
+# the per-step loops as they were before the tables, and eigenfunction's,
+# hermite_series' and bn_minimal_scaled's own loops before their folds,
+# kept as references
 
 
 def _aw_step(n, a, b, c, d, q):
@@ -159,11 +163,29 @@ class TestBitIdentity:
 
 @pytest.mark.parametrize("level", LEVELS, ids=["real", "conj"])
 def test_bn_minimal_scaled_matches_loop(level):
+    # the section's ratios rescaled against the monic Miller loop they
+    # replaced: the same w to rounding, and w_0 exactly 1
     _clear_tables()
     ctx = QContext(0.5)
     for nmax, xi in ((60, 2.3 - 0.4j), (5, 2.3 - 0.4j), (5, -1.1), (61, 0.7j)):
-        _same(bn_minimal_scaled(nmax, xi, level, ctx),
-              _bn_minimal_scaled_loop(nmax, xi, level, ctx))
+        got = bn_minimal_scaled(nmax, xi, level, ctx)
+        want = _bn_minimal_scaled_loop(nmax, xi, level, ctx)
+        assert len(got) == len(want) and got[0] == 1
+        for n, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 1e-13 * abs(w), (nmax, xi, n, g, w)
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=["real", "conj"])
+@pytest.mark.parametrize("q", [1e-7, 1e-4, 0.1, 0.5, 0.9])
+def test_bn_minimal_scaled_holds_50_digits(level, q):
+    # at the top root of F; at q = 1e-7 the monic C_k leaves the normal
+    # floats at k = 43 on the real level, below the 90 steps w_50 needs
+    ctx = QContext(q)
+    xi = spectral.eigenvalues(level, ctx, count=1, nmat=60)[0].mu
+    got = bn_minimal_scaled(50, xi, level, ctx)
+    want = bn_minimal_mp(xi, level, q, 50, 50)
+    for n, (g, w) in enumerate(zip(got, want)):
+        assert abs(g - w) <= 1e-12 * abs(w), (n, g, w)
 
 
 @pytest.mark.parametrize("level", LEVELS, ids=["real", "conj"])
@@ -411,6 +433,9 @@ def test_frozen_dataclasses_are_set_only_in_post_init():
 MAX_DEFAULTS = 3
 # names in the modules' __all__ lists: each formula is exported once
 MAX_EXPORTS = 81
+# physical lines of src/awspec/*.py: deleting code is progress, so the
+# count only falls, and a feature that adds lines raises it on purpose
+MAX_SOURCE_LINES = 3258
 # cqjacobi keeps method="phi": the benchmark checks its rows against the 4phi3
 ROUTED = {("qpolys.py", "cqjacobi")}
 
@@ -461,6 +486,12 @@ def test_exports_are_few():
         name = "awspec" if path.stem == "__init__" else f"awspec.{path.stem}"
         exported += getattr(importlib.import_module(name), "__all__", ())
     assert len(exported) <= MAX_EXPORTS, f"{len(exported)} exported names"
+
+
+def test_source_lines_are_few():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in SRC.glob("*.py"))
+    assert lines <= MAX_SOURCE_LINES, f"{lines} physical lines in src/awspec"
 
 
 def _perfbench_names():
