@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError
+from .backend import MAX_TERMS
+from .exceptions import DomainError, NonConvergenceError
 from .qcore import exp_itheta
 from .qpolys import (_COEFF_TABLES, JacobiLevel, _norms, cqjacobi_seq, norm_h,
                      on_nodes)
@@ -170,14 +171,15 @@ def _kernel_sum(x, c, level, ctx):
 
 @functools.lru_cache(maxsize=_COEFF_TABLES)
 def kernel_truncation(level, ctx):
-    """Number of terms N, between 20 and 400, so the geometric tail bound of
-    the kernel series is below ctx.tol, memoised per (level, ctx).
+    """Number of terms N > 20 so the geometric tail bound of the kernel
+    series is below ctx.tol, memoised per (level, ctx).
 
-    The per-term scale on the support is |factor_n| sqrt(|h_{n+1} h_n'|)
-    (polynomials on [-1, 1] oscillate with amplitude ~ sqrt(norm)), which
-    decays like sqrt(q)^n; the bound uses the measured trailing ratio
-    capped at 0.95.  A scale that has underflowed to 0 is a
-    ``DomainError``."""
+    The per-term scale on the support, f_n = |factor_n| sqrt(|h_{n+1} h_n'|)
+    (polynomials on [-1, 1] oscillate with amplitude ~ sqrt(norm)), decays
+    like sqrt(q)^n; with r = max(f_n/f_{n-1}, sqrt(q)) the sum stops where
+    r < 1 and f_n r/(1 - r) < ctx.tol, ``backend.sum_series``' tail test.
+    A scale that has underflowed to 0 is a ``DomainError``, and a bound not
+    met by ``MAX_TERMS`` terms a ``NonConvergenceError``."""
     lvl1 = level.shifted(1)
 
     def scale(n):
@@ -187,17 +189,17 @@ def kernel_truncation(level, ctx):
 
     n = 20
     fprev = scale(n)
-    while n < 400:
+    while n < MAX_TERMS:
         n += 1
         f = scale(n)
         if fprev == 0:
             raise DomainError(f"kernel_truncation: the term scale at k = {n - 1} "
                               f"underflows to 0 at q = {ctx.q}")
-        r = min(0.95, max(f / fprev, math.sqrt(ctx.q)))
-        if f * r / (1.0 - r) < ctx.tol:
-            break
+        r = max(f / fprev, math.sqrt(ctx.q))
+        if r < 1.0 and f * r / (1.0 - r) < ctx.tol:
+            return n
         fprev = f
-    return n
+    raise NonConvergenceError("kernel_truncation: tail bound not met")
 
 
 def kernel_eval(x, y, level, ctx):

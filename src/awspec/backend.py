@@ -3,8 +3,10 @@ the terms of a basic hypergeometric series and the one adaptive summer.
 
 Everything here is scalar complex arithmetic: the hot loops of every
 series in the package bottom out in these functions, and ``awspec.qcore``
-re-exports the two q-shifted factorials as they are.  ``sum_series``
-holds the only adaptive stopping rule of the package.
+re-exports the two q-shifted factorials as they are.  ``tail_powers``
+truncates every infinite product and ``sum_series`` every series; no
+tolerance loop of the package runs past ``MAX_TERMS`` terms, factors or
+depth (the ``qexp`` series stop sooner, at budgets of their own).
 """
 import itertools
 import math
@@ -36,27 +38,28 @@ def qpoch(a, base, n):
     return out
 
 
-def qpoch_inf(a, base, tol):
-    """Infinite q-shifted factorial (a; base)_inf.
-
-    Truncates once the geometric tail bound of the log-product,
-    |a| base^j / (1 - base), drops below ``tol``; raises
-    ``NonConvergenceError`` past ``MAX_TERMS`` factors.
-    """
-    check_base(base)
-    a = complex(a)
-    out = 1.0 + 0.0j
-    f = a
+def tail_powers(a, base, tol, name):
+    """[a, a base, a base^2, ...] while the geometric tail bound of a
+    product over them, |a| base^j / (1 - base), is above ``tol``: the one
+    truncation of every infinite product.  Raises ``NonConvergenceError``
+    naming ``name`` past ``MAX_TERMS`` powers."""
+    powers = []
     bound = abs(a) / (1.0 - base)
-    j = 0
-    limit = MAX_TERMS
     while bound > tol:
-        out *= 1.0 - f
-        f *= base
+        if len(powers) == MAX_TERMS:
+            raise NonConvergenceError(f"{name}: tail bound not met")
+        powers.append(a)
+        a *= base
         bound *= base
-        j += 1
-        if j > limit:
-            raise NonConvergenceError("qpoch_inf: tail bound not met")
+    return powers
+
+
+def qpoch_inf(a, base, tol):
+    """Infinite q-shifted factorial (a; base)_inf over ``tail_powers``."""
+    check_base(base)
+    out = 1.0 + 0.0j
+    for f in tail_powers(complex(a), base, tol, "qpoch_inf"):
+        out *= 1.0 - f
     return out
 
 

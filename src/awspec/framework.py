@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .awop import xi_factor
+from .backend import MAX_TERMS
 from .exceptions import DomainError, NonConvergenceError
 from .qpolys import ConnectionTriple, connection_down
 from .spectral import _backward, bn_B, bn_C
@@ -20,7 +21,6 @@ __all__ = [
 ]
 
 _SHIFT_TOL = 1e-12  # relative tolerance of shift_invariance_check
-_CF_DEPTHS = tuple(25 * 2 ** k for k in range(10))  # cf_minimal_ratio: 25 .. 12800
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,14 @@ def cf_minimal_ratio(system, lam, ctx):
         r_0 = 1 / (lam - B_0 - C_1 / (lam - B_1 - C_2 / (...))),
 
     ``spectral._backward``'s ratio on the rows (C_{k+1}, B_k, 1) with tail 0,
-    at the depths ``_CF_DEPTHS`` until two agree within ``ctx.tol``
-    (Pincherle: this is G_0/G_{-1} of the minimal solution when B_n, C_n ->
-    0).  A value larger than 1/tol is returned at once as a spurious-pole
-    candidate.  Raises NonConvergenceError when no two depths agree, or when
-    the family's coefficients overflow, and PoleError where lam = B_k = 0."""
-    prev = None
-    for d in _CF_DEPTHS:
+    at the depths 25, 50, 100, ... up to ``MAX_TERMS`` until two agree
+    within ``ctx.tol`` (Pincherle: this is G_0/G_{-1} of the minimal
+    solution when B_n, C_n -> 0).  A value larger than 1/tol is returned at
+    once as a spurious-pole candidate.  Raises NonConvergenceError when no
+    two depths agree, or when the family's coefficients overflow, and
+    PoleError where lam = B_k = 0."""
+    prev, d = None, 25
+    while d <= MAX_TERMS:
         try:
             r = _backward(complex(lam), [(system.C(k + 1), system.B(k), 1.0)
                                          for k in range(d)])[0][0]
@@ -129,17 +130,17 @@ def cf_minimal_ratio(system, lam, ctx):
             return r  # pole neighbourhood: caller inspects magnitude
         if prev is not None and abs(r - prev) <= ctx.tol * max(1.0, abs(r)):
             return r
-        prev = r
+        prev, d = r, 2 * d
     raise NonConvergenceError("cf_minimal_ratio: depth doubling did not settle")
 
 
-def telescope_residual(f, a_fn, b_fn, c_fn, n, x):
+def telescope_residual(f, b_fn, c_fn, n, x):
     """Residual of the telescoping identity, anchored at order nu0 = 0,
 
         C_{nu0} ... C_{nu0+n-1} f(nu0+n)
             = f_{n,nu0}(x) f(nu0) + f_{n-1,nu0+1}(x) f(nu0-1)
 
-    for a family satisfying C_nu f(nu+1) = (A_nu x + B_nu) f(nu) + f(nu-1),
+    for a family satisfying C_nu f(nu+1) = (x + B_nu) f(nu) + f(nu-1),
     with the companion polynomials built from the same coefficient data.
     The residual is normalized by the largest participating term."""
     nu0 = 0.0  # a real order: f and the coefficients take real nu
@@ -147,9 +148,9 @@ def telescope_residual(f, a_fn, b_fn, c_fn, n, x):
     def poly_seq(nu, count):
         vals = [1.0 + 0.0j]
         if count >= 1:
-            vals.append(a_fn(nu) * x + b_fn(nu))
+            vals.append(x + b_fn(nu))
         for k in range(1, count):
-            vals.append((a_fn(nu + k) * x + b_fn(nu + k)) * vals[k]
+            vals.append((x + b_fn(nu + k)) * vals[k]
                         + c_fn(nu + k - 1) * vals[k - 1])
         return vals
 

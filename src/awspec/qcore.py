@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .backend import check_base, qpoch, qpoch_inf
+from .backend import check_base, qpoch, qpoch_inf, tail_powers
 from .exceptions import DomainError
 
 __all__ = [
@@ -65,14 +65,12 @@ def h_product(x, params, base, tol):
     at every x of a real ndarray ``x`` in [-1, 1] (complex ndarray).
 
     Each pair of products is taken as the one product over j of
-    1 - 2 a_k base^j x + a_k^2 base^{2j}, run until qpoch_inf's tail bound
-    |a_k e^{+-i theta}| base^j / (1 - base) is below ``tol``.  On [-1, 1]
-    |e^{i theta}| = 1, so every x takes the same factors; x off [-1, 1]
-    would need more of them, and is not taken."""
+    1 - 2 a_k base^j x + a_k^2 base^{2j}, over the ``tail_powers`` a_k base^j
+    that bound |a_k e^{+-i theta}| base^j / (1 - base) above ``tol``.  On
+    [-1, 1] |e^{i theta}| = 1, so every x takes the same factors; x off
+    [-1, 1] would need more of them, and is not taken."""
     out = np.ones(x.shape, dtype=complex)
     for a in params:
-        bound = abs(a) / (1.0 - base)
-        while bound > tol:
-            out *= 1.0 - 2.0 * a * x + a * a
-            a, bound = a * base, bound * base
+        for f in tail_powers(a, base, tol, "h_product"):
+            out *= 1.0 - 2.0 * f * x + f * f
     return out

@@ -211,8 +211,10 @@ def weight_theta(params, xs, ctx):
     """w(x) sin(theta) = h(x; 1, -1, sqrt(q), -sqrt(q)) / h(x; params) at
     every point of a real ndarray ``xs`` in [-1, 1] (complex ndarray)."""
     q, sq = ctx.q, math.sqrt(ctx.q)
-    return (h_product(xs, (1.0, -1.0, sq, -sq), q, ctx.tol)
-            / h_product(xs, params, q, ctx.tol))
+    den = h_product(xs, params, q, ctx.tol)
+    if not den.all():
+        raise DomainError(f"weight: the product h(x) underflows to 0 at q = {q}")
+    return h_product(xs, (1.0, -1.0, sq, -sq), q, ctx.tol) / den
 
 
 @functools.lru_cache(maxsize=_COEFF_TABLES)
@@ -243,6 +245,8 @@ def _norm_table(level, ctx):
                 for params in ([q ** ((s + 2) / 2), q ** ((s + 3) / 2)],
                                [q, q ** (al + 1), q ** (be + 1),
                                 -q ** ((s + 1) / 2), -q ** ((s + 2) / 2)]))
+    if den == 0:
+        raise DomainError(f"norm: the products of h_0 underflow to 0 at q = {q}")
     return [2 * math.pi * num / den]
 
 

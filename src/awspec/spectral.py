@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .awop import CoeffVector
-from .backend import MAX_TERMS, sum_series
+from .backend import MAX_TERMS, sum_series, tail_powers
 from .exceptions import DomainError, NonConvergenceError, PoleError
 from .qcore import phi, qpoch_inf
 from .qpolys import _COEFF_TABLES
@@ -386,10 +386,10 @@ def x_nu(nu, x, level, ctx):
     w = -p^{a+nu+5/2}/x: the 2phi1 in p^{b+nu+2} with (w; p)_inf taken
     into each term (Ismail & Zhang, Adv. Math. 109, 1994), so it has none
     of the 2phi1's poles at w p^k = 1.  The tails (w p^n; p)_inf are
-    suffix products from 1 where ``qpoch_inf``'s tail bound stops; where a
-    factor 1 - w p^k is exactly 0 the terms n <= k are 0 and the sum
-    starts at n = k + 1.  c_n runs by its ratio, whose denominator
-    1 - p^{n+1} never vanishes."""
+    suffix products over the ``tail_powers`` of w; where a factor
+    1 - w p^k is exactly 0 the terms n <= k are 0 and the sum starts at
+    n = k + 1.  c_n runs by its ratio, whose denominator 1 - p^{n+1} never
+    vanishes."""
     if x == 0:
         raise DomainError("x_nu: x must be nonzero")
     try:
@@ -399,14 +399,7 @@ def x_nu(nu, x, level, ctx):
     p = math.sqrt(ctx.q)
     al, be = level.alpha, level.beta
     w = -p ** (al + nu + 2.5) / x
-    factors = []
-    bound = abs(w) / (1.0 - p)
-    while bound > ctx.tol:
-        if len(factors) >= MAX_TERMS:
-            raise NonConvergenceError("x_nu: tail bound not met")
-        factors.append(1.0 - w)
-        w *= p
-        bound *= p
+    factors = [1.0 - f for f in tail_powers(w, p, ctx.tol, "x_nu")]
     tails = [1.0]  # (w p^n; p)_inf for n = J, J-1, ..., 0, J = len(factors)
     for f in reversed(factors):
         tails.append(tails[-1] * f)
@@ -517,28 +510,23 @@ def _twisted_pivot(lam, rows, n):
     t_j = a_j / a_{j-1} = sR_j / (lambda - sQ_j - sP_j t_{j+1}) start from
     t_{n+1} = 0, as in ``eigenfunction``; the forward ratios
     r_j = a_{j-1} / a_j = sP_{j-1} / (lambda - sQ_{j-1} - sR_{j-1} r_{j-1})
-    from r_1 = 0, a_0 being 0.  Their derivatives in lambda run beside them
-    in the same two passes.  The row where |g_k| is least is where the
-    eigenvector peaks, and there no term of g_k is a large cancelling one.
+    from r_1 = 0, a_0 being 0, are the backward ratios of the rows reversed
+    with sP and sR swapped: ``_backward`` gives both, with their derivatives
+    in lambda.  The row where |g_k| is least is where the eigenvector peaks,
+    and there no term of g_k is a large cancelling one.
     s_k = |lambda| + |sQ_k| + |sP_k t_{k+1}| + |sR_k r_k| is the scale of
-    the rounding g_k carries.  A pivot that is exactly 0 is moved to a
-    roundoff of its terms."""
+    the rounding g_k carries."""
     t, dt = _backward(lam, rows[:n])  # t_{j+1} at index j
-    r = dr = 0.0
+    r, dr = _backward(lam, [(sR, sQ, sP) for sP, sQ, sR in reversed(rows[:n])])
     least = math.inf
-    for j, (sP, sQ, sR) in enumerate(rows[:n]):  # row j + 1
-        below, above = sP * t[j + 1], sR * r
-        e = lam - sQ - above
-        g = e - below
+    for j, (sP, sQ, sR) in enumerate(rows[:n]):  # row j + 1, r_{j+1} at n - j
+        below, above = sP * t[j + 1], sR * r[n - j]
+        g = lam - sQ - above - below
         size = abs(g)
         if size < least:
             least = size
-            best = (g, 1.0 - sP * dt[j + 1] - sR * dr,
+            best = (g, 1.0 - sP * dt[j + 1] - sR * dr[n - j],
                     abs(lam) + abs(sQ) + abs(below) + abs(above))
-        if e == 0:
-            e = _EPS * (abs(lam) + abs(sQ))
-        r = sP / e
-        dr = (sR * dr - 1.0) * r / e
     return best
 
 
@@ -546,9 +534,10 @@ def _backward(lam, rows):
     """The backward ratios t[i] = sR / (lambda - sQ - sP t[i+1]) on rows[i]
     and their derivatives in lambda, as two lists, from a ratio 0 past the
     last row, which ends each list: the library's one backward recurrence
-    (``_twisted_pivot``, ``_settle``, ``eigenfunction``, ``bn_minimal_scaled``,
-    ``framework.cf_minimal_ratio``).  A zero divisor moves to a roundoff of
-    its terms, or raises ``PoleError`` where those are 0 too."""
+    (``_twisted_pivot`` both ways, ``_settle``, ``eigenfunction``,
+    ``bn_minimal_scaled``, ``framework.cf_minimal_ratio``).  A zero divisor
+    moves to a roundoff of its terms, or raises ``PoleError`` where those
+    are 0 too."""
     t = [0.0] * (len(rows) + 1)
     dt = [0.0] * (len(rows) + 1)
     tj = dtj = 0.0

@@ -741,7 +741,7 @@ def _fw_telescope(config):
 
         for n in range(1, 9):
             errs.append(framework.telescope_residual(
-                f, lambda nu: 1.0, lambda nu: spectral.bn_B(nu, level, q),
+                f, lambda nu: spectral.bn_B(nu, level, q),
                 lambda nu: spectral.bn_C(nu + 1, level, q), n, x))
     xs = 0.9 + 0.3j
 
@@ -749,7 +749,7 @@ def _fw_telescope(config):
         return spectral.x_nu(nu, xs, level, ctx)
 
     broken = framework.telescope_residual(
-        fs, lambda nu: 1.0, lambda nu: spectral.bn_B(nu, level, q),
+        fs, lambda nu: spectral.bn_B(nu, level, q),
         lambda nu: spectral.bn_C(nu + 1, level, q) * (1.5 if nu == 2 else 1.0),
         6, xs)
     errs.append(float(not broken >= 1e-4))  # a NaN control fails too

@@ -366,6 +366,19 @@ class TestOutputs:
             assert all(math.isfinite(float(v)) for r in rows for v in r[2:]), argv
         assert codes.count(0) >= 135
 
+    @pytest.mark.parametrize("q", ["0.994", "0.995", "0.999"])
+    @pytest.mark.parametrize("command", ["kernel", "eigen", "eigfun", "poly",
+                                         "expand", "coulomb"])
+    def test_near_one_exits_0_or_2(self, capsys, command, q):
+        # the products of h_0 underflowed to 0 and kernel divided by them
+        rc = main([command, "--q", q])
+        err = capsys.readouterr().err
+        assert rc in (0, 2)
+        if rc == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert not err
+
     def test_eigen_past_the_tiny_seeds(self, tmp_path):
         # the 22nd seed's eigenfunction overflowed in xi ** -k: exit 1, traceback
         out = tmp_path / "e.csv"

@@ -162,7 +162,7 @@ class TestTelescope:
         f = lambda nu: x_nu(nu, x, level, ctx)
         for n in range(1, 9):
             resid = telescope_residual(
-                f, lambda nu: 1.0, lambda nu: bn_B(nu, level, q),
+                f, lambda nu: bn_B(nu, level, q),
                 lambda nu: bn_C(nu + 1, level, q), n, x)
             assert resid <= 1e-10
 
@@ -171,7 +171,7 @@ class TestTelescope:
         x = 1.3 + 0.4j
         f = lambda nu: x_nu(nu, x, level, ctx)
         resid = telescope_residual(
-            f, lambda nu: 1.0, lambda nu: bn_B(nu, level, q),
+            f, lambda nu: bn_B(nu, level, q),
             lambda nu: bn_C(nu + 1, level, q), 1, x)
         assert resid <= 1e-13
 
@@ -180,7 +180,7 @@ class TestTelescope:
         x = 0.9 + 0.3j
         f = lambda nu: x_nu(nu, x, level, ctx)
         resid = telescope_residual(
-            f, lambda nu: 1.0, lambda nu: bn_B(nu, level, q),
+            f, lambda nu: bn_B(nu, level, q),
             lambda nu: bn_C(nu + 1, level, q) * (1.5 if nu == 2 else 1.0),
             6, x)
         assert resid > 1e-4

@@ -1,7 +1,9 @@
 """The memoised recurrence-coefficient and point-set tables, and the
 recurrences folded into one loop: bit-identical to the per-step loops they
 replace (``bn_minimal_scaled`` to rounding, and to 50 digits), kept apart
-per key, and bounded; and
+per key, and bounded; the products over ``tail_powers`` and the twisted
+pivot's forward pass bit-identical to their own loops, and the uncapped
+kernel truncation against the capped one; and
 AST checks on the source: every memo bounded and listed, no frozen
 dataclass written after its construction, few, route-free,
 tolerance-free defaults, every exported name defined and reached by
@@ -15,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from awspec import awop, qexp, qpolys, spectral
-from awspec.backend import sum_series
+from awspec import awop, qcore, qexp, qpolys, spectral
+from awspec.backend import MAX_TERMS, sum_series, tail_powers
+from awspec.exceptions import DomainError, NonConvergenceError
 from awspec.qcore import QContext
 from awspec.awop import kernel_truncation, make_rule
 from awspec.qpolys import (JacobiLevel, _aw_params, aw_phi_seq, cqjacobi_seq,
@@ -132,6 +135,88 @@ def _hermite_series_loop(z, x, ctx):
                       qexp._HERMITE_TERMS, "hermite_series")
 
 
+def _qpoch_inf_loop(a, base, tol):
+    a = complex(a)
+    out = 1.0 + 0.0j
+    f = a
+    bound = abs(a) / (1.0 - base)
+    j = 0
+    while bound > tol:
+        out *= 1.0 - f
+        f *= base
+        bound *= base
+        j += 1
+        if j > MAX_TERMS:
+            raise NonConvergenceError("qpoch_inf: tail bound not met")
+    return out
+
+
+def _h_product_loop(x, params, base, tol):
+    out = np.ones(x.shape, dtype=complex)
+    for a in params:
+        bound = abs(a) / (1.0 - base)
+        while bound > tol:
+            out *= 1.0 - 2.0 * a * x + a * a
+            a, bound = a * base, bound * base
+    return out
+
+
+def _x_nu_factors_loop(w, p, tol):
+    # the factors 1 - w p^k of x_nu's tails (w p^n; p)_inf
+    factors = []
+    bound = abs(w) / (1.0 - p)
+    while bound > tol:
+        if len(factors) >= MAX_TERMS:
+            raise NonConvergenceError("x_nu: tail bound not met")
+        factors.append(1.0 - w)
+        w *= p
+        bound *= p
+    return factors
+
+
+def _twisted_pivot_loop(lam, rows, n):
+    # the forward ratios r_j in their own loop, beside _backward's t_j
+    t, dt = spectral._backward(lam, rows[:n])
+    r = dr = 0.0
+    least = np.inf
+    for j, (sP, sQ, sR) in enumerate(rows[:n]):
+        below, above = sP * t[j + 1], sR * r
+        e = lam - sQ - above
+        g = e - below
+        if abs(g) < least:
+            least = abs(g)
+            best = (g, 1.0 - sP * dt[j + 1] - sR * dr,
+                    abs(lam) + abs(sQ) + abs(below) + abs(above))
+        if e == 0:
+            e = sys.float_info.epsilon * (abs(lam) + abs(sQ))
+        r = sP / e
+        dr = (sR * dr - 1.0) * r / e
+    return best
+
+
+def _kernel_truncation_capped(level, ctx):
+    # the truncation with its private caps: at most 400 terms, r <= 0.95
+    lvl1 = level.shifted(1)
+
+    def scale(n):
+        return (abs(awop._kernel_factors(n + 1, level, ctx)[n])
+                * np.sqrt(abs(qpolys.norm_h(n + 1, level, ctx))
+                          * abs(qpolys.norm_h(n, lvl1, ctx))))
+
+    n = 20
+    fprev = scale(n)
+    while n < 400:
+        n += 1
+        f = scale(n)
+        if fprev == 0:
+            raise DomainError("kernel_truncation: the term scale underflows")
+        r = min(0.95, max(f / fprev, np.sqrt(ctx.q)))
+        if f * r / (1.0 - r) < ctx.tol:
+            break
+        fprev = f
+    return n
+
+
 def _same(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -229,6 +314,99 @@ def test_hermite_series_matches_loop(q):
         for x in (0.0, 0.37, -0.8, 1.0):
             got = qexp.hermite_series(z, x, ctx)
             assert np.array(got).tobytes() == np.array(_hermite_series_loop(z, x, ctx)).tobytes()
+
+
+TAIL_QS = [1e-7, 1e-4, 0.1, 0.5, 0.9, 0.99]
+
+
+@pytest.mark.parametrize("q", TAIL_QS)
+def test_products_over_tail_powers_match_their_loops(q):
+    # qpoch_inf, h_product and x_nu's tail factors over tail_powers: the
+    # same operations in the same order as their own loops, so the same bits
+    xs = np.linspace(-1.0, 1.0, 9)
+    for a in (0.7, -0.3, q ** 0.25, 0.6 - 0.5j, -0.2 + 0.9j, 1.0):
+        for base in (q, q ** 0.5, q * q):
+            for tol in (1e-14, 1e-8):
+                got = qcore.qpoch_inf(a, base, tol)
+                assert np.array(got).tobytes() == np.array(
+                    _qpoch_inf_loop(a, base, tol)).tobytes()
+                want = [1.0 - f for f in tail_powers(a, base, tol, "x_nu")]
+                assert want == _x_nu_factors_loop(a, base, tol)
+    for level in LEVELS:
+        params = _aw_params(level, q)
+        for tol in (1e-14, 1e-8):
+            got = qcore.h_product(xs, params, q, tol)
+            assert got.tobytes() == _h_product_loop(xs, params, q, tol).tobytes()
+        # x_nu's w = -p^{a+nu+5/2}/x at real and complex x
+        p = q ** 0.5
+        for nu in (-1, 0, 2.5):
+            for x in (1.7, -0.4, 0.3 + 2.2j, 1e-3j):
+                w = -p ** (level.alpha + nu + 2.5) / x
+                got = [1.0 - f for f in tail_powers(w, p, 1e-14, "x_nu")]
+                assert got == _x_nu_factors_loop(w, p, 1e-14)
+
+
+def test_products_past_the_budget_name_themselves():
+    with pytest.raises(NonConvergenceError, match="^h_product: tail bound not met"):
+        qcore.h_product(np.linspace(-1.0, 1.0, 5), (0.9,), 0.999, 1e-14)
+    with pytest.raises(NonConvergenceError, match="^qpoch_inf: tail bound not met"):
+        qcore.qpoch_inf(0.9, 0.999, 1e-14)
+    # the last power a product is allowed is the MAX_TERMS-th
+    base = 0.5 ** (1 / 64)
+    a = base ** -MAX_TERMS * 1e-14 * (1.0 - base)
+    assert len(tail_powers(a * 0.999, base, 1e-14, "p")) == MAX_TERMS
+    with pytest.raises(NonConvergenceError, match="^p: tail bound not met"):
+        tail_powers(a * 1.001, base, 1e-14, "p")
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=["real", "conj"])
+@pytest.mark.parametrize("q", TAIL_QS)
+def test_twisted_pivot_matches_its_forward_loop(level, q):
+    # the forward ratios as _backward on the reversed, swapped rows
+    ctx = QContext(q)
+    rows = spectral._oracle_rows(80, level, ctx)
+    seeds = list(matrix_oracle(12, level, ctx)[:6])
+    for lam in seeds + [s * (1 + 1e-3) for s in seeds] + [0.37 - 0.2j]:
+        for n in (1, 7, 40, 80):
+            got = spectral._twisted_pivot(complex(lam), rows, n)
+            want = _twisted_pivot_loop(complex(lam), rows, n)
+            assert str(got) == str(want), (lam, n)
+
+
+TRUNCATION_LEVELS = [JacobiLevel(0.3, -0.2), JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j),
+                     JacobiLevel(-0.5, -0.5), JacobiLevel(5.0, 4.0),
+                     JacobiLevel(-0.9, -0.9), JacobiLevel(2j, -2j),
+                     JacobiLevel(0.0, 0.0), JacobiLevel(2.0, 1.5),
+                     JacobiLevel(1.816, -0.067)]
+
+
+@pytest.mark.parametrize("level", TRUNCATION_LEVELS, ids=str)
+def test_kernel_truncation_matches_the_capped_loop_where_no_cap_binds(level):
+    # the 400-term and 0.95-ratio caps bound nothing up to q = 0.85
+    for q in (1e-7, 8.4e-5, 1e-3, 0.1, 0.5, 0.8, 0.85):
+        _clear_tables()
+        ctx = QContext(q)
+        try:
+            want = _kernel_truncation_capped(level, ctx)
+        except DomainError:
+            with pytest.raises(DomainError):
+                kernel_truncation(level, ctx)
+            continue
+        assert kernel_truncation(level, ctx) == want, q
+
+
+@pytest.mark.parametrize("q, nterms", [(0.9, 611), (0.95, 1256), (0.99, 6414)])
+def test_kernel_meets_its_tail_bound_past_400_terms(q, nterms):
+    # the cap cut K short by 7.5e-7 at q = 0.95; now 2,000 more terms
+    # move it by no more than rounding
+    level, ctx = LEVELS[0], QContext(q)
+    assert kernel_truncation(level, ctx) == nterms
+    grid = np.linspace(-0.8, 0.8, 11)
+    x, y = grid[:, None], grid[None, :]
+    longer = np.array(cqjacobi_seq(nterms + 1999, level.shifted(1), y, ctx))
+    got = awop.kernel_eval(x, y, level, ctx)
+    err = np.max(np.abs(got - awop._kernel_sum(x, longer, level, ctx)))
+    assert err <= 1e-15
 
 
 @pytest.mark.parametrize("q", [0.25, 0.36, 0.81])
@@ -435,7 +613,7 @@ MAX_DEFAULTS = 3
 MAX_EXPORTS = 81
 # physical lines of src/awspec/*.py: deleting code is progress, so the
 # count only falls, and a feature that adds lines raises it on purpose
-MAX_SOURCE_LINES = 3258
+MAX_SOURCE_LINES = 3255
 # cqjacobi keeps method="phi": the benchmark checks its rows against the 4phi3
 ROUTED = {("qpolys.py", "cqjacobi")}
 
