@@ -16,8 +16,7 @@ import numpy as np
 from .backend import MAX_TERMS
 from .exceptions import DomainError, NonConvergenceError
 from .qcore import exp_itheta
-from .qpolys import (_COEFF_TABLES, JacobiLevel, _norms, cqjacobi_seq, norm_h,
-                     on_nodes)
+from .qpolys import _COEFF_TABLES, JacobiLevel, cqjacobi_seq, norm_h, on_nodes
 
 __all__ = [
     "CoeffVector", "QuadratureRule", "make_rule", "weight_theta_grid",
@@ -139,74 +138,72 @@ def t_coeffs(g, ctx):
 # kernel and integral operator
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=_COEFF_TABLES)
-def _kernel_table(level, ctx):
-    return []
-
-
-def _kernel_factors(n, level, ctx):
-    """Coefficients t_factor(k) / h_k^{(a+1,b+1)} of P_{k+1}(x)
-    P_k^{(a+1,b+1)}(y) in the kernel for k < n, from a table memoised per
-    (level, ctx) and grown on demand.  A norm that has underflowed to 0 is
-    a ``DomainError``."""
-    kf = _kernel_table(level, ctx)
-    lvl1 = level.shifted(1)
-    for k in range(len(kf), n):
-        h = norm_h(k, lvl1, ctx)
-        if h == 0:
-            raise DomainError(f"kernel: the norm h_{k} of the shifted level "
-                              f"underflows to 0 at q = {ctx.q}")
-        kf.append(t_factor(k, level, ctx.q) / h)
-    return kf[:n]
-
-
 def _kernel_sum(x, c, level, ctx):
-    """sum_n kf_n P_{n+1}(x) c_n over the leading axis of ``c``; ``x`` and
-    the trailing axes of ``c`` broadcast against each other."""
+    """sum_n kf_n P_{n+1}(x) c_n over the leading axis of ``c``, with the
+    factors kf_n of ``kernel_truncation``; ``x`` and the trailing axes of
+    ``c`` broadcast against each other."""
     c = np.asarray(c)
     px = np.array(cqjacobi_seq(len(c), level, x, ctx)[1:])
     terms = np.moveaxis(px, 0, -1) * np.moveaxis(c, 0, -1)
-    return terms @ np.array(_kernel_factors(len(c), level, ctx), dtype=complex)
+    return terms @ kernel_truncation(level, ctx).factors[:len(c)]
+
+
+@dataclass(frozen=True)
+class KernelSeries:
+    """The kernel series truncated at ``nterms`` = N terms, with the tail
+    bound it met and, for k <= N, the read-only arrays ``factors``
+    t_factor(k)/h_k' of P_{k+1}(x) P_k^{(a+1,b+1)}(y) and ``root_norms``
+    sqrt(max(|h_k'|, 1e-300)), h_k' the norms of the shifted level."""
+    nterms: int
+    tail_bound: float
+    factors: np.ndarray
+    root_norms: np.ndarray
 
 
 @functools.lru_cache(maxsize=_COEFF_TABLES)
 def kernel_truncation(level, ctx):
-    """Number of terms N > 20 so the geometric tail bound of the kernel
-    series is below ctx.tol, memoised per (level, ctx).
+    """The kernel series truncated at N > 20 terms, where its geometric
+    tail bound is below ctx.tol, memoised per (level, ctx).
 
-    The per-term scale on the support, f_n = |factor_n| sqrt(|h_{n+1} h_n'|)
-    (polynomials on [-1, 1] oscillate with amplitude ~ sqrt(norm)), decays
-    like sqrt(q)^n; with r = max(f_n/f_{n-1}, sqrt(q)) the sum stops where
-    r < 1 and f_n r/(1 - r) < ctx.tol, ``backend.sum_series``' tail test.
-    A scale that has underflowed to 0 is a ``DomainError``, and a bound not
-    met by ``MAX_TERMS`` terms a ``NonConvergenceError``."""
+    One pass over k forms h_k', the factor and, from k = 20, the per-term
+    scale on the support, f_k = |factor_k| sqrt(|h_{k+1} h_k'|)
+    (polynomials on [-1, 1] oscillate with amplitude ~ sqrt(norm)), which
+    decays like sqrt(q)^k; with r = max(f_k/f_{k-1}, sqrt(q)) the sum stops
+    where r < 1 and f_k r/(1 - r) < ctx.tol, ``backend.sum_series``' tail
+    test.  A norm h_k' or a scale that has underflowed to 0 is a
+    ``DomainError``, and a bound not met by ``MAX_TERMS`` terms a
+    ``NonConvergenceError``."""
     lvl1 = level.shifted(1)
-
-    def scale(n):
-        return (abs(_kernel_factors(n + 1, level, ctx)[n])
-                * math.sqrt(abs(norm_h(n + 1, level, ctx))
-                            * abs(norm_h(n, lvl1, ctx))))
-
-    n = 20
-    fprev = scale(n)
-    while n < MAX_TERMS:
-        n += 1
-        f = scale(n)
-        if fprev == 0:
-            raise DomainError(f"kernel_truncation: the term scale at k = {n - 1} "
+    hs, factors = [], []
+    for k in range(MAX_TERMS + 1):
+        h = norm_h(k, lvl1, ctx)
+        if h == 0:
+            raise DomainError(f"kernel: the norm h_{k} of the shifted level "
                               f"underflows to 0 at q = {ctx.q}")
-        r = max(f / fprev, math.sqrt(ctx.q))
-        if r < 1.0 and f * r / (1.0 - r) < ctx.tol:
-            return n
+        hs.append(h)
+        factors.append(t_factor(k, level, ctx.q) / h)
+        if k < 20:
+            continue
+        f = abs(factors[k]) * math.sqrt(abs(norm_h(k + 1, level, ctx)) * abs(h))
+        if k > 20:
+            if fprev == 0:
+                raise DomainError(f"kernel_truncation: the term scale at k = {k - 1} "
+                                  f"underflows to 0 at q = {ctx.q}")
+            r = max(f / fprev, math.sqrt(ctx.q))
+            if r < 1.0 and f * r / (1.0 - r) < ctx.tol:
+                kf = np.array(factors, dtype=complex)
+                roots = np.maximum(np.abs(np.array(hs)), 1e-300) ** 0.5
+                kf.flags.writeable = roots.flags.writeable = False
+                return KernelSeries(k, f * r / (1.0 - r), kf, roots)
         fprev = f
     raise NonConvergenceError("kernel_truncation: tail bound not met")
 
 
 def kernel_eval(x, y, level, ctx):
-    """Kernel K_{a,b;q}(x, y): partial sum of the bilinear series to
-    ``kernel_truncation(level, ctx)`` terms.  ``x`` and ``y`` may be arrays
-    that broadcast against each other."""
-    nterms = kernel_truncation(level, ctx)
+    """Kernel K_{a,b;q}(x, y): the truncated bilinear series of
+    ``kernel_truncation(level, ctx)``, its N terms.  ``x`` and ``y`` may be
+    arrays that broadcast against each other."""
+    nterms = kernel_truncation(level, ctx).nterms
     py = np.array(cqjacobi_seq(nterms - 1, level.shifted(1), y, ctx))
     return _kernel_sum(x, py, level, ctx)
 
@@ -225,16 +222,13 @@ def t_quadrature(g, x, level, rule, ctx):
     # quadrature noise floor carry no information, and at complex x (the
     # dq-shifted ellipse) the kernel amplifies them exponentially, so
     # truncate where the data ends
-    nterms = min(kernel_truncation(level, ctx), rule.size // 2)
+    series = kernel_truncation(level, ctx)
+    nterms = min(series.nterms, rule.size // 2)
     ys = np.cos(rule.nodes)
     gy = np.broadcast_to(np.asarray(g(ys), dtype=complex), ys.shape)
-    lvl1 = level.shifted(1)
-    w1, py = on_nodes(lvl1, rule.nodes, ctx)
+    w1, py = on_nodes(level.shifted(1), rule.nodes, ctx)
     moments = py[:nterms] @ (rule.weights * w1 * gy)
-    # |h_k| of the values norm_h returns (the real part on real levels)
-    hs = np.array(_norms(nterms, lvl1, ctx)[:nterms])
-    absh = np.abs(hs.real if lvl1.is_real else hs)
-    scales = np.abs(moments) / np.maximum(absh, 1e-300) ** 0.5
+    scales = np.abs(moments) / series.root_norms[:nterms]
     last = np.flatnonzero(scales >= scales.max() * 1e-12)
     neff = min(nterms, (last[-1] if last.size else 0) + 3)
     return _kernel_sum(x, moments[:neff], level, ctx)

@@ -270,13 +270,14 @@ def _cmd_poly(args):
 
 def _cmd_kernel(args):
     ctx, level = _config(args)
-    nterms = awop.kernel_truncation(level, ctx)
+    series = awop.kernel_truncation(level, ctx)
     header = ["x", "y", "value_re", "value_im"]
     grid = np.linspace(-0.8, 0.8, args.grid)
     values = awop.kernel_eval(grid[:, None], grid[None, :], level, ctx)
     rows = [[fmt(x), fmt(y), *fmt_c(values[i, j])]
             for i, x in enumerate(grid) for j, y in enumerate(grid)]
-    _emit(args, header, rows, {"nterms": str(nterms)})
+    _emit(args, header, rows, {"nterms": str(series.nterms),
+                               "tail_bound": fmt(series.tail_bound)})
     return 0
 
 

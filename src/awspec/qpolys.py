@@ -250,22 +250,16 @@ def _norm_table(level, ctx):
     return [2 * math.pi * num / den]
 
 
-def _norms(n, level, ctx):
-    """h_0, h_1, ... (at least n of them): a table memoised per
-    (level, ctx) and grown by h_{k+1} = h_k norm_ratio(k)."""
-    hs = _norm_table(level, ctx)
-    while len(hs) < n:
-        hs.append(hs[-1] * norm_ratio(len(hs) - 1, level, ctx.q))
-    return hs
-
-
 def norm_h(n, level, ctx):
     """Normalization constant h_n^{(a,b)}(q) of Eq-form orthogonality
-    (with the corrected exponent q^{n(2a+1)/2}), memoised per
-    (level, ctx)."""
+    (with the corrected exponent q^{n(2a+1)/2}), from a table memoised per
+    (level, ctx) and grown by h_{k+1} = h_k norm_ratio(k)."""
     if n < 0:
         raise DomainError("norm_h: n must be >= 0")
-    h = _norms(n + 1, level, ctx)[n]
+    hs = _norm_table(level, ctx)
+    while len(hs) <= n:
+        hs.append(hs[-1] * norm_ratio(len(hs) - 1, level, ctx.q))
+    h = hs[n]
     return complex(h.real, 0.0) if level.is_real else h
 
 

@@ -389,13 +389,16 @@ def x_nu(nu, x, level, ctx):
     suffix products over the ``tail_powers`` of w; where a factor
     1 - w p^k is exactly 0 the terms n <= k are 0 and the sum starts at
     n = k + 1.  c_n runs by its ratio, whose denominator 1 - p^{n+1} never
-    vanishes."""
+    vanishes.  A power (-x)^{-nu} that overflows, or underflows below the
+    smallest normal float, is a ``NonConvergenceError``."""
     if x == 0:
         raise DomainError("x_nu: x must be nonzero")
     try:
         power = (-x) ** (-nu)
     except OverflowError:
         raise NonConvergenceError("x_nu: the value overflows") from None
+    if abs(power) < sys.float_info.min:
+        raise NonConvergenceError("x_nu: the value underflows")
     p = math.sqrt(ctx.q)
     al, be = level.alpha, level.beta
     w = -p ** (al + nu + 2.5) / x
@@ -617,17 +620,17 @@ def _refine_section(size, level, ctx, count, nmat, results):
     """Refine the seeds of the ``size``-row section into ``results``;
     True when a larger section is still needed.
 
-    The seeds are the section's eigenvalues, |lambda| descending, one per
-    conjugate pair on a real level, less those within 1e-6 relative of a
-    converged root that a smaller section gave.  A seed whose refinement
-    fails, or lands within 1e-10 |lambda| of a listed root, marks the
-    section's unresolved tail: below ``nmat`` rows the section doubles
-    there, and at ``nmat`` rows the seed is listed with
-    ``converged=False``."""
+    The seeds are the section's nonzero eigenvalues, |lambda| descending,
+    one per conjugate pair on a real level (the float section's pairs are
+    exact), less those within 1e-6 relative of a converged root that a
+    smaller section gave.  A seed whose refinement fails, or lands within
+    1e-10 |lambda| of a listed root, marks the section's unresolved tail:
+    below ``nmat`` rows the section doubles there, and at ``nmat`` rows the
+    seed is listed with ``converged=False``."""
     last = size == nmat
     kept = [r.lam for r in results if r.converged]
     for lam0 in matrix_oracle(size, level, ctx):
-        if abs(lam0) <= 1e-13 or (level.is_real and lam0.imag < -1e-15):
+        if lam0 == 0 or (level.is_real and lam0.imag < 0):
             continue
         if any(abs(lam0 - k) <= 1e-6 * abs(k) for k in kept):
             continue

@@ -456,10 +456,7 @@ def _asymp_root(config):
     w = spectral.bn_minimal_scaled(n, xi, level, ctx)
     K = spectral.root_asymptotics_constant(xi, level, ctx)
     err = abs(w[n] - K) / abs(K)
-    try:
-        xn = spectral.x_nu(n - 10, xi, level, ctx) * (-xi) ** (n - 10)
-    except OverflowError:
-        raise NonConvergenceError(f"(-xi)^{n - 10} overflows") from None
+    xn = spectral.x_nu(n - 10, xi, level, ctx) * (-xi) ** (n - 10)
     return [(err, 1e-3), (abs(xn - 1.0), 1e-3)], f"|F(xi)|={res[0].residual_f:.1e}"
 
 

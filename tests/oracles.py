@@ -14,9 +14,11 @@ from types import SimpleNamespace
 
 import mpmath
 
+from awspec.awop import t_factor
 from awspec.backend import MAX_TERMS, phi_terms, sum_series
 from awspec.exceptions import DomainError
 from awspec.qcore import exp_itheta, phi, qpoch, qpoch_inf
+from awspec.qpolys import norm_h
 from awspec.spectral import (bn_B, bn_C, bn_sequence, matrix_oracle,
                              mu_from_lambda, recurrence_a_coeffs)
 
@@ -183,6 +185,27 @@ def _weight_w_literal(level, x, ctx):
            * qpoch_inf(-p ** (be + 0.5) * w, p, ctx.tol)
            * qpoch_inf(-p ** (be + 0.5) / w, p, ctx.tol))
     return num / (den * s)
+
+
+# ---------------------------------------------------------------------------
+# kernel
+# ---------------------------------------------------------------------------
+
+
+def _kernel_factors(ks, level, ctx):
+    """Coefficients t_factor(k) / h_k^{(a+1,b+1)} of P_{k+1}(x)
+    P_k^{(a+1,b+1)}(y) in the kernel for k in ``ks``, past any N: the
+    reference of the factors of ``kernel_truncation``, which stop at its N.
+    A norm that has underflowed to 0 is a ``DomainError``."""
+    lvl1 = level.shifted(1)
+    kf = []
+    for k in ks:
+        h = norm_h(k, lvl1, ctx)
+        if h == 0:
+            raise DomainError(f"kernel: the norm h_{k} of the shifted level "
+                              f"underflows to 0 at q = {ctx.q}")
+        kf.append(t_factor(k, level, ctx.q) / h)
+    return kf
 
 
 # ---------------------------------------------------------------------------

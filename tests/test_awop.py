@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from awspec import verify
 from awspec.awop import (CoeffVector, dq_coeffs, dq_pointwise, eval_coeffvector,
-                         kernel_eval, make_rule, operator_residual, t_coeffs,
-                         t_factor, t_quadrature, weight_theta_grid, xi_factor)
+                         kernel_eval, kernel_truncation, make_rule,
+                         operator_residual, t_coeffs, t_factor, t_quadrature,
+                         weight_theta_grid, xi_factor)
 from awspec.exceptions import DomainError
 from awspec.qcore import QContext
-from awspec.qpolys import JacobiLevel, cqjacobi, cqjacobi_seq
+from awspec.qpolys import JacobiLevel, cqjacobi, cqjacobi_seq, norm_h
 from awspec.spectral import eigenvalues
+from oracles import _kernel_factors
 
 
 class TestDqPointwise:
@@ -90,11 +92,12 @@ class TestKernel:
         ctx = QContext(0.5)
         level = JacobiLevel(0.3, -0.2)
         x, y = 0.2, -0.4
-        from awspec.awop import _kernel_sum
+        kf = _kernel_factors(range(120), level, ctx)
+        px = cqjacobi_seq(120, level, x, ctx)
+        py = cqjacobi_seq(119, level.shifted(1), y, ctx)
 
         def partial(n):
-            py = np.array(cqjacobi_seq(n - 1, level.shifted(1), y, ctx))
-            return _kernel_sum(x, py, level, ctx)
+            return sum(kf[k] * px[k + 1] * py[k] for k in range(n))
 
         k120 = partial(120)
         assert abs(partial(60) - k120) < 1e-10
@@ -119,13 +122,27 @@ class TestKernel:
         n_hi = 96
         px = cqjacobi_seq(n_hi + 1, level, x, ctx)
         py = cqjacobi_seq(n_hi, level.shifted(1), y, ctx)
-        from awspec.awop import _kernel_factors
-        kf = _kernel_factors(n_hi, level, ctx)
+        kf = _kernel_factors(range(n_hi), level, ctx)
         terms = [kf[n] * px[n + 1] * py[n] for n in range(n_hi)]
         logs = [math.log(abs(terms[n + 1] / terms[n]))
                 for n in range(30, n_hi - 1)]
         gm = math.exp(sum(logs) / len(logs))
         assert abs(gm - math.sqrt(q)) <= 0.1 * math.sqrt(q)
+
+    def test_series_record_is_read_only(self, ctx, level):
+        # the truncated series that T and K read: N + 1 factors and root
+        # norms, neither writable, and the bound N met
+        series = kernel_truncation(level, ctx)
+        n = series.nterms
+        assert series.factors.tolist() == _kernel_factors(range(n + 1), level, ctx)
+        roots = [math.sqrt(abs(norm_h(k, level.shifted(1), ctx)))
+                 for k in range(n + 1)]
+        assert np.allclose(series.root_norms, roots, rtol=1e-15, atol=0)
+        for arr in (series.factors, series.root_norms):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert 0 < series.tail_bound < ctx.tol
 
     def test_quadrature_error_report(self, ctx, level):
         # the difference against the doubled rule
@@ -197,9 +214,8 @@ class TestArrays:
     @pytest.mark.parametrize("lv", [JacobiLevel(0.3, -0.2),
                                     JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)])
     def test_kernel_on_broadcast_grid_matches_scalar(self, ctx, lv):
-        from awspec.awop import _kernel_factors, kernel_truncation
-        nterms = kernel_truncation(lv, ctx)
-        kf = _kernel_factors(nterms, lv, ctx)
+        nterms = kernel_truncation(lv, ctx).nterms
+        kf = _kernel_factors(range(nterms), lv, ctx)
         xs = np.linspace(-0.8, 0.8, 4)
         ys = np.linspace(-0.7, 0.9, 3)
         grid = kernel_eval(xs[:, None], ys[None, :], lv, ctx)

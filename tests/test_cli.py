@@ -259,15 +259,18 @@ class TestOutputs:
          "--beta", "conj"],
     ])
     def test_kernel_reports_the_truncation_it_sums(self, tmp_path, argv):
-        # the printed nterms and the printed values are computed apart;
-        # both must be the kernel_truncation of the request's level
+        # the printed nterms, tail bound and values are computed apart; all
+        # must be the kernel_truncation of the request's level
         out = tmp_path / "k.json"
         assert main(argv + ["--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         args = build_parser().parse_args(argv)
         ctx, level = cli._config(args)
-        nterms = awop.kernel_truncation(level, ctx)
+        series = awop.kernel_truncation(level, ctx)
+        nterms = series.nterms
         assert doc["diagnostics"]["nterms"] == str(nterms)
+        bound = float(doc["diagnostics"]["tail_bound"])
+        assert bound == series.tail_bound and bound <= ctx.tol
         grid = np.linspace(-0.8, 0.8, args.grid)
         py = np.array(qpolys.cqjacobi_seq(nterms - 1, level.shifted(1),
                                           grid[None, :], ctx))
@@ -573,8 +576,7 @@ class TestRequestWork:
     def test_requests_without_t_build_no_level_plan(self, tmp_path, argv):
         # the recurrence tables live in their own memos: a request that
         # does not apply T must not evict the per-level data T requests reuse
-        memos = [qpolys._norm_table, qpolys._node_table, awop._kernel_table,
-                 awop.kernel_truncation]
+        memos = [qpolys._norm_table, qpolys._node_table, awop.kernel_truncation]
         misses = [memo.cache_info().misses for memo in memos]
         assert main(argv + ["--q", "0.37", "--out", str(tmp_path / "o.csv")]) == 0
         assert [memo.cache_info().misses for memo in memos] == misses

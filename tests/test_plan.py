@@ -19,8 +19,7 @@ SPECTRUM_LEVELS = [((0.4, 0.4), 0.36), ((0.3, -0.2), 0.5),
                    ((0.3 + 0.5j, 0.3 - 0.5j), 0.6),
                    ((0.3 + 0.5j, 0.3 - 0.5j), 0.8)]
 # the memos of the per-level data that T reads
-T_MEMOS = [qpolys._norm_table, qpolys._node_table, awop._kernel_table,
-           awop.kernel_truncation]
+T_MEMOS = [qpolys._norm_table, qpolys._node_table, awop.kernel_truncation]
 
 
 def _direct_norm(n, level, ctx):

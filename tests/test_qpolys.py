@@ -67,6 +67,21 @@ class TestAWPoly:
 
 
 class TestCqjacobi:
+    @pytest.mark.parametrize("q", [0.3, 0.8])
+    @pytest.mark.parametrize("lv", [(0.3, -0.2), (0.3 + 0.5j, 0.3 - 0.5j)],
+                             ids=["real", "conj"])
+    def test_4phi3_route_holds_the_benchmark_bound(self, lv, q):
+        # method="phi" is the terminating 4phi3 that the cli-requests
+        # benchmark checks every poly row against, with the benchmark's own
+        # bound: the series sheds q^{-n(n-1)/2} to cancellation
+        level, ctx = JacobiLevel(*lv), QContext(q)
+        for x in np.linspace(-0.95, 0.95, 11):
+            rows = cqjacobi_seq(6, level, float(x), ctx)
+            for n, want in enumerate(rows):
+                got = cqjacobi(n, level, float(x), ctx, method="phi")
+                err = abs(got - want) / max(1.0, abs(want))
+                assert err <= 1e-12 * q ** (-n * (n - 1) / 2), (n, x, err)
+
     def test_degree_zero_both_normalizations(self, ctx):
         level = JacobiLevel(0.3, -0.2)
         assert cqjacobi(0, level, 0.4, ctx) == 1.0

@@ -252,6 +252,14 @@ class TestXnuF:
         with pytest.raises(NonConvergenceError, match="overflows"):
             x_nu(490, 0.2, JacobiLevel(0.3, -0.2), QContext(0.5))
 
+    def test_underflowing_power_is_a_typed_error(self):
+        # at the top root of q = 0.95, |xi| = 12.05 and (-xi)^{-490} is
+        # below the smallest float: no exact 0 comes back
+        level, ctx = JacobiLevel(0.3, -0.2), QContext(0.95)
+        xi = eigenvalues(level, ctx, count=1, nmat=60)[0].mu
+        with pytest.raises(NonConvergenceError, match="underflows"):
+            x_nu(490, xi, level, ctx)
+
     def test_three_term_recurrence(self, ctx, level, rng):
         q = ctx.q
         x = complex(rng.uniform(0.8, 2.0), rng.uniform(-0.5, 0.5))
@@ -396,6 +404,41 @@ class TestEigenvalues:
                 more = eigenvalues(level, ctx, count=c + 4, nmat=nmat)[:c]
                 assert [bits(r) for r in few] == [bits(r) for r in more]
 
+    @pytest.mark.parametrize("q", [1e-7, 1e-5, 1e-4, 1e-3, 0.01])
+    @pytest.mark.parametrize("lv", [(0.3, -0.2), (1.816, -0.067), (2.0, 1.5),
+                                    (0.3 + 0.5j, 0.3 - 0.5j)])
+    def test_small_q_lists_every_root_it_is_asked_for(self, lv, q):
+        # the spectrum falls below any absolute cut at small q; only an
+        # exactly zero seed is skipped, so no list comes back short
+        res = eigenvalues(JacobiLevel(*lv), QContext(q), count=12, nmat=80)
+        assert len(res) == 12 and all(r.converged for r in res)
+
+    def test_failed_seeds_are_listed_not_dropped(self, monkeypatch):
+        # with no Newton step every seed fails: the section doubles to nmat
+        # rows, and there each seed is listed with converged=False
+        level, ctx = JacobiLevel(0.3, -0.2), QContext(0.5)
+        want = [r.lam for r in eigenvalues(level, ctx, count=5, nmat=40)]
+        monkeypatch.setattr(spectral, "_NEWTON_STEPS", 0)
+        res = eigenvalues(level, ctx, count=5, nmat=40)
+        assert len(res) == 5 and not any(r.converged for r in res)
+        for r, lam in zip(res, want):
+            assert abs(r.lam - lam) <= 1e-14 * abs(lam)
+
+
+def _section_eigs_mp(level, ctx, n, dps):
+    """Eigenvalues of the n-row section, its float rows solved in mpmath at
+    ``dps`` digits."""
+    rows = spectral._oracle_rows(n, level, ctx)[:n]
+    with mpmath.workdps(dps):
+        m = mpmath.zeros(n, n)
+        for i, (sP, sQ, sR) in enumerate(rows):
+            m[i, i] = mpmath.mpmathify(sQ)
+            if i + 1 < n:
+                m[i, i + 1] = mpmath.mpmathify(sP)
+            if i:
+                m[i, i - 1] = mpmath.mpmathify(sR)
+        return [complex(e) for e in mpmath.eig(m, left=False, right=False)]
+
 
 class TestTwistedSolve:
     """The roots solved on the section's rows against Newton on F, the
@@ -426,20 +469,22 @@ class TestTwistedSolve:
             for r, ev in zip(res, dense[:count]):
                 assert abs(r.lam - ev) <= 1e-10 * abs(ev), (count, r.lam, ev)
 
+    def test_small_q_roots_hold_60_digits(self):
+        # at q = 1e-4 the eighth root is 1.3e-15: the 60-row section's rows
+        # solved in 60 digits give all eight, each to rounding
+        level, ctx = JacobiLevel(0.3, -0.2), QContext(1e-4)
+        exact = _section_eigs_mp(level, ctx, 60, 60)
+        res = eigenvalues(level, ctx, count=8, nmat=80)
+        assert len(res) == 8 and all(r.converged for r in res)
+        for r in res:
+            err = min(abs(r.lam - e) for e in exact) / abs(r.lam)
+            assert err <= 3e-15, (r.lam, err)
+
     def test_top_five_hold_30_digits(self):
         # the top five of the 20-row section equal those of the 24- and
         # 28-row sections to 30 digits here, so the section is settled
         level, ctx = CONJ, QContext(0.5)
-        rows = spectral._oracle_rows(20, level, ctx)[:20]
-        with mpmath.workdps(30):
-            m = mpmath.zeros(20, 20)
-            for i, (sP, sQ, sR) in enumerate(rows):
-                m[i, i] = mpmath.mpmathify(sQ)
-                if i + 1 < 20:
-                    m[i, i + 1] = mpmath.mpmathify(sP)
-                if i:
-                    m[i, i - 1] = mpmath.mpmathify(sR)
-            exact = [complex(e) for e in mpmath.eig(m, left=False, right=False)]
+        exact = _section_eigs_mp(level, ctx, 20, 30)
         for r in eigenvalues(level, ctx, count=5, nmat=80):
             err = min(abs(r.lam - e) for e in exact) / abs(r.lam)
             assert err <= 3e-16, (r.lam, err)
