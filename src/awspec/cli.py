@@ -284,7 +284,7 @@ def _cmd_kernel(args):
 def _cmd_expand(args):
     ctx, level = _config(args)
     header = ["kind", "index_or_x", "value_re", "value_im"]
-    coeffs = [qexp.am_coeff(m, args.r, level, ctx) for m in range(args.mmax + 1)]
+    coeffs = qexp.am_coeff(args.mmax, args.r, level, ctx)
     xs = np.linspace(-0.8, 0.8, args.grid)
     resids = qexp.expansion_residual(coeffs, xs, args.r, level, ctx)
     rows = [["coeff", str(m), *fmt_c(a)] for m, a in enumerate(coeffs)]

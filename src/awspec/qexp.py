@@ -1,38 +1,36 @@
 """The q-exponential E_q(x; a, b), its expansion in continuous q-Jacobi
 polynomials, the J_m integrals, and the q-Hermite identity.
 
-The closed forms of the J_m/a_m chain are shipped with a correction: the
-published single-sum J_m(-i; r) (and with it the expansion coefficient
-formula and the general-argument double series) is missing the factor
+The published single-sum J_m(-i; r), and with it the expansion coefficient
+formula and the general-argument double series, is missing the factor
 (b^2 q^{1/2}, -bc, -bc q^{1/2}; q)_m b^{-m}, which this module restores.
-With it the coefficient formula collapses to
+With it, and with p = q^{1/2}, the coefficient formula collapses to
 
-    a_m = q^{m^2/4} (ir)^m (b^2 c^2; q)_m / [(q; q)_m (b^2 c^2; q)_{2m}]
-          * (i r q^{1/2}; q)_inf / (-i r; q)_inf
-          * 2phi1(c q^{m/2+1/4}, -b q^{m/2+1/4}; bc q^{m+1/2} | q^{1/2}, ir),
+    a_m = q^{m^2/4} (ir)^m (irp; q)_inf / [(q; q)_m (b^2c^2 q^m; q)_m (-ir; q)_inf]
+          * 2phi1(c p^{m+1/2}, -b p^{m+1/2}; bc p^{2m+1} | p, ir),
 
-    b = q^{(2 alpha + 1)/4},  c = q^{(2 beta + 1)/4},
-
-the a and -c of the level's Askey-Wilson parameters (a, b, c, d), which
-come from ``qpolys._aw_params``; the p_m are the level's own rows P_m
-times a^{-m} (q, ac, ad; q)_m, so the norm of p_m is the level's norm
-h_m (``qpolys.norm_h``) times (p_m/P_m)^2.  The leading ratio mirrors
-the classical (alpha+beta+1)_n/(alpha+beta+1)_{2n} structure; every form
-here is validated against quadrature of the defining integrals by the
-verify suites ``qexp.expansion-coeffs`` and ``qexp.jm-integrals``.
+b = q^{(2 alpha + 1)/4} and c = q^{(2 beta + 1)/4}, the a and -c of the
+level's Askey-Wilson parameters (``qpolys._aw_params``).  Term k of its
+2phi1 has the ratio ir u_{m+k} / ((1 - p^{k+1}) v_{2m+k}), where
+u_j = (1 - c p^{j+1/2})(1 + b p^{j+1/2}) and v_j = 1 - bc p^{j+1}, so one
+table of each serves every m.  The p_m are the level's rows P_m times
+a^{-m} (q, ac, ad; q)_m, so the norm of p_m is h_m (``qpolys.norm_h``)
+times (p_m/P_m)^2.  The verify suites ``qexp.expansion-coeffs`` and
+``qexp.jm-integrals`` check every form here against quadrature of the
+defining integrals.
 """
 import cmath
-import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
 from .awop import make_rule, xi_factor
 from .backend import MAX_TERMS, sum_series
-from .exceptions import DomainError, NonConvergenceError
+from .exceptions import DomainError, NonConvergenceError, PoleError
 from .qcore import exp_itheta, phi, qpoch, qpoch_inf
-from .qpolys import (_COEFF_TABLES, _aw_params, connection_down, cqjacobi_seq,
+from .qpolys import (_aw_params, _cqjacobi_rows, connection_down, cqjacobi_seq,
                      norm_h, on_nodes)
 from .spectral import mu_from_lambda, x_nu
 
@@ -61,8 +59,7 @@ def eq_exp(x, a, b, ctx):
     ``NonConvergenceError`` too."""
     q = ctx.q
     if abs(a * b) >= 1.0:
-        raise NonConvergenceError(
-            "eq_exp: series converges only for |a*b| < 1")
+        raise NonConvergenceError("eq_exp: series converges only for |a*b| < 1")
     if b == 0:
         return 1.0 + 0.0j
     return sum_series(_eq_exp_terms(exp_itheta(x), a, b, q), ctx.tol,
@@ -114,31 +111,40 @@ def eq_eigenvalue_dq(a, b, q):
     return -2.0 * a * b * q ** 0.25 / (1.0 - q)
 
 
-@functools.lru_cache(maxsize=_COEFF_TABLES)
-def _am_products(r, ctx):
-    """(i r q^{1/2}; q)_inf / (-i r; q)_inf, the factor of every a_m that
-    does not depend on m: memoised per (r, ctx)."""
-    q = ctx.q
-    return qpoch_inf(1j * r * math.sqrt(q), q, ctx.tol) \
-        / qpoch_inf(-1j * r, q, ctx.tol)
-
-
-def am_coeff(m, r, level, ctx):
-    """Expansion coefficient a_m of E_q(x; -i, r) in the Askey-Wilson
-    polynomials p_m(x; b, b sqrt(q), -c, -c sqrt(q)) (corrected closed form).
-    Its m-free ratio of infinite products is read from a memo per
-    (r, ctx)."""
-    q = ctx.q
+def am_coeff(mmax, r, level, ctx):
+    """Expansion coefficients [a_0, ..., a_mmax] of E_q(x; -i, r) in the
+    p_m(x; b, b sqrt(q), -c, -c sqrt(q)) by the closed form of the module
+    docstring, for |r| < 1, where its 2phi1 and (-ir; q)_inf converge."""
+    if abs(r) >= 1.0:
+        raise NonConvergenceError("am_coeff: series converges only for |r| < 1")
+    q, tol = ctx.q, ctx.tol
     params = _aw_params(level, q)
     b, c = params[0], -params[2]
-    # (b^2c^2; q)_m / (b^2c^2; q)_{2m} = 1/(b^2c^2 q^m; q)_m, which stays
-    # finite at b^2c^2 = q^{alpha+beta+1} = 1
-    pre = (q ** (m * m / 4.0) * (1j * r) ** m
-           / (qpoch(q, q, m) * qpoch(b * b * c * c * q ** m, q, m)))
-    pre *= _am_products(r, ctx)
-    return pre * phi([c * q ** (m / 2.0 + 0.25), -b * q ** (m / 2.0 + 0.25)],
-                     [b * c * q ** (m + 0.5)], math.sqrt(q), 1j * r,
-                     nterms=-1, tol=ctx.tol)
+    ir, e = 1j * r, b * b * c * c
+    w, u, v = [], [], []  # ir/(1 - p^{j+1}), u_j and v_j, appended at first read
+
+    def terms(m):
+        term = 1.0 + 0.0j
+        for k in itertools.count():
+            yield term
+            while len(v) <= 2 * m + k:  # with h = p^{j+1/2} and g = p^{j+1}, j = len(v)
+                h, g = q ** (len(v) / 2.0 + 0.25), q ** ((len(v) + 1) / 2.0)
+                if abs(1.0 - b * c * g) < 1e-15 * (1.0 + abs(b * c * g)):
+                    raise PoleError("am_coeff: its 2phi1 has a pole at "
+                                    f"alpha + beta = {-2 - len(v)}")
+                w.append(ir / (1.0 - g))
+                u.append((1.0 - c * h) * (1.0 + b * h))
+                v.append(1.0 - b * c * g)
+            term *= w[k] * u[m + k] / v[2 * m + k]
+
+    pre = qpoch_inf(ir * math.sqrt(q), q, tol) / qpoch_inf(-ir, q, tol)
+    den, out = 1.0 + 0.0j, []  # (q; q)_m D_m; D_m = (e q^m; q)_m has no 0/0 at e = 1
+    for m in range(mmax + 1):
+        out.append(q ** (m * m / 4.0) * ir ** m / den * pre
+                   * sum_series(terms(m), tol, MAX_TERMS, "am_coeff"))
+        den *= (1.0 - q ** (m + 1)) * (1.0 - e * q ** (2 * m + 1)) * (
+            (1.0 - e * q ** (2 * m)) / (1.0 - e * q ** m) if m else 1.0)
+    return out
 
 
 def jm_double_series(m, a, r, level, ctx):
@@ -149,8 +155,7 @@ def jm_double_series(m, a, r, level, ctx):
     converges for |a r| < 1 only, and arguments outside that disc are
     rejected."""
     if abs(a * r) >= 1.0:
-        raise NonConvergenceError(
-            "jm_double_series: series converges only for |a*r| < 1")
+        raise NonConvergenceError("jm_double_series: series converges only for |a*r| < 1")
     q = ctx.q
     params = _aw_params(level, q)
     b, c = params[0], -params[2]
@@ -180,10 +185,11 @@ def jm_double_series(m, a, r, level, ctx):
 
 def _p_factors(mmax, level, q):
     """p_m/P_m = a^{-m} (q, ac, ad; q)_m for m = 0..mmax: the factors from
-    the level's rows P_m to the expansion family p_m."""
+    the level's rows P_m to the expansion family p_m, as running products."""
     a, _, c, d = _aw_params(level, q)
-    return [qpoch(q, q, m) * qpoch(a * c, q, m) * qpoch(a * d, q, m) * a ** (-m)
-            for m in range(mmax + 1)]
+    return list(itertools.accumulate(
+        ((1.0 - q ** (m + 1)) * (1.0 - a * c * q ** m) * (1.0 - a * d * q ** m) / a
+         for m in range(mmax)), operator.mul, initial=1.0 + 0.0j))
 
 
 def _aw_projections(mmax, values, level, rule, ctx):
@@ -211,30 +217,26 @@ def jm_quadrature(m, a, r, level, ctx):
 def imn_quadrature(m, n, a, level, ctx):
     """I_{m,n}(a, b, c) by quadrature; vanishes for n < m."""
     rule = make_rule(_QUAD_NODES)
-    q = ctx.q
     xs = np.cos(rule.nodes)
     ws = xs + 1j * np.sqrt(1.0 - xs * xs)
-    g = a * q ** ((1.0 - n) / 2.0)
+    g = a * ctx.q ** ((1.0 - n) / 2.0)
     hr = np.ones(rule.size, dtype=complex)
     for _ in range(n):
         hr *= (1.0 - g * ws) * (1.0 - g / ws)
-        g *= q
+        g *= ctx.q
     return complex(_aw_projections(m, hr, level, rule, ctx)[m])
 
 
 def expansion_residual(coeffs, x, r, level, ctx):
     """|E_q(x; -i, r) - sum_{m<=M} a_m p_m(x; b, b sqrt q, -c, -c sqrt q)| at
     a point or at every point of an ndarray ``x``, given the coefficient
-    list ``coeffs`` = [a_0, ..., a_M] (``am_coeff``)."""
-    if isinstance(x, np.ndarray):
-        lhs = np.array([eq_exp(t, -1j, r, ctx) for t in x.tolist()])
-    else:
-        lhs = eq_exp(x, -1j, r, ctx)
+    list ``coeffs`` = [a_0, ..., a_M] (``am_coeff``), keeping no rows at x."""
+    lhs = (np.array([eq_exp(t, -1j, r, ctx) for t in x.tolist()])
+           if isinstance(x, np.ndarray) else eq_exp(x, -1j, r, ctx))
     mmax = len(coeffs) - 1
-    rows = cqjacobi_seq(mmax, level, x, ctx)
-    rhs = sum(a * f * p for a, f, p in
-              zip(coeffs, _p_factors(mmax, level, ctx.q), rows))
-    return abs(lhs - rhs)
+    rows = _cqjacobi_rows(mmax, level, x, ctx)
+    return abs(lhs - sum(a * f * p for a, f, p in
+                         zip(coeffs, _p_factors(mmax, level, ctx.q), rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +263,8 @@ def hermite_series(z, x, ctx):
 
 def hermite_identity_residual(lam, x, ctx):
     """|hermite_series(lam) - (lam^{-2}; q^2)_inf E_q(x; -i, i/lam)|."""
-    q = ctx.q
     lhs = hermite_series(lam, x, ctx)
-    rhs = qpoch_inf(lam ** -2.0, q * q, ctx.tol) * eq_exp(x, -1j, 1j / lam, ctx)
+    rhs = qpoch_inf(lam ** -2.0, ctx.q * ctx.q, ctx.tol) * eq_exp(x, -1j, 1j / lam, ctx)
     return abs(lhs - rhs)
 
 

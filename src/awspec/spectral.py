@@ -33,6 +33,7 @@ Numerical conventions that matter here:
 """
 import cmath
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ import numpy as np
 from .awop import CoeffVector
 from .backend import MAX_TERMS, sum_series, tail_powers
 from .exceptions import DomainError, NonConvergenceError, PoleError
-from .qcore import phi, qpoch_inf
+from .qcore import qpoch_inf
 from .qpolys import _COEFF_TABLES
 
 
@@ -745,25 +746,34 @@ def q_coulomb(L, eta, rho, ctx):
     the Heine-transformed representation, a 2phi1 in B = q^{L-i eta+1},
     is its analytic continuation, and the two agree on the overlap.  The
     direct series is summed for |z| < min(0.9, |B|) only: where
-    |B| <= |z|, the continued series has the faster decaying terms.
-    A, B and the two rho-free products of the Heine form are taken once
-    per call."""
+    |B| <= |z|, the continued series has the faster decaying terms.  Both
+    divide by (c; q)_inf, c = q^{2L+2}.  A call takes their rho-free parts
+    once: products, and d_k, g_k of the ratios z d_k, g_k (1-zq^k)/(1+Azq^k)."""
+    if L <= -1 and 2 * L == int(2 * L):
+        raise DomainError(f"q_coulomb: (q^(2L+2); q)_inf vanishes at L = {L}")
     q, tol = ctx.q, ctx.tol
-    A = q ** (L + 1j * eta + 1)
-    B = q ** (L - 1j * eta + 1)
-    c = q ** (2 * L + 2)
+    A, B, c = q ** (L + 1j * eta + 1), q ** (L - 1j * eta + 1), q ** (2 * L + 2)
     edge = min(0.9, abs(B))
-    heine = None  # (B; q)_inf and (c; q)_inf, at the first rho that needs them
-    grid = isinstance(rho, np.ndarray)
+    hb, hc = qpoch_inf(B, q, tol), qpoch_inf(c, q, tol)  # the Heine form's products
+    fac = []  # d_k, g_k, q^k and A q^k, appended at their first read
+
+    def terms(z, direct):
+        term = 1.0 + 0.0j
+        for k in itertools.count():
+            yield term
+            if k == len(fac):
+                qk = q ** k
+                fac.append(((1 + A * qk) * (1 - B * qk) / ((1 - q * qk) * (1 - c * qk)),
+                            (1 - A * qk) * B / (1 - q * qk), qk, A * qk))
+            dk, gk, qk, aqk = fac[k]
+            if not direct and abs(1 + aqk * z) < 1e-15 * (1.0 + abs(aqk * z)):
+                raise PoleError(f"q_coulomb: 1 + A z q^k vanished at k={k}")
+            term *= z * dk if direct else gk * (1 - z * qk) / (1 + aqk * z)
+
     out = []
-    for r in rho.ravel().tolist() if grid else [rho]:
+    for r in np.ravel(rho).tolist():
         z = 1j * math.sqrt(q) * r
-        if abs(z) < edge:
-            out.append(qpoch_inf(z, q, tol)
-                       * phi([-A, B], [c], q, z, nterms=-1, tol=tol))
-            continue
-        if heine is None:
-            heine = qpoch_inf(B, q, tol), qpoch_inf(c, q, tol)
-        out.append(heine[0] * qpoch_inf(-A * z, q, tol) / heine[1]
-                   * phi([A, z], [-A * z], q, B, nterms=-1, tol=tol))
-    return np.array(out, dtype=complex).reshape(rho.shape) if grid else out[0]
+        direct = abs(z) < edge
+        pre = qpoch_inf(z, q, tol) if direct else hb * qpoch_inf(-A * z, q, tol) / hc
+        out.append(pre * sum_series(terms(z, direct), tol, MAX_TERMS, "q_coulomb"))
+    return np.array(out, dtype=complex).reshape(np.shape(rho)) if np.ndim(rho) else out[0]

@@ -541,10 +541,8 @@ def _markov(config):
 @_suite("spectral.coulomb", 1e-12)
 def _coulomb(config):
     """Reality of the q-Coulomb function on a 50-point real rho grid."""
-    ctx = config.ctx
-    values = spectral.q_coulomb(0.5, 0.3, np.linspace(0.05, 2.5, 50), ctx)
-    errs = np.abs(values.imag).tolist()
-    return errs, "L=0.5, eta=0.3"
+    values = spectral.q_coulomb(0.5, 0.3, np.linspace(0.05, 2.5, 50), config.ctx)
+    return np.abs(values.imag).tolist(), "L=0.5, eta=0.3"
 
 
 # ---------------------------------------------------------------------------
@@ -570,19 +568,13 @@ def _dq_eigen(config):
 @_suite("qexp.expansion-coeffs", 1e-10)
 def _expansion_coeffs(config):
     """Closed-form expansion coefficients against quadrature projection, m <= 10."""
-    ctx = config.ctx
-    level = config.level
-    r = 0.3
+    ctx, level, r = config.ctx, config.level, 0.3
     rule = awop.make_rule(2 * config.nodes)
-    xs = np.cos(rule.nodes)
-    ev = np.array([qexp.eq_exp(x, -1j, r, ctx) for x in xs])
+    ev = np.array([qexp.eq_exp(x, -1j, r, ctx) for x in np.cos(rule.nodes)])
     projs = qexp._aw_projections(10, ev, level, rule, ctx)
     f = qexp._p_factors(10, level, ctx.q)
-    errs = []
-    for m in range(11):
-        proj = projs[m] / (qpolys.norm_h(m, level, ctx) * f[m] ** 2)
-        am = qexp.am_coeff(m, r, level, ctx)
-        errs.append(_mixed(proj, am))
+    errs = [_mixed(projs[m] / (qpolys.norm_h(m, level, ctx) * f[m] ** 2), am)
+            for m, am in enumerate(qexp.am_coeff(10, r, level, ctx))]
     return errs, "m <= 10 at r=0.3"
 
 
@@ -593,9 +585,8 @@ def _expansion_residual(config):
     for (al, be) in [(0.3, -0.2), (0.5, -0.25), (0.1, 0.4)]:
         level = JacobiLevel(al, be)
         for r in (0.1, 0.3, 0.5j):
-            coeffs = [qexp.am_coeff(m, r, level, config.ctx) for m in range(26)]
-            resids = qexp.expansion_residual(coeffs, np.array([0.2, -0.5]), r,
-                                             level, config.ctx)
+            resids = qexp.expansion_residual(qexp.am_coeff(25, r, level, config.ctx),
+                                             np.array([0.2, -0.5]), r, level, config.ctx)
             errs += resids.tolist()
     return errs, "3 param sets x r in {0.1, 0.3, 0.5i}"
 
@@ -605,18 +596,15 @@ def _jm_integrals(config):
     """J_m(a; r) as the double series, against quadrature of its defining
     integral at a = 0.5i and against a_m times the norm at a = -i; and
     I_{m,n} vanishes for n < m.  At the config level and at (0.3 +- 0.5i)."""
-    ctx = config.ctx
-    r = 0.3
-    errs = []
+    ctx, r, errs = config.ctx, 0.3, []
     for level in (config.level, _CONJ_LEVEL):
         for m in range(3):
             errs.append(_mixed(qexp.jm_double_series(m, 0.5j, r, level, ctx),
                                qexp.jm_quadrature(m, 0.5j, r, level, ctx)))
         f = qexp._p_factors(3, level, ctx.q)
-        for m in range(4):
-            closed = (qexp.am_coeff(m, r, level, ctx)
-                      * qpolys.norm_h(m, level, ctx) * f[m] ** 2)
-            errs.append(_mixed(qexp.jm_double_series(m, -1j, r, level, ctx), closed))
+        errs += [_mixed(qexp.jm_double_series(m, -1j, r, level, ctx),
+                        am * qpolys.norm_h(m, level, ctx) * f[m] ** 2)
+                 for m, am in enumerate(qexp.am_coeff(3, r, level, ctx))]
         errs += [abs(qexp.imn_quadrature(m, n, -1j, level, ctx))
                  for m in range(1, 5) for n in range(m)]
     return errs, "r=0.3: a=0.5i m<=2 and a=-i m<=3; I_mn n<m<=4"

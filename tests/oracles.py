@@ -18,7 +18,7 @@ from awspec.awop import t_factor
 from awspec.backend import MAX_TERMS, phi_terms, sum_series
 from awspec.exceptions import DomainError
 from awspec.qcore import exp_itheta, phi, qpoch, qpoch_inf
-from awspec.qpolys import norm_h
+from awspec.qpolys import _aw_params, norm_h
 from awspec.spectral import (bn_B, bn_C, bn_sequence, matrix_oracle,
                              mu_from_lambda, recurrence_a_coeffs)
 
@@ -523,8 +523,9 @@ def _x_nu_series(nu, x, level, ctx):
 
 
 def q_coulomb_literal(L, eta, rho, ctx):
-    """``q_coulomb`` at one rho with every product taken afresh, in the
-    same order of operations: the bit-for-bit reference of its grid."""
+    """``q_coulomb`` at one rho with every product taken afresh and each
+    2phi1 summed by ``phi``: the route it had before its rho-free ratio
+    tables."""
     q = ctx.q
     z = 1j * math.sqrt(q) * rho
     A = q ** (L + 1j * eta + 1)
@@ -536,6 +537,75 @@ def q_coulomb_literal(L, eta, rho, ctx):
     return (qpoch_inf(B, q, ctx.tol) * qpoch_inf(-A * z, q, ctx.tol)
             / qpoch_inf(q ** (2 * L + 2), q, ctx.tol)
             * phi([A, z], [-A * z], q, B, nterms=-1, tol=ctx.tol))
+
+
+def _phi21_mp(a1, a2, b1, base, z, dps):
+    """2phi1(a1, a2; b1 | base, z) in the current mpmath precision, summed
+    until four terms in a row fall below 10^{-dps/2} of the sum."""
+    total, term, small = mpmath.mpc(0), mpmath.mpc(1), 0
+    for k in itertools.count():
+        total += term
+        small = small + 1 if abs(term) < 10 ** (-dps / 2) * abs(total) else 0
+        if small > 3:
+            return total
+        bk = base ** k
+        term *= (1 - a1 * bk) * (1 - a2 * bk) * z / ((1 - b1 * bk) * (1 - base * bk))
+
+
+def q_coulomb_mp(L, eta, rhos, q, dps):
+    """``q_coulomb`` at each rho of ``rhos`` in ``dps``-digit arithmetic, on
+    the branch that ``q_coulomb`` takes, from the same float A, B and
+    q^{2L+2}."""
+    A = q ** (L + 1j * eta + 1)
+    B = q ** (L - 1j * eta + 1)
+    c = q ** (2 * L + 2)
+    edge = min(0.9, abs(B))
+    out = []
+    with mpmath.workdps(dps):
+        q, A, B, c = mpmath.mpf(q), mpmath.mpc(A), mpmath.mpc(B), mpmath.mpc(c)
+        heine = mpmath.qp(B, q) / mpmath.qp(c, q)
+        for rho in rhos:
+            z = 1j * mpmath.sqrt(q) * rho
+            if abs(complex(z)) < edge:
+                out.append(complex(mpmath.qp(z, q) * _phi21_mp(-A, B, c, q, z, dps)))
+            else:
+                out.append(complex(heine * mpmath.qp(-A * z, q)
+                                   * _phi21_mp(A, z, -A * z, q, B, dps)))
+    return out
+
+
+def am_coeff_per_m(m, r, level, ctx):
+    """a_m by its own O(m) prefactor and its own 2phi1 through ``phi``: the
+    route ``qexp.am_coeff`` had before it shared its ratio tables over m."""
+    q = ctx.q
+    params = _aw_params(level, q)
+    b, c = params[0], -params[2]
+    pre = (q ** (m * m / 4.0) * (1j * r) ** m
+           / (qpoch(q, q, m) * qpoch(b * b * c * c * q ** m, q, m)))
+    pre *= qpoch_inf(1j * r * math.sqrt(q), q, ctx.tol) / qpoch_inf(-1j * r, q, ctx.tol)
+    return pre * phi([c * q ** (m / 2.0 + 0.25), -b * q ** (m / 2.0 + 0.25)],
+                     [b * c * q ** (m + 0.5)], math.sqrt(q), 1j * r,
+                     nterms=-1, tol=ctx.tol)
+
+
+def am_coeff_mp(mmax, r, level, q, dps):
+    """[a_0, ..., a_mmax] in ``dps``-digit arithmetic: the prefactor
+    q^{m^2/4} (ir)^m (ir q^{1/2}; q)_inf / ((q; q)_m (b^2c^2 q^m; q)_m (-ir; q)_inf)
+    times the 2phi1 of ``qexp.am_coeff``, from the same float b and c."""
+    params = _aw_params(level, q)
+    b, c = params[0], -params[2]
+    out = []
+    with mpmath.workdps(dps):
+        q, b, c = mpmath.mpf(q), mpmath.mpc(b), mpmath.mpc(c)
+        p, ir = mpmath.sqrt(q), 1j * mpmath.mpc(r)
+        prods = mpmath.qp(ir * p, q) / mpmath.qp(-ir, q)
+        for m in range(mmax + 1):
+            pre = (q ** (mpmath.mpf(m * m) / 4) * ir ** m * prods
+                   / (mpmath.qp(q, q, m) * mpmath.qp(b * b * c * c * q ** m, q, m)))
+            h = p ** (m + mpmath.mpf(1) / 2)
+            out.append(complex(pre * _phi21_mp(c * h, -b * h, b * c * p ** (2 * m + 1),
+                                               p, ir, dps)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -518,14 +518,46 @@ class TestOutputs:
 
 class TestRequestWork:
     def test_expand_sums_each_coefficient_once(self, tmp_path, monkeypatch):
-        calls = []
-        am_coeff = qexp.am_coeff
-        monkeypatch.setattr(qexp, "am_coeff",
-                            lambda m, *rest: calls.append(m) or am_coeff(m, *rest))
+        # one am_coeff call, one series per coefficient
+        names = []
+        sum_series = qexp.sum_series
+        monkeypatch.setattr(qexp, "sum_series",
+                            lambda terms, tol, budget, name: names.append(name)
+                            or sum_series(terms, tol, budget, name))
         rc = main(["expand", "--mmax", "6", "--grid", "4",
                    "--out", str(tmp_path / "e.csv")])
         assert rc == 0
-        assert sorted(calls) == list(range(7))
+        assert names.count("am_coeff") == 7
+
+    def test_expand_keeps_no_rows_of_its_points(self, tmp_path):
+        # the residual points of one request are not seen again; a full
+        # table keeps its size, so its hits and misses are held too
+        before = qpolys._point_table.cache_info()
+        rc = main(["expand", "--q", "0.41", "--mmax", "6", "--grid", "4",
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == 0
+        assert qpolys._point_table.cache_info() == before
+
+    @pytest.mark.parametrize("argv,routine", [
+        # (q^{2L+2}; q)_inf = 0: exit 1 with a ZeroDivisionError traceback on
+        # the Heine branch, exit 2 from phi_terms on the direct one
+        (["coulomb", "--ell=-1", "--grid", "1", "--rho-max", "2"], "q_coulomb"),
+        (["coulomb", "--q", "0.55", "--ell=-1.5", "--grid", "2", "--rho-max", "2.5"],
+         "q_coulomb"),
+        (["coulomb", "--q", "0.7", "--ell=-1.5", "--grid", "2", "--rho-max", "2.5"],
+         "q_coulomb"),
+        (["coulomb", "--q", "0.5", "--ell=-1.5", "--grid", "2", "--rho-max", "2.5"],
+         "q_coulomb"),
+        # summed to overflow and named phi_sum
+        (["expand", "--r", "1.5"], "am_coeff"),
+        # a pole of the 2phi1, named phi_terms
+        (["expand", "--alpha=-1", "--beta=-1", "--grid", "2", "--mmax", "4"], "am_coeff"),
+    ], ids=["ell-1", "ell-1.5-q0.55", "ell-1.5-q0.7", "ell-1.5-q0.5", "r1.5", "ab-2"])
+    def test_errors_name_the_routine_asked_for(self, argv, routine):
+        r = _run(argv)
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: {routine}: ")
+        assert len(r.stderr.strip().splitlines()) == 1
 
     def test_expand_where_alpha_plus_beta_is_minus_one(self, tmp_path):
         # b^2 c^2 = q^{alpha+beta+1} = 1 there

@@ -7,8 +7,8 @@ import oracles
 from awspec import qexp, verify
 from awspec.backend import sum_series
 from awspec.awop import dq_pointwise, make_rule
-from awspec.exceptions import DomainError, NonConvergenceError
-from awspec.qcore import QContext, exp_itheta, qpoch, qpoch_inf, phi
+from awspec.exceptions import DomainError, NonConvergenceError, PoleError
+from awspec.qcore import QContext, exp_itheta, qpoch_inf, phi
 from awspec.qpolys import JacobiLevel
 from awspec.spectral import mu_from_lambda
 from awspec.qexp import (_aw_projections, am_coeff, e_series_invariant,
@@ -21,7 +21,7 @@ from awspec.qpolys import _aw_params
 
 def _jm_closed(m, r, level, ctx):
     """J_m(-i; r) in closed single-sum form: a_m times the Askey-Wilson norm."""
-    return am_coeff(m, r, level, ctx) * oracles.aw_norm(
+    return am_coeff(m, r, level, ctx)[m] * oracles.aw_norm(
         m, _aw_params(level, ctx.q), ctx)
 
 
@@ -33,8 +33,7 @@ def _eq_exp_direct(x, a, b, ctx):
 
 def _residual(x, r, level, ctx, m_trunc=25):
     """expansion_residual of the expansion truncated after a_{m_trunc}."""
-    coeffs = [am_coeff(m, r, level, ctx) for m in range(m_trunc + 1)]
-    return expansion_residual(coeffs, x, r, level, ctx)
+    return expansion_residual(am_coeff(m_trunc, r, level, ctx), x, r, level, ctx)
 
 
 class TestEqExp:
@@ -94,42 +93,60 @@ class TestExpansionCoefficients:
                 / qpoch_inf(-1j * r, q, tol=1e-14)
                 * phi([c * q ** 0.25, -b * q ** 0.25], [b * c * q ** 0.5],
                       math.sqrt(q), 1j * r, nterms=-1, tol=1e-14))
-        got = am_coeff(0, r, level, ctx)
+        got, = am_coeff(0, r, level, ctx)
         assert abs(got - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("level", [JacobiLevel(0.3, -0.2),
                                        JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)])
-    @pytest.mark.parametrize("r", [0.3, 0.5j])
-    def test_memoised_products_keep_every_bit(self, ctx, level, r):
-        # the inline formula that a_m had before its m-free products were
-        # memoised
-        q = ctx.q
-        b, _, c, _ = _aw_params(level, q)
-        c = -c
-        for m in range(26):
-            pre = (q ** (m * m / 4.0) * (1j * r) ** m
-                   / (qpoch(q, q, m) * qpoch(b * b * c * c * q ** m, q, m)))
-            pre *= qpoch_inf(1j * r * math.sqrt(q), q, ctx.tol) \
-                / qpoch_inf(-1j * r, q, ctx.tol)
-            want = pre * phi([c * q ** (m / 2.0 + 0.25), -b * q ** (m / 2.0 + 0.25)],
-                             [b * c * q ** (m + 0.5)], math.sqrt(q), 1j * r,
-                             nterms=-1, tol=ctx.tol)
-            assert am_coeff(m, r, level, ctx) == want
+    @pytest.mark.parametrize("r", [0.3, 0.5j, -0.4 + 0.2j])
+    def test_tables_as_accurate_as_the_per_m_route(self, level, r):
+        # a_0..a_25 against a 50-digit sum of the same prefactor and 2phi1.
+        # At q = 0.8 the 2phi1's terms rise ~2300x above its sum, so each
+        # route's error is the sum of its own roundings: at single m the
+        # tables' error is 0.01x to 10x the per-m route's, and over m their
+        # worst errors agree to within 1.2x
+        for q in (0.3, 0.5, 0.8):
+            ctx = QContext(q)
+            ref = oracles.am_coeff_mp(25, r, level, q, 50)
+            got = am_coeff(25, r, level, ctx)
+            old = [oracles.am_coeff_per_m(m, r, level, ctx) for m in range(26)]
+            err = max(abs(g - w) / abs(w) for g, w in zip(got, ref))
+            assert err <= 2 * max(abs(o - w) / abs(w) for o, w in zip(old, ref)), q
+            assert err <= 1e-12
+
+    def test_a_shorter_request_is_a_prefix(self, ctx, level):
+        # the tables grow on demand; what a_m reads does not depend on mmax
+        for r in (0.3, 0.5j):
+            full = am_coeff(25, r, level, ctx)
+            for mmax in (0, 3, 12):
+                assert am_coeff(mmax, r, level, ctx) == full[:mmax + 1]
 
     def test_r_zero_collapses_to_constant(self, ctx, level):
-        assert am_coeff(0, 0.0, level, ctx) == 1.0
+        a = am_coeff(5, 0.0, level, ctx)
+        assert a[0] == 1.0
         for m in (1, 2, 5):
-            assert abs(am_coeff(m, 0.0, level, ctx)) == 0.0
+            assert abs(a[m]) == 0.0
+
+    def test_outside_the_unit_disc_is_refused(self, ctx, level):
+        # |r| = 1.5: the 2phi1 in ir and (-ir; q)_inf diverge; the sum ran
+        # to overflow and named phi_sum
+        with pytest.raises(NonConvergenceError, match="^am_coeff: .*[|]r[|] < 1"):
+            am_coeff(3, 1.5, level, ctx)
+
+    @pytest.mark.parametrize("ab", [(-1.0, -1.0), (-1.5, -1.5), (-2.0, -1.0)])
+    def test_pole_of_the_2phi1_is_named(self, ctx, ab):
+        # bc q^{(j+1)/2} = 1 where alpha + beta = -2 - j
+        with pytest.raises(PoleError, match=f"^am_coeff: .* alpha [+] beta = {sum(ab):g}$"):
+            am_coeff(4, 0.3, JacobiLevel(*ab), ctx)
 
     def test_quadrature_route(self, ctx, level):
         # closed form against the orthogonality projection J_m / norm
         r = 0.3
         params = _aw_params(level, ctx.q)
-        for m in range(4):
+        for m, am in enumerate(am_coeff(3, r, level, ctx)):
             jq = jm_quadrature(m, -1j, r, level, ctx)
             am_q = jq / oracles.aw_norm(m, params, ctx)
-            assert abs(am_q - am_coeff(m, r, level, ctx)) \
-                <= 1e-7 * max(1.0, abs(am_q))
+            assert abs(am_q - am) <= 1e-7 * max(1.0, abs(am_q))
 
     def test_jm_closed_matches_quadrature(self, ctx, level):
         r = 0.3
@@ -176,11 +193,11 @@ class TestExpansionResidual:
     def test_array_x_matches_pointwise(self, ctx, monkeypatch):
         calls = []
         monkeypatch.setattr(qexp, "am_coeff",
-                            lambda m, *rest: calls.append(m) or am_coeff(m, *rest))
+                            lambda *args: calls.append(args) or am_coeff(*args))
         xs = np.linspace(-0.8, 0.8, 5)
         for level in (JacobiLevel(0.3, -0.2), JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)):
             for r in (0.3, 0.5j):
-                coeffs = [qexp.am_coeff(m, r, level, ctx) for m in range(13)]
+                coeffs = qexp.am_coeff(12, r, level, ctx)
                 calls.clear()
                 got = expansion_residual(coeffs, xs, r, level, ctx)
                 assert calls == []  # the coefficients are the caller's

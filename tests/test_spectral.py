@@ -17,7 +17,8 @@ from awspec.spectral import (EigenResult, bn_B, bn_C, bn_explicit,
                              recurrence_a_coeffs, s_poly, x_nu)
 from oracles import (_an_from_bn, _bn_explicit_nested, _eigenvalue_equation,
                      _f_2phi1, _f_and_slope, _x_nu_series, an_minimal_mp,
-                     classical_a_coeffs, f_root_lambdas, q_coulomb_literal)
+                     classical_a_coeffs, f_root_lambdas, q_coulomb_literal,
+                     q_coulomb_mp)
 
 CONJ = JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)
 
@@ -661,13 +662,35 @@ class TestQCoulomb:
         ctx = QContext(q)
         rhos = np.linspace(0.0, 2.5, 51)
         assert 0.0 < min(0.9, q ** (L + 1)) / math.sqrt(q) < rhos[-1]
-        want = np.array([q_coulomb_literal(L, eta, float(r), ctx) for r in rhos])
         scalar = np.array([q_coulomb(L, eta, float(r), ctx) for r in rhos])
         got = q_coulomb(L, eta, rhos, ctx)
         assert got.dtype == complex and got.shape == rhos.shape
-        assert got.tobytes() == scalar.tobytes() == want.tobytes()
-        assert q_coulomb(L, eta, rhos.reshape(3, 17), ctx).tobytes() == want.tobytes()
+        assert got.tobytes() == scalar.tobytes()
+        assert q_coulomb(L, eta, rhos.reshape(3, 17), ctx).tobytes() == scalar.tobytes()
         assert got[0] == 1.0
+
+    @pytest.mark.parametrize("L, eta, q", [(0.5, 0.3, 0.5), (-0.9, -0.7, 0.5),
+                                           (1.2, 0.4, 0.8)])
+    def test_tables_as_accurate_as_the_phi_route(self, L, eta, q):
+        # the same grid against a 50-digit sum on the branch q_coulomb takes;
+        # the route through phi, each factor of each ratio taken afresh, sets
+        # the error to meet over the grid (at single rho either route's error
+        # is up to 4x the other's)
+        ctx = QContext(q)
+        rhos = np.linspace(0.0, 2.5, 51).tolist()
+        ref = q_coulomb_mp(L, eta, rhos, q, 50)
+        got = q_coulomb(L, eta, np.array(rhos), ctx)
+        old = [q_coulomb_literal(L, eta, r, ctx) for r in rhos]
+        err = max(abs(g - w) / abs(w) for g, w in zip(got, ref))
+        assert err <= 2 * max(abs(o - w) / abs(w) for o, w in zip(old, ref))
+        assert err <= 1e-12
+
+    @pytest.mark.parametrize("L", [-1.0, -1.5, -2.0, -3.5])
+    def test_zero_of_the_heine_denominator_is_a_domain_error(self, ctx, L):
+        # (q^{2L+2}; q)_inf = 0 at 2L + 2 = -k: both forms divide by it, and
+        # the Heine form raised ZeroDivisionError
+        with pytest.raises(DomainError, match=f"^q_coulomb: .* L = {L}$"):
+            q_coulomb(L, 0.3, np.array([0.5, 2.0]), ctx)
 
     def test_continuation_consistency(self, ctx):
         # direct series and Heine-continued form agree inside the disc, and

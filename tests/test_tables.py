@@ -33,7 +33,7 @@ PERFBENCH = SRC.parents[1] / "perfbench"
 LEVELS = [JacobiLevel(0.3, -0.2), JacobiLevel(0.3 + 0.5j, 0.3 - 0.5j)]
 MEMOS = [qpolys._aw_table, qpolys._cq_table, spectral._oracle_table,
          spectral._x_products, qpolys._norm_table, qpolys._node_table,
-         awop.kernel_truncation, qpolys._point_table, qexp._am_products]
+         awop.kernel_truncation, qpolys._point_table]
 
 
 def _clear_tables():
